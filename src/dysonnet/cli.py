@@ -35,7 +35,7 @@ from .errors import (
 from .hessian import landscape_report, risk_hessian
 from .infogeo import LayeredDiscreteModel, contraction_check, decompose_likelihood
 from .net import LossL0, load_dataset_csv, network_from_chain_json
-from .poset import KernelSpec
+from .poset import kernel_from_entry, read_json
 from .rmt import (
     load_problem_json,
     sample_centered_hessians,
@@ -77,11 +77,6 @@ def _write_json(path, seed, payload):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def _positive(kind, name):
@@ -177,7 +172,7 @@ def _cmd_landscape(args):
 
 
 def _cmd_contract(args):
-    doc = _load_json(args.model)
+    doc = read_json(args.model)
     try:
         p = np.asarray(doc["p"], dtype=float)
         q = np.asarray(doc["q"], dtype=float)
@@ -200,20 +195,8 @@ def _cmd_contract(args):
     return 0
 
 
-def _scales_from_doc(entries):
-    scales = []
-    for i, entry in enumerate(entries):
-        try:
-            rows, cols = int(entry["rows"]), int(entry["cols"])
-            weight = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
-            scales.append(KernelSpec(weight, entry.get("field", "01")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed scale entry {i}: {exc}") from exc
-    return tuple(scales)
-
-
 def _cmd_decompose(args):
-    doc = _load_json(args.model)
+    doc = read_json(args.model)
     try:
         support = np.asarray(doc["x_support"], dtype=float)
         data = np.asarray(doc["x_pmf"], dtype=float)
@@ -221,7 +204,14 @@ def _cmd_decompose(args):
         scale_entries = doc["scales"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed model document: {exc}") from exc
-    model = LayeredDiscreteModel(support, _scales_from_doc(scale_entries))
+    if not isinstance(scale_entries, list):
+        raise DomainError(
+            f"scales must be a list of layer entries, got {type(scale_entries).__name__}"
+        )
+    scales = [
+        kernel_from_entry(entry, f"scale entry {i}") for i, entry in enumerate(scale_entries)
+    ]
+    model = LayeredDiscreteModel(support, scales)
     report = decompose_likelihood(model, data, nu)
     if args.csv:
         _write_csv(args.csv, args.seed, ["stage", "divergence"], enumerate(report.kl_terms))

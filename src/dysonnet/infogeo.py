@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapacityError, DomainError, NumericError, ShapeError
 from .net import NetworkParams, forward
@@ -41,6 +39,18 @@ __all__ = [
     "neuron_coordinates",
     "quadratic_potential",
 ]
+
+
+def logsumexp(a) -> float:
+    """``log(sum(exp(a)))`` over all entries, shifted by the maximum.
+
+    Returns ``-inf`` when every entry is ``-inf``.
+    """
+    a = np.asarray(a, dtype=float)
+    peak = a.max()
+    if peak == -np.inf:
+        return -np.inf
+    return float(peak + np.log(np.sum(np.exp(a - peak))))
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +274,32 @@ def bregman_divergence(psi_star: ConvexFunction, eta, eta_prime) -> float:
 # ---------------------------------------------------------------------------
 
 
-def kl_divergence(p, q) -> float:
-    """KL divergence in nats with the 0 log 0 = 0 convention."""
+def kl_divergence(p, q):
+    """KL divergence in nats with the 0 log 0 = 0 convention.
+
+    ``q`` is one pmf shaped like ``p`` (the result is a float) or a stack
+    of such pmfs as rows (the result is one divergence per row).
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if q.shape[q.ndim - p.ndim:] != p.shape:
         raise ShapeError("pmfs must have matching shapes")
     active = p > 0
-    if np.any(q[active] == 0):
-        return np.inf
-    value = float(np.sum(p[active] * (np.log(p[active]) - np.log(q[active]))))
+    # a zero q where p > 0 gives log 0 = -inf and so an infinite divergence
+    with np.errstate(divide="ignore"):
+        value = np.sum(p[active] * (np.log(p[active]) - np.log(q[..., active])), axis=-1)
     # KL is nonnegative; values in (-1e-12, 0) are pure rounding error.
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return value
+    value = np.where((-1e-12 < value) & (value < 0.0), 0.0, value)
+    return float(value) if value.ndim == 0 else value
 
 
 def _check_pmf(p, tol, what):
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or np.any(p < 0) or abs(p.sum() - 1.0) > tol:
+    if p.ndim != 1:
+        raise DomainError(f"{what} is not a valid pmf")
+    if not np.all(np.isfinite(p)):
+        raise DomainError(f"{what} has non-finite entries")
+    if np.any(p < 0) or abs(p.sum() - 1.0) > tol:
         raise DomainError(f"{what} is not a valid pmf")
     return p
 
@@ -303,7 +320,7 @@ def contraction_check(p, q, kernels, tol: float = 1e-12) -> np.ndarray:
         k = np.asarray(k, dtype=float)
         if k.ndim != 2 or k.shape[0] != p.shape[0]:
             raise ShapeError(f"kernel {i} has shape {k.shape}, expected ({p.shape[0]}, ...)")
-        if np.any(k < 0) or np.abs(k.sum(axis=1) - 1.0).max() > tol:
+        if not (np.all(k >= 0) and np.abs(k.sum(axis=1) - 1.0).max() <= tol):
             raise DomainError(f"kernel {i} is not row-stochastic")
         p = k.T @ p
         q = k.T @ q
@@ -359,6 +376,12 @@ class LayeredDiscreteModel:
         support = np.asarray(self.x_support, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
+        if support.ndim != 2:
+            raise ShapeError(f"x_support must hold one point per row, got ndim={support.ndim}")
+        if not np.all(np.isfinite(support)):
+            raise DomainError("x_support contains non-finite entries")
+        if not self.scales:
+            raise DomainError("scales must hold at least one kernel")
         object.__setattr__(self, "x_support", support)
         object.__setattr__(self, "scales", tuple(self.scales))
         dim = support.shape[1]
@@ -386,23 +409,30 @@ class LayeredDiscreteModel:
         return total
 
     def transports(self, x) -> list[np.ndarray]:
-        """Deterministic inputs seen by each scale for one observed x."""
+        """Deterministic inputs seen by each scale for one observed x or rows of them."""
         t = np.asarray(x, dtype=float)
         inputs = []
         for spec in self.scales:
             inputs.append(t)
-            t, _ = estimate_indicator(self.transport_rule, spec.weight.T @ t)
+            t, _ = estimate_indicator(self.transport_rule, t @ spec.weight)
         return inputs
 
     def conditionals(self, x) -> list[np.ndarray]:
-        """Per-scale pmfs over the enumerated states given one observed x."""
+        """Per-scale pmfs over the enumerated states given the observed x.
+
+        ``x`` is one point (each pmf is 1-D) or a stack of points as rows
+        (each pmf has one row per point).  The scale's states are ordered
+        like :meth:`scale_states`, whose last coordinate varies fastest, so
+        the pmf is the outer product of the per-coordinate laws taken in
+        coordinate order.
+        """
         pmfs = []
-        for s, (spec, t) in enumerate(zip(self.scales, self.transports(x))):
+        for spec, t in zip(self.scales, self.transports(x)):
             law = conditional_group_law(spec, t)
-            states = self.scale_states(s)
-            hi = spec.values[1]
-            probs = np.where(states == hi, law[:, 1], law[:, 0])
-            pmfs.append(np.prod(probs, axis=1))
+            pmf = np.ones(law.shape[:-2] + (1,))
+            for i in range(spec.out_dim):
+                pmf = (pmf[..., :, None] * law[..., i, None, :]).reshape(law.shape[:-2] + (-1,))
+            pmfs.append(pmf)
         return pmfs
 
 
@@ -414,6 +444,13 @@ class DecompositionReport:
     expected_ll: float
     kl_terms: tuple[float, ...]
     identity_defect: float
+
+
+def _check_data(model: LayeredDiscreteModel, data) -> np.ndarray:
+    data = _check_pmf(data, 1e-9, "data")
+    if data.shape[0] != model.x_support.shape[0]:
+        raise ShapeError("data pmf must match the support size")
+    return data
 
 
 def _validate_nu(model: LayeredDiscreteModel, nu) -> list[np.ndarray]:
@@ -430,52 +467,51 @@ def _validate_nu(model: LayeredDiscreteModel, nu) -> list[np.ndarray]:
 
 
 def decompose_likelihood(model: LayeredDiscreteModel, data, nu) -> DecompositionReport:
-    """Exact decomposition of the log likelihood by joint enumeration.
+    """Exact decomposition of the log likelihood, one scale at a time.
 
     ``data`` is the observed-input pmf over the model's support and ``nu``
-    assigns one pmf per scale.  The complete term is the expected log of
-    the marginal likelihood obtained by summing the joint over all hidden
-    states; the expected term averages ``ln p(x, h) - ln q(h)`` under the
-    factored assignment ``q``; the per-scale terms are the KL divergences
-    from the assignments to the model conditionals.  The three quantities
-    are computed independently; their identity defect is reported.
+    assigns one pmf per scale.  Given x the scales are conditionally
+    independent, so the joint over hidden states factors into the
+    per-scale conditionals ``cond_s`` and never needs to be formed:
+
+    - complete term: ``sum_x w (log w + sum_s log sum_h cond_s(h))``, the
+      expected log of the marginal likelihood;
+    - expected term: ``sum_x w (log w + sum_s sum_h nu_s (log cond_s - log nu_s))``,
+      the average of ``ln p(x, h) - ln q(h)`` under the factored
+      assignment ``q``;
+    - per-scale terms: ``sum_x w KL(nu_s || cond_s(x))``.
+
+    The three quantities are computed independently; their identity
+    defect is reported.  The conditionals of every support point with
+    positive weight are held at once: ``n_x * sum_s |S_s|`` entries over
+    the scales' states ``S_s``.  That never exceeds the joint count
+    ``n_x * prod_s |S_s|`` which ``max_states`` caps, so the budget still
+    bounds what is allocated.
     """
-    data = _check_pmf(data, 1e-9, "data")
-    if data.shape[0] != model.x_support.shape[0]:
-        raise ShapeError("data pmf must match the support size")
+    data = _check_data(model, data)
     if model.n_joint_states() > model.max_states:
         raise CapacityError(
             f"joint support has {model.n_joint_states()} states, budget {model.max_states}"
         )
     nus = _validate_nu(model, nu)
-    log_nus = [np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), -np.inf) for v in nus]
-    complete = 0.0
-    expected = 0.0
+    observed = data > 0
+    w = data[observed]
+    complete_x = np.log(w)
+    expected_x = np.log(w)
     kl_terms = np.zeros(model.n_scales)
-    for w, x in zip(data, model.x_support):
-        if w == 0.0:
-            continue
-        conds = model.conditionals(x)
-        for s, (cond, v) in enumerate(zip(conds, nus)):
-            bad = np.flatnonzero((v > 0) & (cond == 0))
-            if bad.size:
-                state = model.scale_states(s)[bad[0]]
-                raise DomainError(
-                    f"assigned pmf at scale {s} weights state {state} with zero conditional probability"
-                )
-            kl_terms[s] += w * kl_divergence(v, cond)
-        with np.errstate(divide="ignore"):
-            log_conds = [np.log(c) for c in conds]
-        # joint arrays over the product of scale states
-        log_joint = reduce(np.add.outer, log_conds)
-        q_joint = reduce(np.multiply.outer, nus)
-        log_q = reduce(np.add.outer, log_nus)
-        marginal = float(np.exp(logsumexp(log_joint)))
-        complete += w * float(np.log(w * marginal))
-        active = q_joint > 0
-        expected += w * float(
-            np.sum(q_joint[active] * (np.log(w) + log_joint[active] - log_q[active]))
-        )
+    for s, (cond, v) in enumerate(zip(model.conditionals(model.x_support[observed]), nus)):
+        active = v > 0
+        bad = np.flatnonzero(active & (cond == 0).any(axis=0))
+        if bad.size:
+            state = model.scale_states(s)[bad[0]]
+            raise DomainError(
+                f"assigned pmf at scale {s} weights state {state} with zero conditional probability"
+            )
+        kl_terms[s] = w @ kl_divergence(v, cond)
+        complete_x += np.log(cond.sum(axis=1))
+        expected_x += (np.log(cond[:, active]) - np.log(v[active])) @ v[active]
+    complete = float(w @ complete_x)
+    expected = float(w @ expected_x)
     defect = abs(complete - (expected + kl_terms.sum()))
     return DecompositionReport(complete, expected, tuple(kl_terms), float(defect))
 
@@ -487,31 +523,24 @@ def posterior_assignments(model: LayeredDiscreteModel, data) -> list[np.ndarray]
     observed input; in general they are the normalized geometric means of
     the conditionals under the data weights.
     """
-    data = _check_pmf(data, 1e-9, "data")
+    data = _check_data(model, data)
+    observed = data > 0
+    w = data[observed]
     out = []
-    for s in range(model.n_scales):
-        log_mix = None
-        for w, x in zip(data, model.x_support):
-            if w == 0.0:
-                continue
-            with np.errstate(divide="ignore"):
-                term = w * np.log(model.conditionals(x)[s])
-            log_mix = term if log_mix is None else log_mix + term
-        log_mix -= logsumexp(log_mix)
-        out.append(np.exp(log_mix))
+    for cond in model.conditionals(model.x_support[observed]):
+        with np.errstate(divide="ignore"):
+            log_mix = (w[:, None] * np.log(cond)).sum(axis=0)
+        out.append(np.exp(log_mix - logsumexp(log_mix)))
     return out
 
 
 def top_scale_kl(model: LayeredDiscreteModel, data, top_nu) -> float:
     """Supervised discrepancy at the top scale under the data pmf."""
-    data = _check_pmf(data, 1e-9, "data")
+    data = _check_data(model, data)
     top_nu = _check_pmf(top_nu, 1e-9, "top_nu")
-    total = 0.0
-    for w, x in zip(data, model.x_support):
-        if w == 0.0:
-            continue
-        total += w * kl_divergence(top_nu, model.conditionals(x)[-1])
-    return total
+    observed = data > 0
+    top = model.conditionals(model.x_support[observed])[-1]
+    return float(data[observed] @ kl_divergence(top_nu, top))
 
 
 def _with_top_weights(model: LayeredDiscreteModel, flat) -> LayeredDiscreteModel:

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, NumericError, ShapeError
 
@@ -32,7 +31,9 @@ __all__ = [
     "conditional_group_law",
     "estimate_indicator",
     "evaluate_plan",
+    "kernel_from_entry",
     "load_network_json",
+    "read_json",
     "successor",
     "predecessor",
 ]
@@ -201,28 +202,37 @@ def predecessor(poset: ScalePoset, s: str) -> set[str]:
     return poset.predecessors(s)
 
 
+def _sigmoid(x):
+    """Logistic function ``1 / (1 + exp(-x))``; exactly 0 and 1 once saturated."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def conditional_group_law(spec: KernelSpec, t_tilde: np.ndarray) -> np.ndarray:
     """Per-coordinate law of the group indicator given the transported input.
 
     Coordinate ``i`` carries the two-point pmf proportional to
-    ``exp(h * (W^T t)_i)`` over the kernel's value set.  Returns an array of
-    shape ``(out_dim, 2)`` with columns ordered like ``spec.values``; rows
-    sum to one.
+    ``exp(h * (W^T t)_i)`` over the kernel's value set.  ``t_tilde`` is one
+    input of shape ``(in_dim,)`` or a stack of inputs as rows, shape
+    ``(..., in_dim)``.  Returns an array of shape ``(..., out_dim, 2)`` with
+    the last axis ordered like ``spec.values``; it sums to one.
 
     Only this conditional law and the deterministic transports are ever
     evaluated: the joint coupled law also involves the unknown law of the
     input element and has no computable form.
     """
     t = np.asarray(t_tilde, dtype=float)
-    if t.shape != (spec.in_dim,):
-        raise ShapeError(f"input has shape {t.shape}, kernel expects ({spec.in_dim},)")
+    if t.ndim == 0 or t.shape[-1] != spec.in_dim:
+        raise ShapeError(
+            f"input has shape {t.shape}, kernel expects (..., {spec.in_dim})"
+        )
     if not np.all(np.isfinite(t)):
         raise NumericError("non-finite input to conditional_group_law")
-    a = spec.weight.T @ t
+    a = t @ spec.weight
     lo, hi = spec.values
     # p(hi) = sigmoid((hi - lo) * a); stable for both value sets.
-    p_hi = expit((hi - lo) * a)
-    return np.column_stack([1.0 - p_hi, p_hi])
+    p_hi = _sigmoid((hi - lo) * a)
+    return np.stack([1.0 - p_hi, p_hi], axis=-1)
 
 
 def estimate_indicator(rule: ActivationRule, h_hat: np.ndarray):
@@ -239,10 +249,10 @@ def estimate_indicator(rule: ActivationRule, h_hat: np.ndarray):
         mask = (h > 0).astype(float)
         return mask * h, mask
     if rule is ActivationRule.EXPECTATION_MASK_01:
-        s = expit(h)
+        s = _sigmoid(h)
         return s * h, s * (1.0 + h * (1.0 - s))
     if rule is ActivationRule.PARTIAL_EXPECTATION_01:
-        s = expit(h)
+        s = _sigmoid(h)
         return s, s * (1.0 - s)
     if rule is ActivationRule.PARTIAL_EXPECTATION_PM1:
         t = np.tanh(h)
@@ -369,6 +379,30 @@ def evaluate_plan(plan: NetworkPlan, x: np.ndarray):
 _RULE_NAMES = {rule.value: rule for rule in ActivationRule}
 
 
+def read_json(source):
+    """Parse a JSON document given as a path, an open file or an already-parsed dict."""
+    if isinstance(source, dict):
+        return source
+    if hasattr(source, "read"):
+        return json.load(source)
+    with open(source, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def kernel_from_entry(entry, where: str) -> KernelSpec:
+    """Kernel of one layer entry ``{"rows": r, "cols": c, "weights": [...], "field": ...}``.
+
+    ``weights`` is row-major and ``field`` defaults to ``"01"``.  ``where``
+    names the entry in the error raised for a malformed one.
+    """
+    try:
+        rows, cols = int(entry["rows"]), int(entry["cols"])
+        weight = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
+        return KernelSpec(weight, entry.get("field", "01"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {where}: {exc}") from exc
+
+
 def load_network_json(source) -> tuple[ScalePoset, dict[str, tuple[KernelSpec, ActivationRule]]]:
     """Load a poset and per-node layer specs from a JSON document.
 
@@ -379,13 +413,7 @@ def load_network_json(source) -> tuple[ScalePoset, dict[str, tuple[KernelSpec, A
     The minimal element is inferred as the unique node without incoming
     edges.
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+    doc = read_json(source)
     try:
         nodes = [str(n) for n in doc["nodes"]]
         edges = [(str(a), str(b)) for a, b in doc["edges"]]
@@ -399,16 +427,9 @@ def load_network_json(source) -> tuple[ScalePoset, dict[str, tuple[KernelSpec, A
     poset = ScalePoset(tuple(nodes), tuple(edges), sources[0])
     specs: dict[str, tuple[KernelSpec, ActivationRule]] = {}
     for node, entry in layer_doc.items():
-        try:
-            rows, cols = int(entry["rows"]), int(entry["cols"])
-            rule_name = entry["rule"]
-            weights = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed layer entry for node {node!r}: {exc}") from exc
-        if rule_name not in _RULE_NAMES:
+        kernel = kernel_from_entry(entry, f"layer entry for node {node!r}")
+        rule_name = entry.get("rule")
+        if not isinstance(rule_name, str) or rule_name not in _RULE_NAMES:
             raise DomainError(f"unknown rule {rule_name!r} for node {node!r}")
-        specs[str(node)] = (
-            KernelSpec(weights, entry.get("field", "01")),
-            _RULE_NAMES[rule_name],
-        )
+        specs[str(node)] = (kernel, _RULE_NAMES[rule_name])
     return poset, specs

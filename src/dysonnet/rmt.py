@@ -16,7 +16,6 @@ by a ladder of decreasing offsets starting at ``Im z = 1``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .hessian import HessianBlocks, sample_hessian
 from .net import LossL0, NetworkParams
-from .poset import ActivationRule
+from .poset import ActivationRule, read_json
 
 __all__ = [
     "CumulantReport",
@@ -619,13 +618,7 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
     ``sigma2``) and ``empirical`` (``samples`` pointing at an ``.npy``
     stack of sample matrices).
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+    doc = read_json(source)
     try:
         a = np.asarray(doc["A"], dtype=float)
         s_doc = doc["S"]

@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, output formats and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -152,6 +153,26 @@ class TestExitCodes:
                      "--out", workdir / "r.json")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"scales": 5}, "scales"),
+            ({"scales": [], "nu": []}, "scales"),
+            ({"scales": [{"rows": 1, "cols": 2, "weights": [1.0]}]}, "scale entry 0"),
+            ({"x_support": [[float("nan")]]}, "x_support"),
+            ({"x_pmf": [float("nan")]}, "data has non-finite entries"),
+        ],
+        ids=["scales-not-a-list", "no-scales", "short-weights", "nan-support", "nan-pmf"],
+    )
+    def test_invalid_decompose_document(self, workdir, capsys, change, named):
+        doc = json.loads((workdir / "model.json").read_text())
+        doc.update(change)
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        rc = run_cli("decompose", "--model", workdir / "bad.json",
+                     "--out", workdir / "r.json")
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_invalid_knob_range(self, workdir, capsys):
         rc = run_cli("mde", "solve", "--problem", workdir / "wigner.json",
                      "--emin", 3, "--emax", -3, "--out", workdir / "x.csv")
@@ -195,3 +216,14 @@ class TestDeterminism:
         values = [float(line.split(",")[1]) for line in text]
         rewritten = [format(v, ".17g") for v in values]
         assert [float(r) for r in rewritten] == values
+
+
+def test_cli_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dysonnet.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.strip() == "[]"

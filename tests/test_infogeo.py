@@ -1,5 +1,8 @@
 """Exponential-family coordinates, divergences and the likelihood identity."""
 
+import re
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from dysonnet.infogeo import (
     top_scale_kl,
 )
 from dysonnet.net import NetworkParams, forward
-from dysonnet.poset import ActivationRule, KernelSpec
+from dysonnet.poset import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
 
 
 def bernoulli():
@@ -171,6 +174,8 @@ class TestContraction:
             contraction_check([0.5, 0.6], [0.5, 0.5], [])
         with pytest.raises(DomainError):
             contraction_check([0.5, 0.5], [0.5, 0.5], [np.array([[0.5, 0.4], [0.5, 0.5]])])
+        with pytest.raises(DomainError):
+            contraction_check([0.5, 0.5], [0.5, 0.5], [np.array([[np.nan, 1.0], [0.5, 0.5]])])
 
 
 class TestDeformation:
@@ -285,6 +290,137 @@ class TestDecomposition:
         model = binary_scale_model()
         with pytest.raises(DomainError):
             decompose_likelihood(model, np.array([1.0]), [np.array([0.7, 0.7])])
+
+
+def conditionals_by_states(model, x):
+    """Per-scale conditionals at one point, computed state by state."""
+    t = np.asarray(x, dtype=float)
+    pmfs = []
+    for s, spec in enumerate(model.scales):
+        law = conditional_group_law(spec, t)
+        states = model.scale_states(s)
+        pmfs.append(np.prod(np.where(states == spec.values[1], law[:, 1], law[:, 0]), axis=1))
+        t, _ = estimate_indicator(model.transport_rule, spec.weight.T @ t)
+    return pmfs
+
+
+def joint_enumeration(model, data, nu):
+    """Reference decomposition: the joint over every scale's states, point by point.
+
+    Returns ``(complete_ll, expected_ll, kl_terms)``.
+    """
+    nus = [np.asarray(v, dtype=float) for v in nu]
+    log_nus = [np.where(v > 0, np.log(np.where(v > 0, v, 1.0)), -np.inf) for v in nus]
+    complete = 0.0
+    expected = 0.0
+    kl_terms = np.zeros(model.n_scales)
+    for w, x in zip(data, model.x_support):
+        if w == 0.0:
+            continue
+        conds = conditionals_by_states(model, x)
+        for s, (cond, v) in enumerate(zip(conds, nus)):
+            bad = np.flatnonzero((v > 0) & (cond == 0))
+            if bad.size:
+                state = model.scale_states(s)[bad[0]]
+                raise DomainError(
+                    f"assigned pmf at scale {s} weights state {state} with zero conditional probability"
+                )
+            kl_terms[s] += w * kl_divergence(v, cond)
+        with np.errstate(divide="ignore"):
+            log_conds = [np.log(c) for c in conds]
+        log_joint = reduce(np.add.outer, log_conds)
+        q_joint = reduce(np.multiply.outer, nus)
+        log_q = reduce(np.add.outer, log_nus)
+        marginal = float(np.exp(np.logaddexp.reduce(log_joint.ravel())))
+        complete += w * float(np.log(w * marginal))
+        active = q_joint > 0
+        expected += w * float(
+            np.sum(q_joint[active] * (np.log(w) + log_joint[active] - log_q[active]))
+        )
+    return complete, expected, kl_terms
+
+
+def random_layered_model(rng):
+    dim = int(rng.integers(1, 4))
+    support = rng.standard_normal((int(rng.integers(1, 5)), dim))
+    scales = []
+    for _ in range(int(rng.integers(1, 4))):
+        width = int(rng.integers(1, 4))
+        scales.append(KernelSpec(2.0 * rng.standard_normal((dim, width)),
+                                 str(rng.choice(["01", "pm1"]))))
+        dim = width
+    rule = list(ActivationRule)[int(rng.integers(len(ActivationRule)))]
+    return LayeredDiscreteModel(support, scales, rule)
+
+
+def sparse_pmf(rng, size):
+    """Random pmf whose entries are zero with probability 0.3 (one stays positive)."""
+    p = rng.dirichlet(np.ones(size))
+    p[rng.random(size) < 0.3] = 0.0
+    p[int(rng.integers(size))] += 0.1
+    return p / p.sum()
+
+
+class TestJointEnumerationOracle:
+    def test_per_scale_path_matches_joint_enumeration(self):
+        rng = np.random.default_rng(46)
+        compared = 0
+        for _ in range(200):
+            model = random_layered_model(rng)
+            n_x = model.x_support.shape[0]
+            batched = model.conditionals(model.x_support)
+            for i, x in enumerate(model.x_support):
+                single = model.conditionals(x)
+                for s, cond in enumerate(conditionals_by_states(model, x)):
+                    assert single[s].ndim == 1
+                    assert np.abs(single[s] - cond).max() <= 1e-15
+                    assert np.abs(batched[s][i] - cond).max() <= 1e-15
+            data = sparse_pmf(rng, n_x)
+            nu = [sparse_pmf(rng, 2 ** spec.out_dim) for spec in model.scales]
+            try:
+                report = decompose_likelihood(model, data, nu)
+            except DomainError:
+                # a saturated kernel gives an assigned state zero probability
+                with pytest.raises(DomainError):
+                    joint_enumeration(model, data, nu)
+                continue
+            compared += 1
+            complete, expected, kl_terms = joint_enumeration(model, data, nu)
+            assert abs(report.complete_ll - complete) <= 1e-12
+            assert abs(report.expected_ll - expected) <= 1e-12
+            assert np.abs(np.asarray(report.kl_terms) - kl_terms).max() <= 1e-12
+        assert compared >= 150
+
+    @pytest.mark.parametrize("field, state", [("01", "[0.]"), ("pm1", "[-1.]")])
+    def test_zero_conditional_names_scale_and_state(self, field, state):
+        # the top kernel saturates, so its inactive state has probability 0
+        scales = (KernelSpec(np.full((2, 2), 5.0), "01"),
+                  KernelSpec(np.full((2, 1), 800.0), field))
+        model = LayeredDiscreteModel(np.array([[1.0, 1.0], [0.5, 2.0]]), scales)
+        data = np.array([0.25, 0.75])
+        nu = [np.full(4, 0.25), np.array([0.5, 0.5])]
+        with pytest.raises(DomainError) as per_scale:
+            decompose_likelihood(model, data, nu)
+        with pytest.raises(DomainError) as joint:
+            joint_enumeration(model, data, nu)
+        assert str(per_scale.value) == str(joint.value)
+        assert "scale 1" in str(per_scale.value)
+        assert f"state {state}" in str(per_scale.value)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda m: decompose_likelihood(m, [np.nan], [[0.5, 0.5]]), "data"),
+        (lambda m: decompose_likelihood(m, [1.0], [[np.nan, 0.5]]), "nu[0]"),
+        (lambda m: top_scale_kl(m, [1.0], [0.5, np.inf]), "top_nu"),
+        (lambda m: contraction_check([np.nan, 1.0], [0.5, 0.5], []), "p"),
+        (lambda m: contraction_check([0.5, 0.5], [0.5, np.nan], []), "q"),
+    ],
+)
+def test_nonfinite_pmf_rejected(call, name):
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} has non-finite entries"):
+        call(binary_scale_model())
 
 
 class TestFpBp:

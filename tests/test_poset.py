@@ -267,6 +267,18 @@ class TestConditionalGroupLaw:
         with pytest.raises(NumericError):
             conditional_group_law(spec, np.array([1.0, np.nan]))
 
+    def test_rows_match_single_inputs(self):
+        rng = np.random.default_rng(12)
+        for field in ("01", "pm1"):
+            spec = KernelSpec(3.0 * rng.standard_normal((3, 4)), field)
+            rows = 3.0 * rng.standard_normal((5, 3))
+            law = conditional_group_law(spec, rows)
+            assert law.shape == (5, 4, 2)
+            for row, row_law in zip(rows, law):
+                assert np.abs(row_law - conditional_group_law(spec, row)).max() <= 1e-15
+        with pytest.raises(ShapeError):
+            conditional_group_law(spec, np.ones((5, 4)))
+
 
 class TestEstimateIndicator:
     def test_argmax_mask(self):
@@ -366,6 +378,15 @@ class TestJsonLoading:
             "layers": {"1": {"rows": 1, "cols": 1, "field": "01", "rule": "gelu", "weights": [1]}},
         }
         with pytest.raises(DomainError):
+            load_network_json(doc)
+
+    def test_malformed_entry_names_node(self):
+        doc = {
+            "nodes": ["0", "1"],
+            "edges": [["0", "1"]],
+            "layers": {"1": {"rows": 2, "cols": 2, "rule": "relu", "weights": [1, 2, 3]}},
+        }
+        with pytest.raises(DomainError, match="layer entry for node '1'"):
             load_network_json(doc)
 
 
