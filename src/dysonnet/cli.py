@@ -82,14 +82,17 @@ def _write_json(path, seed, payload):
 def _positive(kind, name):
     def parse(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {value}")
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"{name} must be positive and finite, got {value}")
         return value
 
     return parse
 
 
 def _cmd_mde_solve(args):
+    for name, value in (("--emin", args.emin), ("--emax", args.emax)):
+        if not np.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if args.emin >= args.emax:
         raise DomainError(f"--emin {args.emin} must be below --emax {args.emax}")
     if not 0.0 < args.damping <= 1.0:

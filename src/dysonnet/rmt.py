@@ -12,11 +12,21 @@ The solver is a damped fixed-point iteration ``M <- (1-g) M - g (z - A +
 S[M])^{-1}`` with geometric continuation in the imaginary part: each grid
 point is solved either warm-started from its neighbor or, failing that,
 by a ladder of decreasing offsets starting at ``Im z = 1``.
+
+The isotropic, Wigner and zero self-energies map functions of ``A`` to
+functions of ``A`` and declare it with ``apply_eigen``.  For them the
+solution is ``M = U diag(m) U^T`` with ``A = U diag(lambda) U^T``, and
+the same iteration runs on the length-n vector ``m`` (the vector Dyson
+equation) after one ``eigh`` of ``A``.  The empirical self-energy keeps
+full n x n matrices.  ``MDESolution.m`` builds the matrices on first
+access only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,15 +76,28 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _check_strength(name: str, value: float) -> None:
+    # A negative strength flips the sign of Im S[M] and breaks positivity.
+    if not (np.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+
+
 @dataclass(frozen=True)
 class IsotropicSelfEnergy:
     """Closed-form sandwich ``S[R] = c (tr R / N) I``."""
 
     c: float = 1.0
 
+    def __post_init__(self):
+        _check_strength("isotropic self-energy c", self.c)
+
     def apply(self, r: np.ndarray) -> np.ndarray:
         n = r.shape[0]
         return self.c * (np.trace(r) / n) * np.eye(n, dtype=r.dtype)
+
+    def apply_eigen(self, values: np.ndarray) -> np.ndarray:
+        """Diagonal of ``S[U diag(values) U^T]`` in the basis ``U``."""
+        return np.full_like(values, self.c * values.sum() / values.size)
 
 
 @dataclass(frozen=True)
@@ -87,9 +110,20 @@ class WignerSelfEnergy:
 
     sigma2: float = 1.0
 
+    def __post_init__(self):
+        _check_strength("wigner self-energy sigma2", self.sigma2)
+
     def apply(self, r: np.ndarray) -> np.ndarray:
         n = r.shape[0]
         return (self.sigma2 / n) * (np.trace(r) * np.eye(n, dtype=r.dtype) + r.T)
+
+    def apply_eigen(self, values: np.ndarray) -> np.ndarray:
+        """Diagonal of ``S[U diag(values) U^T]`` in the basis ``U``.
+
+        ``U diag(values) U^T`` is complex symmetric for real orthogonal
+        ``U``, so ``R^T = R`` and the transpose term is ``values`` itself.
+        """
+        return (self.sigma2 / values.size) * (values.sum() + values)
 
 
 @dataclass(frozen=True)
@@ -99,20 +133,43 @@ class ZeroSelfEnergy:
     def apply(self, r: np.ndarray) -> np.ndarray:
         return np.zeros_like(r)
 
+    def apply_eigen(self, values: np.ndarray) -> np.ndarray:
+        """Diagonal of ``S[U diag(values) U^T]`` in the basis ``U``."""
+        return np.zeros_like(values)
+
+
+def _check_symmetric_stack(stack: np.ndarray, what: str) -> None:
+    """Reject a stack that is not of finite, symmetric square matrices."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ShapeError(f"{what}s must form a stack of square matrices")
+    bad = ~np.isfinite(stack).all(axis=(1, 2))
+    if bad.any():
+        raise DomainError(f"{what} {int(np.argmax(bad))} has non-finite entries")
+    scale = max(1.0, float(np.abs(stack).max(initial=0.0)))
+    skewed = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
+    if skewed.any():
+        raise DomainError(f"{what} {int(np.argmax(skewed))} is not symmetric")
+
 
 class EmpiricalSelfEnergy:
     """Averaged sandwich over stored fluctuation samples.
 
     Given samples ``H_i`` of the random matrix, the fluctuations are
     ``W_i = sqrt(N) (H_i - mean)`` and the operator is
-    ``S[R] = (1 / (m N)) sum_i W_i R W_i``.
+    ``S[R] = (1 / (m N)) sum_i W_i R W_i``.  It does not act diagonally in
+    the eigenbasis of the expectation matrix, so it declares no
+    ``apply_eigen`` and the solver keeps full matrices.
     """
 
     def __init__(self, fluctuations: np.ndarray):
         w = np.asarray(fluctuations, dtype=float)
-        if w.ndim != 3 or w.shape[1] != w.shape[2]:
-            raise ShapeError("fluctuations must be a stack of square matrices")
+        _check_symmetric_stack(w, "fluctuation sample")
         self.fluctuations = w
+
+    @property
+    def n(self) -> int:
+        """Size of the matrices the operator acts on."""
+        return self.fluctuations.shape[1]
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalSelfEnergy":
@@ -120,6 +177,7 @@ class EmpiricalSelfEnergy:
             h.assemble() if isinstance(h, HessianBlocks) else np.asarray(h, dtype=float)
             for h in samples
         ])
+        _check_symmetric_stack(stack, "empirical sample")
         if stack.shape[0] < 2:
             raise DomainError("need at least 2 samples to center fluctuations")
         n = stack.shape[1]
@@ -195,7 +253,11 @@ def check_self_energy(self_energy, n: int, rng, n_probes: int = 100):
 
 @dataclass(frozen=True)
 class MDEProblem:
-    """Expectation matrix, self-energy and spectral-parameter grid."""
+    """Expectation matrix, self-energy and spectral-parameter grid.
+
+    A self-energy that acts on matrices of one size only (an empirical
+    one) declares it as ``n``; it must match the expectation matrix.
+    """
 
     a_matrix: np.ndarray
     self_energy: object
@@ -205,9 +267,19 @@ class MDEProblem:
         a = np.asarray(self.a_matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError("expectation matrix must be square")
+        if not np.isfinite(a).all():
+            raise DomainError("expectation matrix A has non-finite entries")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
             raise DomainError("expectation matrix must be symmetric")
+        se_n = getattr(self.self_energy, "n", None)
+        if se_n is not None and se_n != a.shape[0]:
+            raise ShapeError(
+                f"self-energy acts on {se_n}x{se_n} matrices but the expectation matrix A "
+                f"is {a.shape[0]}x{a.shape[0]}"
+            )
         z = np.atleast_1d(np.asarray(self.z_grid, dtype=complex))
+        if not np.isfinite(z).all():
+            raise DomainError("every spectral parameter must be finite (real and imaginary part)")
         if np.any(z.imag <= 0):
             raise DomainError("every spectral parameter must have positive imaginary part")
         object.__setattr__(self, "a_matrix", a)
@@ -220,18 +292,58 @@ class MDEProblem:
 
 @dataclass(frozen=True)
 class MDESolution:
-    """Solution matrices, certified residuals and normalized traces."""
+    """Solutions, certified residuals, normalized traces and solver stats.
+
+    ``values`` holds, per grid point, either the eigenvalues of ``M`` in
+    the orthonormal ``basis`` (rows of shape ``(n,)``) or, when ``basis``
+    is ``None``, the full matrix ``M``.  ``iterations`` counts the damped
+    steps (residual evaluations) spent at each point, warm start and
+    ladder together; ``ladder_levels`` is 0 where the warm start from the
+    previous point converged and otherwise the number of imaginary
+    offsets the continuation ladder solved.
+    """
 
     z_grid: np.ndarray
-    m: np.ndarray
+    values: np.ndarray
+    basis: np.ndarray | None
     residuals: np.ndarray
     stieltjes: np.ndarray
+    iterations: np.ndarray
+    ladder_levels: np.ndarray
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """Stack of solution matrices, built from the eigenbasis on first access."""
+        if self.basis is None:
+            return self.values
+        return (self.basis * self.values[:, None, :]) @ self.basis.T
+
+    def indices_of(self, zs) -> np.ndarray:
+        """Grid index of each spectral parameter, matched within 1e-12 relative.
+
+        Sorting the grid by real part bounds each parameter's candidates to
+        a window, so the lookup is one vectorised pass; where several grid
+        points match, the first is returned.
+        """
+        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        tol = 1e-12 * np.maximum(1.0, np.abs(zs))
+        order = np.argsort(self.z_grid.real, kind="stable")
+        real = self.z_grid.real[order]
+        lo = np.searchsorted(real, zs.real - tol, side="left")
+        counts = np.searchsorted(real, zs.real + tol, side="right") - lo
+        owner = np.repeat(np.arange(zs.size), counts)
+        offset = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cand = order[np.repeat(lo, counts) + offset]
+        hit = np.abs(self.z_grid[cand] - zs[owner]) <= tol[owner]
+        out = np.full(zs.size, self.z_grid.size)
+        np.minimum.at(out, owner[hit], cand[hit])
+        missing = np.flatnonzero(out == self.z_grid.size)
+        if missing.size:
+            raise DomainError(f"spectral parameter {zs[missing[0]]} not in the solved grid")
+        return out
 
     def index_of(self, z: complex) -> int:
-        hits = np.flatnonzero(np.abs(self.z_grid - z) <= 1e-12 * max(1.0, abs(z)))
-        if hits.size == 0:
-            raise DomainError(f"spectral parameter {z} not in the solved grid")
-        return int(hits[0])
+        return int(self.indices_of(z)[0])
 
     def m_at(self, z: complex) -> np.ndarray:
         return self.m[self.index_of(z)]
@@ -240,45 +352,112 @@ class MDESolution:
         return complex(self.stieltjes[self.index_of(z)])
 
 
-def _residual(a, self_energy, z, m):
-    n = a.shape[0]
-    k = z * np.eye(n) - a + self_energy.apply(m)
-    return np.eye(n) + k @ m, k
-
-
 def _im_part(m):
     return (m - m.conj().T) / 2j
 
 
-def _iterate(a, self_energy, z, m0, tol, max_iter, damping):
+class _DenseSteps:
+    """Fixed-point operations on full matrices, for any self-energy.
+
+    ``shift(z)`` is ``z - A``, formed once per spectral parameter;
+    ``residual`` returns the Frobenius norm of ``I + (z - A + S[M]) M``
+    and the matrix ``k = z - A + S[M]`` whose inverse is the next target.
+    """
+
+    def __init__(self, a, self_energy):
+        self.a = a
+        self.self_energy = self_energy
+        self.eye = np.eye(a.shape[0])
+        self.shape = a.shape
+
+    def shift(self, z):
+        return z * self.eye - self.a
+
+    def resolvent(self, shift):
+        return -np.linalg.inv(shift)
+
+    def residual(self, shift, m):
+        k = shift + self.self_energy.apply(m)
+        return float(np.linalg.norm(self.eye + k @ m)), k
+
+    def target(self, k):
+        """``-k^{-1}``, or ``None`` when ``k`` is singular."""
+        try:
+            return -np.linalg.inv(k)
+        except np.linalg.LinAlgError:
+            return None
+
+    def min_im(self, m):
+        return float(np.linalg.eigvalsh(_im_part(m)).min())
+
+    def trace(self, m):
+        return np.trace(m)
+
+
+class _EigenSteps:
+    """The same operations on the eigenvalues of ``M`` in A's eigenbasis.
+
+    Valid when the self-energy maps functions of A to functions of A, so
+    that ``M = U diag(m) U^T`` for A's eigenvectors ``U``.  The residual
+    ``1 + (z - lambda + s) m`` has the Frobenius norm of the dense one
+    because ``U`` is orthogonal, and ``Im M`` has eigenvalues ``Im m``.
+    """
+
+    def __init__(self, eigenvalues, apply_eigen):
+        self.eigenvalues = eigenvalues
+        self.apply_eigen = apply_eigen
+        self.shape = eigenvalues.shape
+
+    def shift(self, z):
+        return z - self.eigenvalues
+
+    def resolvent(self, shift):
+        return -1.0 / shift
+
+    def residual(self, shift, m):
+        k = shift + self.apply_eigen(m)
+        r = 1.0 + k * m
+        return math.sqrt(np.vdot(r, r).real), k
+
+    def target(self, k):
+        # Im S[M] >= 0 keeps Im k >= Im z > 0 along the iteration: k has no zero.
+        return -1.0 / k
+
+    def min_im(self, m):
+        return float(m.imag.min())
+
+    def trace(self, m):
+        return m.sum()
+
+
+def _iterate(steps, z, m0, tol, max_iter, damping):
     """Damped fixed point at one spectral parameter.
 
     The step size is halved whenever the residual grows and recovers
     geometrically (capped at the base value) while it shrinks, so slow
     spiral oscillations near spectral edges do not strand the iteration at
-    a tiny step.
+    a tiny step.  Returns ``(m, residual, converged, residual evaluations)``.
     """
+    shift = steps.shift(z)
     m = m0
     gamma = damping
     res_prev = np.inf
-    for _ in range(max_iter):
-        r, k = _residual(a, self_energy, z, m)
-        res = float(np.linalg.norm(r))
+    for count in range(1, max_iter + 1):
+        res, k = steps.residual(shift, m)
         if res <= tol:
-            return m, res, True
+            return m, res, True, count
         # Sub-5% wobble is normal spiral convergence, not instability.
         if res > 1.05 * res_prev:
             gamma = max(gamma / 2.0, 1.0 / 64.0)
         else:
             gamma = min(gamma * 2.0 ** 0.25, damping)
-        try:
-            target = -np.linalg.inv(k)
-        except np.linalg.LinAlgError:
-            return m, res, False
+        target = steps.target(k)
+        if target is None:
+            return m, res, False, count
         m = (1.0 - gamma) * m + gamma * target
         res_prev = res
-    r, _ = _residual(a, self_energy, z, m)
-    return m, float(np.linalg.norm(r)), False
+    res, _ = steps.residual(shift, m)
+    return m, res, False, max_iter + 1
 
 
 def _ladder_levels(eta_target, eta_start, eta_ratio):
@@ -291,6 +470,37 @@ def _ladder_levels(eta_target, eta_start, eta_ratio):
         eta *= eta_ratio
     levels.append(eta_target)
     return levels
+
+
+def _solve_point(steps, z, prev, tol, max_iter, damping, eta_start, eta_ratio):
+    """Warm start from ``prev``, else the continuation ladder in ``Im z``.
+
+    Returns ``(m, residual, iterations, ladder levels)`` and raises
+    :class:`ConvergenceError` or :class:`StabilityError` as
+    :func:`solve_mde` documents.
+    """
+    m, res, ok, iterations = None, np.inf, False, 0
+    if prev is not None:
+        m, res, ok, iterations = _iterate(steps, z, prev, tol, max_iter, damping)
+    levels = 0
+    if not ok:
+        for levels, eta in enumerate(_ladder_levels(z.imag, eta_start, eta_ratio), start=1):
+            z_level = z.real + 1j * eta
+            if levels == 1:
+                m = steps.resolvent(steps.shift(z_level))
+            m, res, ok, count = _iterate(steps, z_level, m, tol, max_iter, damping)
+            iterations += count
+            if not ok:
+                raise ConvergenceError(
+                    f"no convergence at z={z_level:.6g} (residual {res:.3e})",
+                    residual=res,
+                )
+    min_im = steps.min_im(m)
+    if min_im <= 0.0:
+        raise StabilityError(
+            f"solution at z={z:.6g} lost imaginary-part positivity (min eig {min_im:.3e})"
+        )
+    return m, res, iterations, levels
 
 
 def solve_mde(
@@ -309,38 +519,37 @@ def solve_mde(
     :class:`ConvergenceError` (carrying the last residual) when a point
     cannot reach the tolerance, and :class:`StabilityError` when a
     converged matrix loses its positive imaginary part.
+
+    A self-energy with an ``apply_eigen`` method is solved on the
+    eigenvalues of ``M`` in A's eigenbasis (one ``eigh`` of A, then
+    length-n steps); any other keeps full n x n matrices.
     """
-    a = problem.a_matrix
-    se = problem.self_energy
-    n = problem.n
-    ms = np.empty((len(problem.z_grid), n, n), dtype=complex)
-    residuals = np.empty(len(problem.z_grid))
+    apply_eigen = getattr(problem.self_energy, "apply_eigen", None)
+    if apply_eigen is None:
+        basis = None
+        steps = _DenseSteps(problem.a_matrix, problem.self_energy)
+    else:
+        try:
+            eigenvalues, basis = np.linalg.eigh(problem.a_matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition of A failed: {exc}") from exc
+        steps = _EigenSteps(eigenvalues, apply_eigen)
+    count = len(problem.z_grid)
+    values = np.empty((count,) + steps.shape, dtype=complex)
+    residuals = np.empty(count)
+    stieltjes = np.empty(count, dtype=complex)
+    iterations = np.empty(count, dtype=np.int64)
+    ladder_levels = np.empty(count, dtype=np.int64)
     prev = None
     for idx, z in enumerate(problem.z_grid):
-        m, res, ok = (None, np.inf, False)
-        if prev is not None:
-            m, res, ok = _iterate(a, se, z, prev, tol, max_iter, damping)
-        if not ok:
-            for level, eta in enumerate(_ladder_levels(z.imag, eta_start, eta_ratio)):
-                z_level = z.real + 1j * eta
-                if level == 0 or m is None:
-                    m = -np.linalg.inv(z_level * np.eye(n) - a)
-                m, res, ok = _iterate(a, se, z_level, m, tol, max_iter, damping)
-                if not ok:
-                    raise ConvergenceError(
-                        f"no convergence at z={z_level:.6g} (residual {res:.3e})",
-                        residual=res,
-                    )
-        min_im = float(np.linalg.eigvalsh(_im_part(m)).min())
-        if min_im <= 0.0:
-            raise StabilityError(
-                f"solution at z={z:.6g} lost imaginary-part positivity (min eig {min_im:.3e})"
-            )
-        ms[idx] = m
-        residuals[idx] = res
+        m, residuals[idx], iterations[idx], ladder_levels[idx] = _solve_point(
+            steps, z, prev, tol, max_iter, damping, eta_start, eta_ratio
+        )
+        values[idx] = m
+        stieltjes[idx] = steps.trace(m) / problem.n
         prev = m
-    stieltjes = np.trace(ms, axis1=1, axis2=2) / n
-    return MDESolution(problem.z_grid.copy(), ms, residuals, stieltjes)
+    return MDESolution(problem.z_grid.copy(), values, basis, residuals, stieltjes,
+                       iterations, ladder_levels)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +592,7 @@ def stieltjes_invert(
     ``neg_tol``; such values are clipped to zero.
     """
     grid = np.asarray(grid, dtype=float)
-    rho = np.empty_like(grid)
-    for i, e in enumerate(grid):
-        m = solution.stieltjes_at(complex(e, eta))
-        rho[i] = m.imag / np.pi
+    rho = solution.stieltjes[solution.indices_of(grid + 1j * eta)].imag / np.pi
     worst = float(rho.min())
     if worst < -neg_tol:
         raise NumericError(f"density dipped to {worst:.3e}, below the -{neg_tol:g} allowance")
@@ -610,6 +816,13 @@ def density_cdf(density: SpectralDensity) -> tuple[np.ndarray, np.ndarray]:
     return grid, cdf / total
 
 
+def _strength_entry(s_doc: dict, key: str) -> float:
+    try:
+        return float(s_doc.get(key, 1.0))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"self-energy {key} must be a number, got {s_doc[key]!r}") from exc
+
+
 def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
     """Build an :class:`MDEProblem` from its JSON description.
 
@@ -626,11 +839,11 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed problem document: {exc}") from exc
     if kind == "isotropic":
-        se = IsotropicSelfEnergy(float(s_doc.get("c", 1.0)))
+        se = IsotropicSelfEnergy(_strength_entry(s_doc, "c"))
     elif kind == "zero":
         se = ZeroSelfEnergy()
     elif kind == "wigner":
-        se = WignerSelfEnergy(float(s_doc.get("sigma2", 1.0)))
+        se = WignerSelfEnergy(_strength_entry(s_doc, "sigma2"))
     elif kind == "empirical":
         try:
             samples = np.load(s_doc["samples"])

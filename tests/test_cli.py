@@ -173,6 +173,55 @@ class TestExitCodes:
         assert rc == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem, flags, named",
+        [
+            ({"A": [[float("nan"), 0.0], [0.0, 0.0]]}, [], "A has non-finite entries"),
+            ({"A": [[0.0, 0.0], [0.0, float("inf")]]}, [], "A has non-finite entries"),
+            ({}, ["--emin", "nan"], "--emin must be finite"),
+            ({}, ["--emax", "inf"], "--emax must be finite"),
+            ({}, ["--eta", "nan"], "--eta must be positive and finite"),
+            ({"S": {"kind": "isotropic", "c": -1.0}}, [], "isotropic self-energy c"),
+            ({"S": {"kind": "wigner", "sigma2": -2.0}}, [], "wigner self-energy sigma2"),
+            ({"S": {"kind": "isotropic", "c": None}}, [], "self-energy c must be a number"),
+            ({"S": {"kind": "wigner", "sigma2": [1.0]}}, [],
+             "self-energy sigma2 must be a number"),
+            ({"S": {"kind": "empirical", "samples": "sym4.npy"}}, [],
+             "self-energy acts on 4x4 matrices but the expectation matrix A is 2x2"),
+            ({"A": [[0.0] * 4] * 4, "S": {"kind": "empirical", "samples": "skew4.npy"}}, [],
+             "empirical sample 1 is not symmetric"),
+            ({"A": [[0.0] * 4] * 4, "S": {"kind": "empirical", "samples": "nan4.npy"}}, [],
+             "empirical sample 2 has non-finite entries"),
+        ],
+        ids=["nan-a", "inf-a", "nan-emin", "inf-emax", "nan-eta", "negative-c",
+             "negative-sigma2", "null-c", "list-sigma2", "samples-size-mismatch",
+             "skew-samples", "nan-samples"],
+    )
+    def test_invalid_mde_problem(self, workdir, capsys, problem, flags, named):
+        rng = np.random.default_rng(53)
+        g = rng.standard_normal((3, 4, 4))
+        sym = g + g.transpose(0, 2, 1)
+        np.save(workdir / "sym4.npy", sym)
+        skew = sym.copy()
+        skew[1, 0, 3] += 1e-3
+        np.save(workdir / "skew4.npy", skew)
+        sym[2, 1, 1] = np.nan
+        np.save(workdir / "nan4.npy", sym)
+        doc = {"A": [[0.0, 0.0], [0.0, 0.0]], "S": {"kind": "isotropic", "c": 1.0}}
+        doc.update(problem)
+        if "samples" in doc["S"]:
+            doc["S"] = {**doc["S"], "samples": str(workdir / doc["S"]["samples"])}
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        out = workdir / "x.csv"
+        try:
+            rc = run_cli("mde", "solve", "--problem", workdir / "bad.json", "--points", 5,
+                         *flags, "--out", out)
+        except SystemExit as exc:  # argparse rejects a flag value
+            rc = exc.code
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_knob_range(self, workdir, capsys):
         rc = run_cli("mde", "solve", "--problem", workdir / "wigner.json",
                      "--emin", 3, "--emax", -3, "--out", workdir / "x.csv")
@@ -207,6 +256,23 @@ class TestDeterminism:
                  "PYTHONPATH": ":".join(sys.path)},
         )
         assert proc.returncode == 0
+
+    def test_mde_wigner_random_a_byte_identical(self, workdir):
+        rng = np.random.default_rng(54)
+        g = rng.standard_normal((10, 10))
+        (workdir / "random.json").write_text(json.dumps({
+            "A": ((g + g.T) / np.sqrt(40.0)).tolist(),
+            "S": {"kind": "wigner", "sigma2": 0.8},
+        }))
+        outputs = []
+        for run in range(2):
+            for threads in (1, 3):
+                out = workdir / f"random_{run}_{threads}.csv"
+                assert run_cli("--seed", 42, "--threads", threads, "mde", "solve",
+                               "--problem", workdir / "random.json", "--points", 41,
+                               "--eta", 1e-2, "--out", out) == 0
+                outputs.append(out.read_bytes())
+        assert all(o == outputs[0] for o in outputs[1:])
 
     def test_csv_floats_round_trip(self, workdir):
         out = workdir / "density.csv"

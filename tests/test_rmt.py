@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dysonnet.errors import ConvergenceError, DomainError
+from dysonnet.errors import ConvergenceError, DomainError, ShapeError
 from dysonnet.rmt import (
     EmpiricalSelfEnergy,
     IsotropicSelfEnergy,
@@ -81,6 +81,99 @@ class TestSelfEnergies:
         n = 9
         assert self_energy_norm(WignerSelfEnergy(1.0), n) == pytest.approx(1.0 + 1.0 / n)
 
+    @pytest.mark.parametrize("make", [IsotropicSelfEnergy, WignerSelfEnergy])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, np.nan, np.inf])
+    def test_strength_must_be_finite_and_nonnegative(self, make, value):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            make(value)
+        assert np.array_equal(make(0.0).apply(np.eye(3)), np.zeros((3, 3)))
+
+    def test_empirical_rejects_bad_samples(self):
+        rng = np.random.default_rng(47)
+        samples = [sample_wigner(4, rng) for _ in range(3)]
+        samples[1][0, 2] += 1e-3
+        with pytest.raises(DomainError, match="empirical sample 1 is not symmetric"):
+            EmpiricalSelfEnergy.from_samples(samples)
+        samples[1] = sample_wigner(4, rng)
+        samples[2][3, 3] = np.nan
+        with pytest.raises(DomainError, match="empirical sample 2 has non-finite entries"):
+            EmpiricalSelfEnergy.from_samples(samples)
+        with pytest.raises(DomainError, match="fluctuation sample 0 has non-finite entries"):
+            EmpiricalSelfEnergy(np.full((2, 3, 3), np.inf))
+
+    @pytest.mark.parametrize("se", [IsotropicSelfEnergy(0.7), WignerSelfEnergy(1.3),
+                                    ZeroSelfEnergy()], ids=["isotropic", "wigner", "zero"])
+    def test_apply_eigen_is_apply_in_the_eigenbasis(self, se):
+        rng = np.random.default_rng(48)
+        n = 7
+        _, basis = np.linalg.eigh(sample_wigner(n, rng))
+        values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        full = se.apply((basis * values) @ basis.T)
+        assert np.abs(basis.T @ full @ basis - np.diag(se.apply_eigen(values))).max() <= 1e-13
+
+
+class _DenseOnly:
+    """A self-energy that exposes only ``apply``, so the solver keeps full matrices."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def apply(self, r):
+        return self.inner.apply(r)
+
+
+def dense_residual(a, self_energy, z, m):
+    """Frobenius norm of ``I + (z - A + S[M]) M`` on full matrices."""
+    n = a.shape[0]
+    return float(np.linalg.norm(np.eye(n) + (z * np.eye(n) - a + self_energy.apply(m)) @ m))
+
+
+class TestEigenbasisPath:
+    @pytest.mark.parametrize("eta", [1e-1, 1e-3])
+    @pytest.mark.parametrize("se", [IsotropicSelfEnergy(0.7), WignerSelfEnergy(1.3),
+                                    ZeroSelfEnergy()], ids=["isotropic", "wigner", "zero"])
+    def test_matches_dense_path(self, se, eta):
+        # the dense path is the reference: same iteration, on full matrices
+        rng = np.random.default_rng(49)
+        n, tol = 12, 1e-10
+        a = sample_wigner(n, rng)
+        z_grid = np.linspace(-3, 3, 41) + 1j * eta
+        fast = solve_mde(MDEProblem(a, se, z_grid), tol=tol)
+        dense = solve_mde(MDEProblem(a, _DenseOnly(se), z_grid), tol=tol)
+        assert fast.basis is not None and fast.values.shape == (41, n)
+        assert dense.basis is None and dense.values.shape == (41, n, n)
+        assert np.abs(fast.stieltjes - dense.stieltjes).max() <= 1e-9
+        assert np.abs(fast.m - dense.m).max() <= 1e-8
+        for z, m, reported in zip(z_grid, fast.m, fast.residuals):
+            assert dense_residual(a, se, z, m) <= tol
+            assert dense_residual(a, se, z, m) == pytest.approx(reported, rel=1e-6)
+
+    def test_empirical_keeps_full_matrices(self):
+        rng = np.random.default_rng(50)
+        se = EmpiricalSelfEnergy.from_samples([sample_wigner(5, rng) for _ in range(6)])
+        solution = solve_mde(MDEProblem(sample_wigner(5, rng), se, np.array([0.1 + 0.1j])))
+        assert not hasattr(se, "apply_eigen")
+        assert solution.basis is None
+        assert solution.values.shape == (1, 5, 5)
+        assert solution.m is solution.values
+
+    def test_per_point_stats(self):
+        # two bands at -5 and 5: the warm start across the gap needs more
+        # than 40 steps, the ladder from the resolvent fewer at every level
+        a = np.diag([-5.0, -5.0, 5.0, 5.0])
+        se = IsotropicSelfEnergy(0.01)
+        z_grid = np.array([-5 + 1e-3j, 5 + 1e-3j])
+        loose = solve_mde(MDEProblem(a, se, z_grid))
+        assert loose.ladder_levels.dtype == np.int64
+        # the first point has no neighbour: offsets 1, 0.1, 0.01, 0.001
+        assert loose.ladder_levels.tolist() == [4, 0]
+        assert np.all(loose.iterations >= 1)
+        tight = solve_mde(MDEProblem(a, se, z_grid), max_iter=40)
+        alone = solve_mde(MDEProblem(a, se, z_grid[1:]), max_iter=40)
+        assert tight.ladder_levels.tolist() == [4, 4]
+        # the failed warm start (40 steps and a final residual) counts too
+        assert tight.iterations[1] == 41 + alone.iterations[0]
+
 
 class TestSolveMDE:
     def test_wigner_closed_form(self):
@@ -148,6 +241,23 @@ class TestSolveMDE:
         with pytest.raises(DomainError):
             MDEProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), ZeroSelfEnergy(), np.array([1j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_a_rejected(self, bad):
+        with pytest.raises(DomainError, match="A has non-finite entries"):
+            MDEProblem(np.array([[0.0, 1.0], [1.0, bad]]), ZeroSelfEnergy(), np.array([1j]))
+
+    @pytest.mark.parametrize("z", [complex(np.nan, 1.0), complex(0.0, np.nan),
+                                   complex(np.inf, 1.0), complex(0.0, np.inf)])
+    def test_nonfinite_spectral_parameter_rejected(self, z):
+        with pytest.raises(DomainError, match="must be finite"):
+            MDEProblem(np.zeros((2, 2)), ZeroSelfEnergy(), np.array([1j, z]))
+
+    def test_self_energy_size_mismatch_rejected(self):
+        rng = np.random.default_rng(51)
+        se = EmpiricalSelfEnergy.from_samples([sample_wigner(4, rng) for _ in range(3)])
+        with pytest.raises(ShapeError, match="4x4 .* A is 3x3"):
+            MDEProblem(np.zeros((3, 3)), se, np.array([1j]))
+
 
 class TestStieltjesInversion:
     def test_point_mass(self):
@@ -183,6 +293,21 @@ class TestStieltjesInversion:
         solution = solve_mde(problem)
         with pytest.raises(DomainError):
             stieltjes_invert(solution, np.array([1.0]), 1e-3)
+
+    def test_lookup_matches_linear_scan(self):
+        # unsorted grid, two offsets and a duplicate: the first match wins
+        rng = np.random.default_rng(52)
+        energies = rng.permutation(np.linspace(-2, 2, 9))
+        z_grid = np.concatenate([energies + 1e-2j, energies[:4] + 1e-1j, energies[2:3] + 1e-2j])
+        solution = solve_mde(MDEProblem(np.eye(2), ZeroSelfEnergy(), z_grid))
+        queries = np.concatenate([z_grid, z_grid[::-1] * (1 + 1e-14)])
+        expected = [int(np.flatnonzero(np.abs(z_grid - q) <= 1e-12 * max(1.0, abs(q)))[0])
+                    for q in queries]
+        assert solution.indices_of(queries).tolist() == expected
+        density = stieltjes_invert(solution, energies, 1e-2)
+        assert np.array_equal(density.density, solution.stieltjes[:9].imag / np.pi)
+        with pytest.raises(DomainError, match="not in the solved grid"):
+            solution.indices_of([z_grid[0], 0.25 + 1e-2j])
 
     def test_mass_conservation_on_mde_densities(self):
         grid = np.linspace(-3, 3, 241)
