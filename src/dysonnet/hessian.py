@@ -10,8 +10,9 @@ entering layer p.  The output vector is treated as the final parameter
 group; its blocks use the same path factor with an empty trailing product.
 
 Assembly is exact at points where no preactivation sits on an estimation
-kink and no sample sits on a loss kink; samples violating the former are
-flagged rather than silently differentiated.
+kink and no sample sits on a loss kink; samples violating either are
+flagged rather than silently differentiated.  Per-sample blocks are summed
+in place, so memory does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-from .net import Dataset, LossL0, NetworkParams, forward, loss, param_group_dims
+from .net import Dataset, LossL0, NetworkParams, _sample_terms, param_group_dims
 
 __all__ = [
     "HessianBlocks",
@@ -72,9 +73,6 @@ class HessianBlocks:
             full[cols, rows] = block.T
         return full
 
-    def scaled(self, factor: float) -> "HessianBlocks":
-        return HessianBlocks(self.dims, {k: factor * v for k, v in self.blocks.items()})
-
 
 def _zero_blocks(dims: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
     groups = len(dims)
@@ -90,7 +88,8 @@ def _geometry_blocks(params: NetworkParams, states) -> dict:
 
     Group indices are 1-based; group L is the output vector.  For p < q < L
     the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with
-    u_q = dg(h''_q) W_{q+1} dg(h''_{q+1}) ... W_{L-1} dg(h''_{L-1}) alpha and
+    u_q = dg(h''_q) W_{q+1} dg(h''_{q+1}) ... W_{L-1} dg(h''_{L-1}) alpha, where
+    h'' = h' * h' is the squared estimation derivative, and
     P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p); for q = L the u
     factor is the empty product.
     """
@@ -102,7 +101,8 @@ def _geometry_blocks(params: NetworkParams, states) -> dict:
     u = [None] * (n_layers + 1)
     acc = params.alpha
     for k in range(n_layers, 0, -1):
-        acc_k = states[k - 1].h_dprime * acc
+        h_prime = states[k - 1].h_prime
+        acc_k = h_prime * h_prime * acc
         u[k] = acc_k
         acc = params.weights[k - 1] @ acc_k if k > 1 else acc_k
 
@@ -121,33 +121,29 @@ def _geometry_blocks(params: NetworkParams, states) -> dict:
     return blocks
 
 
-def sample_hessian(params: NetworkParams, kind: LossL0, x: np.ndarray, y: float) -> HessianBlocks:
-    """Exact Hessian of one sample's loss; zero blocks where the loss is flat."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("non-finite sample")
-    dims = param_group_dims(params)
-    score, states = forward(params, x)
-    _, deriv = loss(kind, score, y)
-    if deriv == 0.0:
-        return HessianBlocks(dims, _zero_blocks(dims))
-    blocks = _geometry_blocks(params, states)
-    return HessianBlocks(dims, {k: deriv * v for k, v in blocks.items()})
+def _summed_geometry(params: NetworkParams, kind: LossL0, dataset: Dataset, total: dict):
+    """Yield ``(value, deriv, offset, states, geometry)`` for each sample.
+
+    ``deriv * geometry`` is added to ``total`` in place before each yield."""
+    for value, deriv, offset, states in _sample_terms(params, kind, dataset):
+        geometry = _geometry_blocks(params, states)
+        for k, block in geometry.items():
+            total[k] += deriv * block
+        yield value, deriv, offset, states, geometry
 
 
 def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> HessianBlocks:
     """Blockwise mean of the per-sample Hessians."""
-    if len(dataset) == 0:
-        raise DomainError("dataset is empty")
     dims = param_group_dims(params)
-    keys = list(_zero_blocks(dims))
-    stacked = {k: [] for k in keys}
-    for xi, yi in zip(dataset.x, dataset.y):
-        sample = sample_hessian(params, kind, xi, yi)
-        for k in keys:
-            stacked[k].append(sample.blocks[k])
-    blocks = {k: np.sum(np.stack(v), axis=0) / len(dataset) for k, v in stacked.items()}
-    return HessianBlocks(dims, blocks)
+    total = _zero_blocks(dims)
+    for _ in _summed_geometry(params, kind, dataset, total):
+        pass
+    return HessianBlocks(dims, {k: v / len(dataset) for k, v in total.items()})
+
+
+def sample_hessian(params: NetworkParams, kind: LossL0, x: np.ndarray, y: float) -> HessianBlocks:
+    """Exact Hessian of one sample's loss: the risk Hessian of a one-sample dataset."""
+    return risk_hessian(params, kind, Dataset([x], [y]))
 
 
 def negative_fraction(eigs: np.ndarray, tol: float) -> float:
@@ -166,8 +162,9 @@ class LandscapeReport:
     ``lambda0`` is the largest operator norm among the per-sample geometry
     factors, so the bound ``op_norm <= mean_lprime * lambda0`` certifies
     that the spectrum collapses as the mean absolute loss derivative
-    vanishes.  ``kink_samples`` lists samples whose preactivations sit
-    within ``KINK_TOL`` of an estimation kink.
+    vanishes.  ``kink_samples`` lists samples with a preactivation within
+    ``KINK_TOL`` of an estimation kink or a hinge margin ``1 - y * score``
+    or residual ``score - y`` within ``KINK_TOL`` of the loss kink at 0.
     """
 
     risk: float
@@ -189,29 +186,22 @@ class LandscapeReport:
 
 def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> LandscapeReport:
     """Assemble the risk Hessian, its spectrum and the operator-norm bound."""
-    if len(dataset) == 0:
-        raise DomainError("dataset is empty")
     dims = param_group_dims(params)
-    keys = list(_zero_blocks(dims))
-    mean_blocks = {k: np.zeros((dims[k[1] - 1], dims[k[0] - 1])) for k in keys}
+    total = _zero_blocks(dims)
     lambda0 = 0.0
     abs_derivs = []
     losses = []
     kinks = []
-    for i, (xi, yi) in enumerate(zip(dataset.x, dataset.y)):
-        score, states = forward(params, xi)
-        value, deriv = loss(kind, score, yi)
+    samples = _summed_geometry(params, kind, dataset, total)
+    for i, (value, deriv, offset, states, geometry) in enumerate(samples):
         losses.append(value)
         abs_derivs.append(abs(deriv))
-        if any(np.any(np.abs(s.h_hat) < KINK_TOL) for s in states):
+        if abs(offset) < KINK_TOL or any(np.any(np.abs(s.h_hat) < KINK_TOL) for s in states):
             kinks.append(i)
-        geometry = _geometry_blocks(params, states)
         tilde = HessianBlocks(dims, geometry).assemble()
         lambda0 = max(lambda0, float(np.max(np.abs(np.linalg.eigvalsh(tilde)))))
-        for k in keys:
-            mean_blocks[k] += deriv * geometry[k]
     m = len(dataset)
-    blocks = HessianBlocks(dims, {k: v / m for k, v in mean_blocks.items()})
+    blocks = HessianBlocks(dims, {k: v / m for k, v in total.items()})
     full = blocks.assemble()
     try:
         eigs = np.sort(np.linalg.eigvalsh(full))

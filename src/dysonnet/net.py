@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, ShapeError
 from .poset import ActivationRule, LayerState, estimate_indicator, load_network_json
 
 __all__ = [
@@ -93,8 +93,9 @@ class Dataset:
             raise ShapeError(f"{x.shape[0]} inputs but {y.shape[0]} labels")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise DomainError("labels must lie in {-1, +1}")
-        if not np.all(np.isfinite(x)):
-            raise NumericError("non-finite inputs in dataset")
+        bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
+        if bad.size:
+            raise DomainError(f"dataset sample {bad[0]} has non-finite inputs")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -116,35 +117,46 @@ def forward(params: NetworkParams, x: np.ndarray):
     for w in params.weights:
         h_hat = w.T @ t
         h_tilde, h_prime = estimate_indicator(params.rule, h_hat)
-        states.append(LayerState(t, h_hat, h_tilde, h_prime, h_prime * h_prime))
+        states.append(LayerState(t, h_hat, h_tilde, h_prime))
         t = h_tilde
     return float(t @ params.alpha), states
+
+
+def _loss_argument(kind: LossL0, score: float, y: float):
+    """Hinge margin ``1 - y * score`` or residual ``score - y``; the loss kinks at 0."""
+    if kind is LossL0.HINGE:
+        return 1.0 - y * score
+    if kind is LossL0.ABSOLUTE:
+        return score - y
+    raise DomainError(f"unknown loss {kind!r}")
 
 
 def loss(kind: LossL0, score: float, y: float):
     """Loss value and its derivative in the score; subgradient 0 at kinks."""
     if y not in (-1.0, 1.0, -1, 1):
         raise DomainError(f"label must be -1 or +1, got {y}")
+    arg = _loss_argument(kind, score, y)
     if kind is LossL0.HINGE:
-        margin = 1.0 - y * score
-        if margin > 0.0:
-            return margin, -float(y)
-        return 0.0, 0.0
-    if kind is LossL0.ABSOLUTE:
-        r = score - y
-        if r == 0.0:
-            return 0.0, 0.0
-        return abs(r), float(np.sign(r))
-    raise DomainError(f"unknown loss {kind!r}")
+        return (arg, -float(y)) if arg > 0.0 else (0.0, 0.0)
+    return (abs(arg), float(np.sign(arg))) if arg != 0.0 else (0.0, 0.0)
+
+
+def _sample_terms(params: NetworkParams, kind: LossL0, dataset: Dataset):
+    """Yield each sample's loss, its score derivative, loss argument and layer states.
+
+    The one place the risk, its gradient and its Hessian evaluate samples.
+    """
+    if len(dataset) == 0:
+        raise DomainError("dataset is empty")
+    for xi, yi in zip(dataset.x, dataset.y):
+        score, states = forward(params, xi)
+        value, deriv = loss(kind, score, yi)
+        yield value, deriv, _loss_argument(kind, score, yi), states
 
 
 def empirical_risk(params: NetworkParams, kind: LossL0, dataset: Dataset) -> float:
     """Mean loss over the dataset."""
-    if len(dataset) == 0:
-        raise DomainError("dataset is empty")
-    values = np.array(
-        [loss(kind, forward(params, xi)[0], yi)[0] for xi, yi in zip(dataset.x, dataset.y)]
-    )
+    values = np.array([value for value, *_ in _sample_terms(params, kind, dataset)])
     return float(np.sum(values) / len(dataset))
 
 
@@ -164,12 +176,8 @@ def risk_gradient(params: NetworkParams, kind: LossL0, dataset: Dataset) -> np.n
     The layout is column-major vectorization of each weight matrix in layer
     order, followed by the output vector.
     """
-    if len(dataset) == 0:
-        raise DomainError("dataset is empty")
-    per_sample = np.zeros((len(dataset), sum(param_group_dims(params))))
-    for row, (xi, yi) in enumerate(zip(dataset.x, dataset.y)):
-        score, states = forward(params, xi)
-        _, deriv = loss(kind, score, yi)
+    total = np.zeros(sum(param_group_dims(params)))
+    for row, (_, deriv, _, states) in enumerate(_sample_terms(params, kind, dataset)):
         if deriv == 0.0:
             continue
         deltas = _backprop_deltas(params, states)
@@ -177,10 +185,10 @@ def risk_gradient(params: NetworkParams, kind: LossL0, dataset: Dataset) -> np.n
             (deriv * np.outer(states[i].t_in, deltas[i])).ravel(order="F")
             for i in range(len(params.weights))
         ]
-        top = states[-1].h_tilde if params.weights else xi
+        top = states[-1].h_tilde if params.weights else dataset.x[row]
         pieces.append(deriv * top)
-        per_sample[row] = np.concatenate(pieces)
-    return np.sum(per_sample, axis=0) / len(dataset)
+        total += np.concatenate(pieces)
+    return total / len(dataset)
 
 
 def param_group_dims(params: NetworkParams) -> tuple[int, ...]:

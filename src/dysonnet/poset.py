@@ -74,7 +74,7 @@ class KernelSpec:
         if w.ndim != 2:
             raise ShapeError(f"kernel weight must be 2-D, got ndim={w.ndim}")
         if not np.all(np.isfinite(w)):
-            raise NumericError("kernel weight contains non-finite entries")
+            raise DomainError("kernel weight contains non-finite entries")
         if self.field not in _FIELDS:
             raise DomainError(f"unknown field {self.field!r}, expected '01' or 'pm1'")
         object.__setattr__(self, "weight", w)
@@ -97,16 +97,13 @@ class LayerState:
     """Realizations recorded during one layer evaluation.
 
     ``h_hat`` is the preactivation W^T t, ``h_tilde`` the estimated layer
-    output, ``h_prime`` the derivative of the estimation map at ``h_hat``
-    and ``h_dprime`` the squared derivative used by second-order assembly
-    (equal to ``h_prime`` for 0/1 masks).
+    output and ``h_prime`` the derivative of the estimation map at ``h_hat``.
     """
 
     t_in: np.ndarray
     h_hat: np.ndarray
     h_tilde: np.ndarray
     h_prime: np.ndarray
-    h_dprime: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -370,7 +367,7 @@ def evaluate_plan(plan: NetworkPlan, x: np.ndarray):
         t_in = np.concatenate([outputs[p] for p in layer.input_nodes])
         h_hat = layer.kernel.weight.T @ t_in
         h_tilde, h_prime = estimate_indicator(layer.rule, h_hat)
-        states[layer.node] = LayerState(t_in, h_hat, h_tilde, h_prime, h_prime * h_prime)
+        states[layer.node] = LayerState(t_in, h_hat, h_tilde, h_prime)
         outputs[layer.node] = h_tilde
     out = np.concatenate([outputs[t] for t in plan.terminal_nodes])
     return out, states
@@ -399,7 +396,7 @@ def kernel_from_entry(entry, where: str) -> KernelSpec:
         rows, cols = int(entry["rows"]), int(entry["cols"])
         weight = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
         return KernelSpec(weight, entry.get("field", "01"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise DomainError(f"malformed {where}: {exc}") from exc
 
 

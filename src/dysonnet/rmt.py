@@ -348,9 +348,6 @@ class MDESolution:
     def m_at(self, z: complex) -> np.ndarray:
         return self.m[self.index_of(z)]
 
-    def stieltjes_at(self, z: complex) -> complex:
-        return complex(self.stieltjes[self.index_of(z)])
-
 
 def _im_part(m):
     return (m - m.conj().T) / 2j

@@ -222,6 +222,36 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, target, value, named",
+        [
+            ("landscape", "data", float("nan"), "dataset sample 0 has non-finite inputs"),
+            ("hessian", "data", float("inf"), "dataset sample 0 has non-finite inputs"),
+            ("landscape", "network", float("nan"), "layer entry for node '1'"),
+            ("decompose", "model", float("inf"), "scale entry 0"),
+        ],
+        ids=["landscape-nan-data", "hessian-inf-data", "landscape-nan-weight",
+             "decompose-inf-weight"],
+    )
+    def test_nonfinite_file_inputs(self, workdir, capsys, command, target, value, named):
+        if target == "data":
+            (workdir / "data.csv").write_text(f"x1,y\n{value},1\n")
+        elif target == "network":
+            doc = json.loads((workdir / "net.json").read_text())
+            doc["layers"]["1"]["weights"] = [value]
+            (workdir / "net.json").write_text(json.dumps(doc))
+        else:
+            doc = json.loads((workdir / "model.json").read_text())
+            doc["scales"][0]["weights"] = [value]
+            (workdir / "model.json").write_text(json.dumps(doc))
+        inputs = (["--model", workdir / "model.json"] if command == "decompose" else
+                  ["--network", workdir / "net.json", "--data", workdir / "data.csv"])
+        rc = run_cli(command, *inputs, "--out", workdir / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "non-finite" in err
+
     def test_invalid_knob_range(self, workdir, capsys):
         rc = run_cli("mde", "solve", "--problem", workdir / "wigner.json",
                      "--emin", 3, "--emax", -3, "--out", workdir / "x.csv")
@@ -271,6 +301,24 @@ class TestDeterminism:
                 assert run_cli("--seed", 42, "--threads", threads, "mde", "solve",
                                "--problem", workdir / "random.json", "--points", 41,
                                "--eta", 1e-2, "--out", out) == 0
+                outputs.append(out.read_bytes())
+        assert all(o == outputs[0] for o in outputs[1:])
+
+    def test_hessian_random_network_byte_identical(self, workdir):
+        rng = np.random.default_rng(55)
+        params = NetworkParams(
+            (rng.standard_normal((4, 5)), rng.standard_normal((5, 3))), rng.standard_normal(3)
+        )
+        (workdir / "random_net.json").write_text(json.dumps(network_to_chain_json(params)))
+        save_dataset_csv(workdir / "random_data.csv",
+                         Dataset(rng.standard_normal((7, 4)), rng.choice([-1.0, 1.0], size=7)))
+        outputs = []
+        for run in range(2):
+            for threads in (1, 3):
+                out = workdir / f"hessian_{run}_{threads}.csv"
+                assert run_cli("--threads", threads, "hessian",
+                               "--network", workdir / "random_net.json",
+                               "--data", workdir / "random_data.csv", "--out", out) == 0
                 outputs.append(out.read_bytes())
         assert all(o == outputs[0] for o in outputs[1:])
 

@@ -1,5 +1,7 @@
 """Exact Hessian assembly, finite-difference equivalence and the landscape bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,25 @@ class TestRiskHessian:
         with pytest.raises(DomainError):
             risk_hessian(params, LossL0.HINGE, Dataset(np.empty((0, 1)), np.empty(0)))
 
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # blocks are summed sample by sample: the peak is a few block sets,
+        # not one set per sample
+        rng = np.random.default_rng(20)
+        w = 10
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(3)),
+            rng.standard_normal(w),
+        )
+        dataset = Dataset(rng.standard_normal((40, w)), rng.choice([-1.0, 1.0], size=40))
+        one_set = sum(b.nbytes for b in risk_hessian(params, LossL0.HINGE, dataset).blocks.values())
+        tracemalloc.start()
+        try:
+            risk_hessian(params, LossL0.HINGE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * one_set
+
 
 class TestLandscape:
     def test_hand_case_report(self):
@@ -194,6 +215,40 @@ class TestLandscape:
         dataset = Dataset(np.array([[0.0], [1.0]]), np.array([-1.0, -1.0]))
         report = landscape_report(params, LossL0.HINGE, dataset)
         assert report.kink_samples == (0,)
+
+    @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
+    def test_loss_kink_flagging(self, kind):
+        # scores 0.5 and 1 with y=1: sample 1 sits exactly on the hinge
+        # (margin 0) and on the absolute-loss kink (residual 0)
+        params = NetworkParams((np.array([[1.0]]),), np.array([1.0]))
+        dataset = Dataset(np.array([[0.5], [1.0]]), np.array([1.0, 1.0]))
+        report = landscape_report(params, kind, dataset)
+        assert report.kink_samples == (1,)
+
+    @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
+    def test_eigs_match_dense_risk_hessian(self, kind):
+        # Gaussian nets, and small-integer nets whose scores are exact, so
+        # that labels equal to a score of +-1 give zero absolute loss
+        rng = np.random.default_rng(21)
+        zero_loss = 0
+        for trial in range(16):
+            params = random_net(rng)
+            if trial % 2:
+                params = NetworkParams(
+                    tuple(np.round(w) for w in params.weights), np.round(params.alpha)
+                )
+            xs = rng.standard_normal((6, params.input_dim))
+            if trial % 2:
+                xs = np.round(xs)
+            scores = np.array([forward(params, x)[0] for x in xs])
+            ys = np.where(scores > 0, 1.0, -1.0)
+            ys[3:] = rng.choice([-1.0, 1.0], size=3)
+            zero_loss += sum(loss(kind, sc, y)[0] == 0.0 for sc, y in zip(scores, ys))
+            dataset = Dataset(xs, ys)
+            report = landscape_report(params, kind, dataset)
+            dense = np.sort(np.linalg.eigvalsh(risk_hessian(params, kind, dataset).assemble()))
+            assert np.array_equal(report.eigs, dense)
+        assert zero_loss > 0
 
     def test_degeneration_along_training(self):
         # gradient descent to zero risk: the bound caps op_norm throughout
