@@ -23,15 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    DomainError,
-    DysonnetError,
-    NumericError,
-    ShapeError,
-    StabilityError,
-)
+from .errors import DomainError, DysonnetError, NumericError
 from .hessian import landscape_report, risk_hessian
 from .infogeo import LayeredDiscreteModel, contraction_check, decompose_likelihood
 from .net import LossL0, load_dataset_csv, network_from_chain_json
@@ -43,19 +35,6 @@ from .rmt import (
     solve_mde,
     stieltjes_invert,
 )
-
-_VALIDATION_ERRORS = (
-    DomainError,
-    ShapeError,
-    CapacityError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    json.JSONDecodeError,
-    ValueError,
-)
-_NUMERIC_ERRORS = (ConvergenceError, StabilityError, NumericError)
-
 
 def _write_csv(path, seed, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -313,12 +292,16 @@ def _resolve_globals(args):
     if args.seed is None:
         args.seed = args.seed_global if args.seed_global is not None else 0
     if args.threads is None:
-        if args.threads_global is not None:
-            args.threads = args.threads_global
-        else:
-            args.threads = int(os.environ.get("SPECTRAL_THREADS", "1"))
-    if args.threads <= 0:
-        raise DomainError(f"--threads must be positive, got {args.threads}")
+        args.threads = args.threads_global
+    if args.threads is None:
+        # --threads is checked by its parser; only the environment fallback is checked here.
+        text = os.environ.get("SPECTRAL_THREADS", "1")
+        try:
+            args.threads = int(text)
+        except ValueError:
+            args.threads = 0
+        if args.threads <= 0:
+            raise DomainError(f"SPECTRAL_THREADS must be a positive integer, got {text!r}")
 
 
 def main(argv=None) -> int:
@@ -327,13 +310,11 @@ def main(argv=None) -> int:
     try:
         _resolve_globals(args)
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"dysonnet: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"dysonnet: {exc}", file=sys.stderr)
-        return 2
-    except DysonnetError as exc:
+    except (DysonnetError, FileNotFoundError, IsADirectoryError, PermissionError,
+            ValueError) as exc:
         print(f"dysonnet: {exc}", file=sys.stderr)
         return 2
 

@@ -253,14 +253,20 @@ def network_from_chain_json(source) -> NetworkParams:
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset from CSV with header ``x1,...,xn,y``."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
     if not rows:
         raise DomainError(f"empty dataset file {path}")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     if header[-1] != "y" or not all(h.startswith("x") for h in header[:-1]):
         raise DomainError(f"expected header x1,...,xn,y in {path}, got {header}")
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise DomainError(
+                f"row on line {line} of {path} has {len(row)} fields, the header has {len(header)}"
+            )
     try:
-        data = np.asarray([[float(v) for v in row] for row in rows[1:]], dtype=float)
+        data = np.asarray([[float(v) for v in row] for _, row in rows[1:]], dtype=float)
     except ValueError as exc:
         raise DomainError(f"non-numeric value in {path}: {exc}") from exc
     if data.size == 0:

@@ -120,6 +120,7 @@ class ScalePoset:
     cover_edges: tuple[tuple[str, str], ...]
     minimal: str
     _lt: np.ndarray = field(init=False, repr=False, compare=False)
+    _covers: np.ndarray = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,6 +160,8 @@ class ScalePoset:
         object.__setattr__(self, "node_ids", nodes)
         object.__setattr__(self, "cover_edges", edges)
         object.__setattr__(self, "_lt", lt)
+        # j covers i when i < j with nothing strictly between them.
+        object.__setattr__(self, "_covers", lt & ~(lt @ lt))
         object.__setattr__(self, "_index", index)
 
     def less(self, a: str, b: str) -> bool:
@@ -171,22 +174,10 @@ class ScalePoset:
         return self._index[s]
 
     def successors(self, s: str) -> set[str]:
-        i = self._node(s)
-        above = np.flatnonzero(self._lt[i])
-        return {
-            self.node_ids[j]
-            for j in above
-            if not any(self._lt[k, j] for k in above if k != j)
-        }
+        return {self.node_ids[j] for j in np.flatnonzero(self._covers[self._node(s)])}
 
     def predecessors(self, s: str) -> set[str]:
-        i = self._node(s)
-        below = np.flatnonzero(self._lt[:, i])
-        return {
-            self.node_ids[j]
-            for j in below
-            if not any(self._lt[j, k] for k in below if k != j)
-        }
+        return {self.node_ids[i] for i in np.flatnonzero(self._covers[:, self._node(s)])}
 
 
 def successor(poset: ScalePoset, s: str) -> set[str]:

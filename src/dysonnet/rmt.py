@@ -70,6 +70,54 @@ __all__ = [
     "wigner_stieltjes",
 ]
 
+# Settings that no caller varies.
+ETA_START = 1.0  # first imaginary offset of the continuation ladder
+ETA_RATIO = 0.1  # factor between successive ladder offsets
+NEG_TOL = 1e-8  # numerical dip below zero that stieltjes_invert clips
+DENSITY_THRESHOLD = 1e-3  # density above which a grid energy counts as support
+CUMULANT_MU = 0.1  # cumulant_diagnostics keeps floor(N**(1/2 - mu)) partners
+MAX_CUMULANT_ENTRIES = 4096  # largest N*N for the N^2 x N^2 cumulant matrix
+NORM_TOL = 1e-10  # relative settling tolerance of the self-energy power iteration
+NORM_MAX_ITER = 1000
+
+
+def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -> np.ndarray:
+    """``m`` as floats, or an error naming ``what`` if it is no valid matrix input.
+
+    ``m`` must be a finite square matrix, symmetric to within
+    ``1e-12 * max(1, max|m|)`` unless ``symmetric`` is false.  With
+    ``stack`` it is a 3-d stack of such matrices, measured on one scale,
+    and a failure names the first bad matrix as ``what`` and its index.
+    """
+    m = np.asarray(m, dtype=float)
+    mats = m if stack else m[np.newaxis]
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ShapeError(f"{what}s must form a stack of square matrices" if stack
+                         else f"{what} must be square")
+
+    def name(flags):
+        return f"{what} {int(np.argmax(flags))}" if stack else what
+
+    bad = ~np.isfinite(mats).all(axis=(1, 2))
+    if bad.any():
+        raise DomainError(f"{name(bad)} has non-finite entries")
+    if symmetric:
+        scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
+        skewed = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
+        if skewed.any():
+            raise DomainError(f"{name(skewed)} is not symmetric")
+    return m
+
+
+def _sample_stack(samples, what: str, symmetric: bool = True) -> np.ndarray:
+    """Checked stack of sample matrices given as arrays or :class:`HessianBlocks`."""
+    mats = [s.assemble() if isinstance(s, HessianBlocks) else np.asarray(s, dtype=float)
+            for s in samples]
+    if len({m.shape for m in mats}) > 1:
+        raise ShapeError(f"all {what}s must share one shape")
+    stack = np.stack(mats) if mats else np.empty((0, 0, 0))
+    return _checked_matrix(stack, what, stack=True, symmetric=symmetric)
+
 
 # ---------------------------------------------------------------------------
 # self-energy operators
@@ -138,19 +186,6 @@ class ZeroSelfEnergy:
         return np.zeros_like(values)
 
 
-def _check_symmetric_stack(stack: np.ndarray, what: str) -> None:
-    """Reject a stack that is not of finite, symmetric square matrices."""
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ShapeError(f"{what}s must form a stack of square matrices")
-    bad = ~np.isfinite(stack).all(axis=(1, 2))
-    if bad.any():
-        raise DomainError(f"{what} {int(np.argmax(bad))} has non-finite entries")
-    scale = max(1.0, float(np.abs(stack).max(initial=0.0)))
-    skewed = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
-    if skewed.any():
-        raise DomainError(f"{what} {int(np.argmax(skewed))} is not symmetric")
-
-
 class EmpiricalSelfEnergy:
     """Averaged sandwich over stored fluctuation samples.
 
@@ -162,9 +197,7 @@ class EmpiricalSelfEnergy:
     """
 
     def __init__(self, fluctuations: np.ndarray):
-        w = np.asarray(fluctuations, dtype=float)
-        _check_symmetric_stack(w, "fluctuation sample")
-        self.fluctuations = w
+        self.fluctuations = _checked_matrix(fluctuations, "fluctuation sample", stack=True)
 
     @property
     def n(self) -> int:
@@ -173,16 +206,10 @@ class EmpiricalSelfEnergy:
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalSelfEnergy":
-        stack = np.stack([
-            h.assemble() if isinstance(h, HessianBlocks) else np.asarray(h, dtype=float)
-            for h in samples
-        ])
-        _check_symmetric_stack(stack, "empirical sample")
+        stack = _sample_stack(samples, "empirical sample")
         if stack.shape[0] < 2:
             raise DomainError("need at least 2 samples to center fluctuations")
-        n = stack.shape[1]
-        w = np.sqrt(n) * (stack - stack.mean(axis=0))
-        return cls(w)
+        return cls(np.sqrt(stack.shape[1]) * (stack - stack.mean(axis=0)))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         m, n, _ = self.fluctuations.shape
@@ -201,7 +228,7 @@ def self_energy_apply(problem: "MDEProblem", r: np.ndarray) -> np.ndarray:
     return problem.self_energy.apply(r)
 
 
-def self_energy_norm(self_energy, n: int, tol: float = 1e-10, max_iter: int = 1000) -> float:
+def self_energy_norm(self_energy, n: int) -> float:
     """Operator norm of the self-energy via power iteration on matrices.
 
     The sandwich map is self-adjoint for the Frobenius inner product and
@@ -210,17 +237,17 @@ def self_energy_norm(self_energy, n: int, tol: float = 1e-10, max_iter: int = 10
     """
     r = np.eye(n) / np.sqrt(n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(NORM_MAX_ITER):
         t = self_energy.apply(r)
         nrm = float(np.linalg.norm(t))
         if nrm == 0.0:
             return 0.0
         lam_new = abs(float(np.tensordot(r, t)))
         r = t / nrm
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
+        if abs(lam_new - lam) <= NORM_TOL * max(1.0, lam_new):
             return lam_new
         lam = lam_new
-    raise NumericError(f"self-energy power iteration did not settle within {max_iter} steps")
+    raise NumericError(f"self-energy power iteration did not settle within {NORM_MAX_ITER} steps")
 
 
 def check_self_energy(self_energy, n: int, rng, n_probes: int = 100):
@@ -264,13 +291,7 @@ class MDEProblem:
     z_grid: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a_matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError("expectation matrix must be square")
-        if not np.isfinite(a).all():
-            raise DomainError("expectation matrix A has non-finite entries")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-            raise DomainError("expectation matrix must be symmetric")
+        a = _checked_matrix(self.a_matrix, "expectation matrix A")
         se_n = getattr(self.self_energy, "n", None)
         if se_n is not None and se_n != a.shape[0]:
             raise ShapeError(
@@ -342,15 +363,8 @@ class MDESolution:
             raise DomainError(f"spectral parameter {zs[missing[0]]} not in the solved grid")
         return out
 
-    def index_of(self, z: complex) -> int:
-        return int(self.indices_of(z)[0])
-
     def m_at(self, z: complex) -> np.ndarray:
-        return self.m[self.index_of(z)]
-
-
-def _im_part(m):
-    return (m - m.conj().T) / 2j
+        return self.m[self.indices_of(z)[0]]
 
 
 class _DenseSteps:
@@ -370,9 +384,6 @@ class _DenseSteps:
     def shift(self, z):
         return z * self.eye - self.a
 
-    def resolvent(self, shift):
-        return -np.linalg.inv(shift)
-
     def residual(self, shift, m):
         k = shift + self.self_energy.apply(m)
         return float(np.linalg.norm(self.eye + k @ m)), k
@@ -385,7 +396,7 @@ class _DenseSteps:
             return None
 
     def min_im(self, m):
-        return float(np.linalg.eigvalsh(_im_part(m)).min())
+        return float(np.linalg.eigvalsh((m - m.conj().T) / 2j).min())
 
     def trace(self, m):
         return np.trace(m)
@@ -407,9 +418,6 @@ class _EigenSteps:
 
     def shift(self, z):
         return z - self.eigenvalues
-
-    def resolvent(self, shift):
-        return -1.0 / shift
 
     def residual(self, shift, m):
         k = shift + self.apply_eigen(m)
@@ -457,19 +465,16 @@ def _iterate(steps, z, m0, tol, max_iter, damping):
     return m, res, False, max_iter + 1
 
 
-def _ladder_levels(eta_target, eta_start, eta_ratio):
-    if eta_target >= eta_start:
-        return [eta_target]
+def _ladder_levels(eta_target):
     levels = []
-    eta = eta_start
+    eta = ETA_START
     while eta > eta_target * (1 + 1e-12):
         levels.append(eta)
-        eta *= eta_ratio
-    levels.append(eta_target)
-    return levels
+        eta *= ETA_RATIO
+    return levels + [eta_target]
 
 
-def _solve_point(steps, z, prev, tol, max_iter, damping, eta_start, eta_ratio):
+def _solve_point(steps, z, prev, tol, max_iter, damping):
     """Warm start from ``prev``, else the continuation ladder in ``Im z``.
 
     Returns ``(m, residual, iterations, ladder levels)`` and raises
@@ -481,10 +486,10 @@ def _solve_point(steps, z, prev, tol, max_iter, damping, eta_start, eta_ratio):
         m, res, ok, iterations = _iterate(steps, z, prev, tol, max_iter, damping)
     levels = 0
     if not ok:
-        for levels, eta in enumerate(_ladder_levels(z.imag, eta_start, eta_ratio), start=1):
+        for levels, eta in enumerate(_ladder_levels(z.imag), start=1):
             z_level = z.real + 1j * eta
             if levels == 1:
-                m = steps.resolvent(steps.shift(z_level))
+                m = steps.target(steps.shift(z_level))
             m, res, ok, count = _iterate(steps, z_level, m, tol, max_iter, damping)
             iterations += count
             if not ok:
@@ -505,16 +510,14 @@ def solve_mde(
     tol: float = 1e-10,
     max_iter: int = 10000,
     damping: float = 0.5,
-    eta_start: float = 1.0,
-    eta_ratio: float = 0.1,
 ) -> MDESolution:
     """Solve the Dyson equation at every grid point.
 
     Each point is first attempted warm-started from the previous point's
     solution; on failure it is re-solved by geometric continuation in the
-    imaginary offset starting from ``eta_start``.  Raises
-    :class:`ConvergenceError` (carrying the last residual) when a point
-    cannot reach the tolerance, and :class:`StabilityError` when a
+    imaginary offset, from ``ETA_START`` down by factors of ``ETA_RATIO``.
+    Raises :class:`ConvergenceError` (carrying the last residual) when a
+    point cannot reach the tolerance, and :class:`StabilityError` when a
     converged matrix loses its positive imaginary part.
 
     A self-energy with an ``apply_eigen`` method is solved on the
@@ -540,7 +543,7 @@ def solve_mde(
     prev = None
     for idx, z in enumerate(problem.z_grid):
         m, residuals[idx], iterations[idx], ladder_levels[idx] = _solve_point(
-            steps, z, prev, tol, max_iter, damping, eta_start, eta_ratio
+            steps, z, prev, tol, max_iter, damping
         )
         values[idx] = m
         stieltjes[idx] = steps.trace(m) / problem.n
@@ -568,6 +571,8 @@ class SpectralDensity:
         density = np.asarray(self.density, dtype=float)
         if grid.shape != density.shape:
             raise ShapeError("grid and density must have matching shapes")
+        if not (np.isfinite(grid).all() and np.isfinite(density).all()):
+            raise DomainError("grid and density values must be finite")
         if np.any(density < 0):
             raise DomainError("density values must be nonnegative")
         object.__setattr__(self, "grid", grid)
@@ -579,30 +584,24 @@ class SpectralDensity:
         return float(np.trapezoid(self.density, self.grid))
 
 
-def stieltjes_invert(
-    solution: MDESolution, grid: np.ndarray, eta: float, neg_tol: float = 1e-8
-) -> SpectralDensity:
+def stieltjes_invert(solution: MDESolution, grid: np.ndarray, eta: float) -> SpectralDensity:
     """Recover the density ``rho(E) = Im m(E + i eta) / pi`` on a real grid.
 
     Every requested energy must have been solved at offset ``eta``.  The
     imaginary part may dip below zero only by numerical error smaller than
-    ``neg_tol``; such values are clipped to zero.
+    ``NEG_TOL``; such values are clipped to zero.
     """
     grid = np.asarray(grid, dtype=float)
     rho = solution.stieltjes[solution.indices_of(grid + 1j * eta)].imag / np.pi
     worst = float(rho.min())
-    if worst < -neg_tol:
-        raise NumericError(f"density dipped to {worst:.3e}, below the -{neg_tol:g} allowance")
+    if worst < -NEG_TOL:
+        raise NumericError(f"density dipped to {worst:.3e}, below the -{NEG_TOL:g} allowance")
     return SpectralDensity(grid, np.clip(rho, 0.0, None), eta)
 
 
 def empirical_esd(matrix: np.ndarray, bins: int) -> SpectralDensity:
     """Normalized eigenvalue histogram of a symmetric matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError("matrix must be square")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-        raise DomainError("matrix must be symmetric")
+    m = _checked_matrix(matrix, "matrix")
     try:
         eigs = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
@@ -645,23 +644,22 @@ def support_bound_check(
     a_matrix: np.ndarray,
     self_energy,
     eps: float = 1e-6,
-    density_threshold: float = 1e-3,
 ) -> SupportBoundReport:
     """Check that spectrum points lie in Spec A widened by twice sqrt(norm S).
 
     Accepts either raw eigenvalues or a :class:`SpectralDensity`; for the
     latter the support points are the grid energies with density above
-    ``density_threshold`` and the interval is additionally inflated by
+    ``DENSITY_THRESHOLD`` and the interval is additionally inflated by
     ``3 eta^(2/3)`` to absorb the inversion smearing.  ``margins`` holds,
     per point, the slack before the bound is violated; the check passes
     when every margin is nonnegative.
     """
-    a = np.asarray(a_matrix, dtype=float)
+    a = _checked_matrix(a_matrix, "expectation matrix A")
     spec_a = np.linalg.eigvalsh(a)
     norm_s = self_energy_norm(self_energy, a.shape[0])
     halfwidth = 2.0 * np.sqrt(norm_s) + eps
     if isinstance(density_or_eigs, SpectralDensity):
-        points = density_or_eigs.grid[density_or_eigs.density > density_threshold]
+        points = density_or_eigs.grid[density_or_eigs.density > DENSITY_THRESHOLD]
         halfwidth += 3.0 * density_or_eigs.eta ** (2.0 / 3.0)
     else:
         points = np.asarray(density_or_eigs, dtype=float).ravel()
@@ -686,38 +684,35 @@ class CumulantReport:
     offdiag_decay: float
 
 
-def cumulant_diagnostics(samples, mu: float = 0.1, max_entries: int = 4096) -> CumulantReport:
+def cumulant_diagnostics(samples) -> CumulantReport:
     """Pairwise-cumulant diagnostics over an ensemble of symmetric matrices.
 
-    ``samples`` is a sequence of square arrays or :class:`HessianBlocks`;
-    two suffice to form the estimate but 30 or more are needed for it to
-    mean much.  The pairwise cumulant kappa(alpha, beta) is the sample
-    covariance of entries alpha, beta across the ensemble.  ``av2_norm`` is the operator
-    norm of the absolute-cumulant matrix; ``iso2_upper`` bounds the
-    isotropic norm via the trivial decomposition (diagonal part equal to
-    the full cumulant) combined with a Cauchy-Schwarz majorant of the
-    supremum over unit vectors; ``offdiag_decay`` is the largest absolute
-    cumulant left after excluding, for each entry, its
-    ``floor(N**(1/2 - mu))`` strongest partners.
+    ``samples`` is a sequence of finite square arrays (symmetric or not)
+    or :class:`HessianBlocks`; two suffice to form the estimate but 30 or
+    more are needed for it to mean much.  The pairwise cumulant
+    kappa(alpha, beta) is the sample covariance of entries alpha, beta
+    across the ensemble.  ``av2_norm`` is the operator norm of the
+    absolute-cumulant matrix; ``iso2_upper`` bounds the isotropic norm via
+    the trivial decomposition (diagonal part equal to the full cumulant)
+    combined with a Cauchy-Schwarz majorant of the supremum over unit
+    vectors; ``offdiag_decay`` is the largest absolute cumulant left after
+    excluding, for each entry, its ``floor(N**(1/2 - CUMULANT_MU))``
+    strongest partners.
     """
-    mats = [s.assemble() if isinstance(s, HessianBlocks) else np.asarray(s, float) for s in samples]
-    if len(mats) < 2:
+    stack = _sample_stack(samples, "cumulant sample", symmetric=False)
+    if stack.shape[0] < 2:
         raise DomainError("need at least 2 samples for covariance estimation")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ShapeError("all samples must share one square shape")
-    if n * n > max_entries:
+    n = stack.shape[1]
+    if n * n > MAX_CUMULANT_ENTRIES:
         raise CapacityError(f"cumulant matrix would be {n * n} x {n * n}")
-    flat = np.stack([m.ravel() for m in mats])
-    cov = np.cov(flat, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    flat = stack.reshape(stack.shape[0], n * n)
+    cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
     abs_cov = np.abs(cov)
     av2 = float(np.max(np.abs(np.linalg.eigvalsh((abs_cov + abs_cov.T) / 2))))
     four = cov.reshape(n, n, n, n)
     majorant = np.sqrt(np.einsum("abcd,abcd->bd", four, four))
     iso2 = float(np.max(np.abs(np.linalg.eigvalsh((majorant + majorant.T) / 2))))
-    k = max(1, int(np.floor(n ** (0.5 - mu))))
+    k = max(1, int(np.floor(n ** (0.5 - CUMULANT_MU))))
     if abs_cov.shape[1] <= k:
         offdiag = 0.0
     else:

@@ -252,6 +252,17 @@ class TestExitCodes:
         assert named in err
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("row", ["1", "1,1,1"], ids=["short", "long"])
+    def test_ragged_dataset_row(self, workdir, capsys, row):
+        data = workdir / "data.csv"
+        data.write_text(f"# comment\nx1,y\n0.5,1\n{row}\n")
+        rc = run_cli("landscape", "--network", workdir / "net.json", "--data", data,
+                     "--out", workdir / "out")
+        assert rc == 2
+        fields = row.count(",") + 1
+        assert f"line 4 of {data} has {fields} fields, the header has 2" in (
+            capsys.readouterr().err)
+
     def test_invalid_knob_range(self, workdir, capsys):
         rc = run_cli("mde", "solve", "--problem", workdir / "wigner.json",
                      "--emin", 3, "--emax", -3, "--out", workdir / "x.csv")
@@ -283,9 +294,19 @@ class TestDeterminism:
              "--out", str(workdir / "env.csv")],
             capture_output=True, text=True,
             env={"PATH": "/usr/bin:/bin", "SPECTRAL_THREADS": "2",
-                 "PYTHONPATH": ":".join(sys.path)},
+                 "PYTHONPATH": ":".join(sys.path), "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_invalid_env_var_threads(self, workdir, capsys, monkeypatch, value):
+        monkeypatch.setenv("SPECTRAL_THREADS", value)
+        rc = run_cli("esd", "sample", "--ensemble", "wigner", "--n", 4, "--trials", 1,
+                     "--out", workdir / "env.csv")
+        assert rc == 2
+        assert f"SPECTRAL_THREADS must be a positive integer, got {value!r}" in (
+            capsys.readouterr().err)
+        assert not (workdir / "env.csv").exists()
 
     def test_mde_wigner_random_a_byte_identical(self, workdir):
         rng = np.random.default_rng(54)

@@ -229,6 +229,17 @@ class TestTopologicalOracle:
             assert_plan_topological(random_poset(rng, int(rng.integers(5, 7))))
 
 
+class TestCovers:
+    def test_covers_are_the_hasse_edges(self):
+        # both generators pass exactly the covering pairs of their order as edges
+        rng = np.random.default_rng(9)
+        posets = [*all_posets_up_to(4), *(random_poset(rng, 8) for _ in range(50))]
+        for p in posets:
+            succ = {(s, t) for s in p.node_ids for t in p.successors(s)}
+            pred = {(t, s) for s in p.node_ids for t in p.predecessors(s)}
+            assert succ == pred == set(p.cover_edges)
+
+
 class TestConditionalGroupLaw:
     def test_zero_weight_uniform(self):
         spec = KernelSpec(np.zeros((3, 4)))

@@ -337,6 +337,11 @@ class TestEmpiricalESD:
         with pytest.raises(DomainError):
             empirical_esd(np.array([[0.0, 1.0], [0.5, 0.0]]), bins=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(DomainError, match="^matrix has non-finite entries"):
+            empirical_esd(np.array([[0.0, 1.0], [1.0, bad]]), bins=2)
+
     def test_ks_to_semicircle(self):
         rng = np.random.default_rng(25)
         eigs = np.linalg.eigvalsh(sample_wigner(1000, rng))
@@ -381,6 +386,16 @@ class TestSymmetry:
             symmetry_check(density)
 
 
+class TestSpectralDensity:
+    @pytest.mark.parametrize("where", ["grid", "density"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entries_rejected(self, where, bad):
+        values = {"grid": np.array([-1.0, 0.0, 1.0]), "density": np.array([0.5, 1.0, 0.5])}
+        values[where][1] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            SpectralDensity(values["grid"], values["density"], eta=1e-3)
+
+
 class TestSupportBound:
     def test_wigner_density_fits(self):
         grid = np.linspace(-3, 3, 241)
@@ -418,6 +433,16 @@ class TestSupportBound:
         loose = support_bound_check(eigs, np.eye(300), IsotropicSelfEnergy(1.0), eps=0.25)
         assert loose.ok
         assert tight.worst_margin >= -0.25
+
+    @pytest.mark.parametrize(
+        "a, problem",
+        [(np.array([[0.0, 1.0], [0.0, 0.0]]), "is not symmetric"),
+         (np.array([[0.0, np.nan], [np.nan, 0.0]]), "has non-finite entries")],
+        ids=["non-symmetric", "nan"],
+    )
+    def test_invalid_a_rejected(self, a, problem):
+        with pytest.raises(DomainError, match=f"^expectation matrix A {problem}"):
+            support_bound_check(np.zeros(2), a, ZeroSelfEnergy())
 
 
 class TestCumulants:
@@ -458,6 +483,12 @@ class TestCumulants:
     def test_needs_two_samples(self):
         with pytest.raises(DomainError):
             cumulant_diagnostics([np.zeros((2, 2))])
+
+    def test_nonfinite_sample_rejected(self):
+        samples = [np.eye(3), np.ones((3, 3)), np.zeros((3, 3))]
+        samples[1][0, 2] = np.nan
+        with pytest.raises(DomainError, match="^cumulant sample 1 has non-finite entries"):
+            cumulant_diagnostics(samples)
 
 
 class TestCenteredHessians:
