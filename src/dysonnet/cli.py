@@ -159,7 +159,7 @@ def _cmd_contract(args):
         p = np.asarray(doc["p"], dtype=float)
         q = np.asarray(doc["q"], dtype=float)
         kernels = [np.asarray(k, dtype=float) for k in doc["kernels"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed contraction document: {exc}") from exc
     stages = contraction_check(p, q, kernels)
     increases = np.diff(stages)
@@ -184,7 +184,7 @@ def _cmd_decompose(args):
         data = np.asarray(doc["x_pmf"], dtype=float)
         nu = [np.asarray(v, dtype=float) for v in doc["nu"]]
         scale_entries = doc["scales"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed model document: {exc}") from exc
     if not isinstance(scale_entries, list):
         raise DomainError(

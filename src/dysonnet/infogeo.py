@@ -40,6 +40,15 @@ __all__ = [
     "quadratic_potential",
 ]
 
+# Settings that no caller varies.
+DUAL_TOL = 1e-10  # gradient residual, relative to max(1, |eta|), at which mean_to_natural stops
+DUAL_MAX_ITER = 200  # Newton steps mean_to_natural takes before giving up
+FD_STEP = 1e-5  # central-difference step of neuron_coordinates
+KERNEL_TOL = 1e-12  # contraction_check's tolerance on pmf sums and kernel row sums
+TOP_KL_STEP = 1e-6  # central-difference step of top_kl_gradient
+N_COMPETITORS = 200  # random assignments fp_bp_semantics_check compares with the posterior
+BP_STEP = 1e-4  # descent step of fp_bp_semantics_check's backward check
+
 
 def logsumexp(a) -> float:
     """``log(sum(exp(a)))`` over all entries, shifted by the maximum.
@@ -61,31 +70,21 @@ def logsumexp(a) -> float:
 class ExpFamilyModel:
     """Exponential family over a finite support.
 
-    The density against the base weights is proportional to
-    ``exp(<f(theta; h), g(x)>)`` where ``g`` is the sufficient statistic
-    and ``f`` the composition function mapping parameters and a
-    conditioning context to the natural parameter vector.  The
-    log-partition, its gradient and the Legendre dual are evaluated
-    numerically by exact summation over the support.
+    The density against the counting measure on the support is
+    proportional to ``exp(<f(theta; h), g(x)>)`` where ``g`` is the
+    sufficient statistic and ``f`` the composition function mapping
+    parameters and a conditioning context to the natural parameter
+    vector.  The log-partition, its gradient and the Legendre dual are
+    evaluated numerically by exact summation over the support.
     """
 
-    def __init__(self, support, suff_stat: Callable, composition: Callable = None,
-                 base_weights=None):
+    def __init__(self, support, suff_stat: Callable, composition: Callable = None):
         support = np.asarray(support, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
         self.support = support
-        self.suff_stat = suff_stat
-        stats = np.asarray([np.atleast_1d(np.asarray(suff_stat(x), dtype=float))
-                            for x in support])
-        self._stats = stats
-        if base_weights is None:
-            base_weights = np.ones(support.shape[0])
-        self.base_weights = np.asarray(base_weights, dtype=float)
-        if np.any(self.base_weights <= 0):
-            raise DomainError("base weights must be positive")
-        if self.base_weights.shape[0] != support.shape[0]:
-            raise ShapeError("base weights must match the support size")
+        self._stats = np.asarray([np.atleast_1d(np.asarray(suff_stat(x), dtype=float))
+                                  for x in support])
         self.composition = composition if composition is not None else (lambda theta, h: theta)
 
     @property
@@ -100,14 +99,14 @@ class ExpFamilyModel:
 
     def log_partition(self, t) -> float:
         t = self._natural(t)
-        value = float(logsumexp(self._stats @ t + np.log(self.base_weights)))
+        value = logsumexp(self._stats @ t)
         if not np.isfinite(value):
             raise NumericError("divergent normalizer")
         return value
 
     def probabilities(self, t) -> np.ndarray:
         t = self._natural(t)
-        logits = self._stats @ t + np.log(self.base_weights)
+        logits = self._stats @ t
         logits -= logits.max()
         p = np.exp(logits)
         return p / p.sum()
@@ -121,12 +120,14 @@ class ExpFamilyModel:
         centered = self._stats - p @ self._stats
         return (centered * p[:, None]).T @ centered
 
-    def mean_to_natural(self, eta, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
+    def mean_to_natural(self, eta) -> np.ndarray:
         """Solve grad log_partition(t) = eta by safeguarded Newton ascent.
 
-        Raises :class:`DomainError` when ``eta`` is not strictly inside
-        the convex hull of the sufficient statistics (the maximizer then
-        runs away to infinity).
+        Stops once the gradient residual is within ``DUAL_TOL`` of
+        ``max(1, |eta|)``, after at most ``DUAL_MAX_ITER`` steps.  Raises
+        :class:`DomainError` when ``eta`` is not strictly inside the convex
+        hull of the sufficient statistics (the maximizer then runs away to
+        infinity).
         """
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
         if eta.shape != (self.dim,):
@@ -137,22 +138,20 @@ class ExpFamilyModel:
             raise DomainError(f"mean coordinate {eta} outside the statistic hull")
         t = np.zeros(self.dim)
         scale = max(1.0, float(np.abs(eta).max()))
-        for _ in range(max_iter):
+        for _ in range(DUAL_MAX_ITER):
             grad = eta - self.mean(t)
-            if np.abs(grad).max() <= tol * scale:
+            converged = np.abs(grad).max() <= DUAL_TOL * scale
+            try:
+                step = np.linalg.solve(self.covariance(t) + 1e-14 * np.eye(self.dim), grad)
+            except np.linalg.LinAlgError:
+                if converged:
+                    return t
+                step = grad
+            if converged:
                 # one polishing Newton step: near saturation the inverse
                 # curvature amplifies the gradient residual into the natural
                 # parameter, and quadratic convergence squares it away
-                hess = self.covariance(t)
-                try:
-                    return t + np.linalg.solve(hess + 1e-14 * np.eye(self.dim), grad)
-                except np.linalg.LinAlgError:
-                    return t
-            hess = self.covariance(t)
-            try:
-                step = np.linalg.solve(hess + 1e-14 * np.eye(self.dim), grad)
-            except np.linalg.LinAlgError:
-                step = grad
+                return t + step
             # backtracking on the concave objective <t, eta> - psi(t); ties at
             # float resolution accept the full step so the search cannot stall
             base = t @ eta - self.log_partition(t)
@@ -183,20 +182,20 @@ class NeuronCoords:
     h_context: object
 
 
-def neuron_coordinates(model: ExpFamilyModel, theta, h, fd_step: float = 1e-5) -> NeuronCoords:
+def neuron_coordinates(model: ExpFamilyModel, theta, h) -> NeuronCoords:
     """Mean coordinates at the composed natural parameter, computed two ways.
 
-    The direct expectation over the normalized kernel must agree with a
-    central finite difference of the log-partition within 1e-8; the
-    mismatch raises :class:`NumericError`.
+    The direct expectation over the normalized kernel must agree within
+    1e-8 with a central finite difference of the log-partition, taken with
+    step ``FD_STEP``; the mismatch raises :class:`NumericError`.
     """
     t = np.atleast_1d(np.asarray(model.composition(theta, h), dtype=float))
     eta = model.mean(t)
     fd = np.empty_like(eta)
     for i in range(t.size):
         e = np.zeros_like(t)
-        e[i] = fd_step
-        fd[i] = (model.log_partition(t + e) - model.log_partition(t - e)) / (2 * fd_step)
+        e[i] = FD_STEP
+        fd[i] = (model.log_partition(t + e) - model.log_partition(t - e)) / (2 * FD_STEP)
     if np.abs(eta - fd).max() > 1e-8:
         raise NumericError(
             f"gradient and expectation disagree by {np.abs(eta - fd).max():.3e}"
@@ -304,15 +303,16 @@ def _check_pmf(p, tol, what):
     return p
 
 
-def contraction_check(p, q, kernels, tol: float = 1e-12) -> np.ndarray:
+def contraction_check(p, q, kernels) -> np.ndarray:
     """KL divergence along a chain of row-stochastic kernels.
 
     Returns the stagewise divergences ``[D_0, D_1, ...]`` between the two
     pushforwards; by the data-processing inequality the sequence never
-    increases when the kernels are exactly stochastic.
+    increases when the kernels are exactly stochastic.  The pmf sums and
+    the kernel row sums must be 1 within ``KERNEL_TOL``.
     """
-    p = _check_pmf(p, tol, "p")
-    q = _check_pmf(q, tol, "q")
+    p = _check_pmf(p, KERNEL_TOL, "p")
+    q = _check_pmf(q, KERNEL_TOL, "q")
     if p.shape != q.shape:
         raise ShapeError("p and q must have matching shapes")
     stages = [kl_divergence(p, q)]
@@ -320,7 +320,7 @@ def contraction_check(p, q, kernels, tol: float = 1e-12) -> np.ndarray:
         k = np.asarray(k, dtype=float)
         if k.ndim != 2 or k.shape[0] != p.shape[0]:
             raise ShapeError(f"kernel {i} has shape {k.shape}, expected ({p.shape[0]}, ...)")
-        if not (np.all(k >= 0) and np.abs(k.sum(axis=1) - 1.0).max() <= tol):
+        if not (np.all(k >= 0) and np.abs(k.sum(axis=1) - 1.0).max() <= KERNEL_TOL):
             raise DomainError(f"kernel {i} is not row-stochastic")
         p = k.T @ p
         q = k.T @ q
@@ -402,12 +402,6 @@ class LayeredDiscreteModel:
         values = spec.values
         return np.asarray(list(itertools.product(values, repeat=spec.out_dim)))
 
-    def n_joint_states(self) -> int:
-        total = self.x_support.shape[0]
-        for spec in self.scales:
-            total *= len(spec.values) ** spec.out_dim
-        return total
-
     def transports(self, x) -> list[np.ndarray]:
         """Deterministic inputs seen by each scale for one observed x or rows of them."""
         t = np.asarray(x, dtype=float)
@@ -446,24 +440,32 @@ class DecompositionReport:
     identity_defect: float
 
 
-def _check_data(model: LayeredDiscreteModel, data) -> np.ndarray:
+def _n_states(spec: KernelSpec) -> int:
+    """Number of indicator realizations ``|S_s|`` of one scale."""
+    return len(spec.values) ** spec.out_dim
+
+
+def _observed_conditionals(model: LayeredDiscreteModel, data):
+    """Checked weights of the points with positive data mass, and their conditionals."""
     data = _check_pmf(data, 1e-9, "data")
     if data.shape[0] != model.x_support.shape[0]:
         raise ShapeError("data pmf must match the support size")
-    return data
+    observed = data > 0
+    return data[observed], model.conditionals(model.x_support[observed])
+
+
+def _check_scale_pmf(model: LayeredDiscreteModel, s: int, pmf, what: str) -> np.ndarray:
+    pmf = _check_pmf(pmf, 1e-9, what)
+    expected = _n_states(model.scales[s])
+    if pmf.shape[0] != expected:
+        raise ShapeError(f"{what} has {pmf.shape[0]} entries, scale has {expected} states")
+    return pmf
 
 
 def _validate_nu(model: LayeredDiscreteModel, nu) -> list[np.ndarray]:
     if len(nu) != model.n_scales:
         raise DomainError(f"need one assigned pmf per scale, got {len(nu)}")
-    out = []
-    for s, pmf in enumerate(nu):
-        pmf = _check_pmf(pmf, 1e-9, f"nu[{s}]")
-        expected = model.scale_states(s).shape[0]
-        if pmf.shape[0] != expected:
-            raise ShapeError(f"nu[{s}] has {pmf.shape[0]} entries, scale has {expected} states")
-        out.append(pmf)
-    return out
+    return [_check_scale_pmf(model, s, pmf, f"nu[{s}]") for s, pmf in enumerate(nu)]
 
 
 def decompose_likelihood(model: LayeredDiscreteModel, data, nu) -> DecompositionReport:
@@ -482,24 +484,24 @@ def decompose_likelihood(model: LayeredDiscreteModel, data, nu) -> Decomposition
     - per-scale terms: ``sum_x w KL(nu_s || cond_s(x))``.
 
     The three quantities are computed independently; their identity
-    defect is reported.  The conditionals of every support point with
-    positive weight are held at once: ``n_x * sum_s |S_s|`` entries over
-    the scales' states ``S_s``.  That never exceeds the joint count
-    ``n_x * prod_s |S_s|`` which ``max_states`` caps, so the budget still
-    bounds what is allocated.
+    defect is reported.  The conditionals of the support points are held
+    at once: ``n_x * sum_s |S_s|`` entries, ``|S_s| = 2^width_s`` being
+    the number of states of scale ``s``.  ``max_states`` caps that count,
+    and a larger model raises :class:`CapacityError` before anything is
+    allocated.
     """
-    data = _check_data(model, data)
-    if model.n_joint_states() > model.max_states:
+    held = model.x_support.shape[0] * sum(_n_states(spec) for spec in model.scales)
+    if held > model.max_states:
         raise CapacityError(
-            f"joint support has {model.n_joint_states()} states, budget {model.max_states}"
+            f"per-scale conditionals hold {held} entries (n_x * sum_s |S_s|), "
+            f"budget {model.max_states}"
         )
+    w, conds = _observed_conditionals(model, data)
     nus = _validate_nu(model, nu)
-    observed = data > 0
-    w = data[observed]
     complete_x = np.log(w)
     expected_x = np.log(w)
     kl_terms = np.zeros(model.n_scales)
-    for s, (cond, v) in enumerate(zip(model.conditionals(model.x_support[observed]), nus)):
+    for s, (cond, v) in enumerate(zip(conds, nus)):
         active = v > 0
         bad = np.flatnonzero(active & (cond == 0).any(axis=0))
         if bad.size:
@@ -523,11 +525,9 @@ def posterior_assignments(model: LayeredDiscreteModel, data) -> list[np.ndarray]
     observed input; in general they are the normalized geometric means of
     the conditionals under the data weights.
     """
-    data = _check_data(model, data)
-    observed = data > 0
-    w = data[observed]
+    w, conds = _observed_conditionals(model, data)
     out = []
-    for cond in model.conditionals(model.x_support[observed]):
+    for cond in conds:
         with np.errstate(divide="ignore"):
             log_mix = (w[:, None] * np.log(cond)).sum(axis=0)
         out.append(np.exp(log_mix - logsumexp(log_mix)))
@@ -536,11 +536,9 @@ def posterior_assignments(model: LayeredDiscreteModel, data) -> list[np.ndarray]
 
 def top_scale_kl(model: LayeredDiscreteModel, data, top_nu) -> float:
     """Supervised discrepancy at the top scale under the data pmf."""
-    data = _check_data(model, data)
-    top_nu = _check_pmf(top_nu, 1e-9, "top_nu")
-    observed = data > 0
-    top = model.conditionals(model.x_support[observed])[-1]
-    return float(data[observed] @ kl_divergence(top_nu, top))
+    w, conds = _observed_conditionals(model, data)
+    top_nu = _check_scale_pmf(model, model.n_scales - 1, top_nu, "top_nu")
+    return float(w @ kl_divergence(top_nu, conds[-1]))
 
 
 def _with_top_weights(model: LayeredDiscreteModel, flat) -> LayeredDiscreteModel:
@@ -550,16 +548,19 @@ def _with_top_weights(model: LayeredDiscreteModel, flat) -> LayeredDiscreteModel
     return LayeredDiscreteModel(model.x_support, scales, model.transport_rule, model.max_states)
 
 
-def top_kl_gradient(model: LayeredDiscreteModel, data, top_nu, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of the top-scale KL in the top weights."""
+def top_kl_gradient(model: LayeredDiscreteModel, data, top_nu) -> np.ndarray:
+    """Central finite-difference gradient of the top-scale KL in the top weights.
+
+    The difference step is ``TOP_KL_STEP``.
+    """
     theta = model.scales[-1].weight.ravel()
     grad = np.empty_like(theta)
     for i in range(theta.size):
         e = np.zeros_like(theta)
-        e[i] = step
+        e[i] = TOP_KL_STEP
         up = top_scale_kl(_with_top_weights(model, theta + e), data, top_nu)
         down = top_scale_kl(_with_top_weights(model, theta - e), data, top_nu)
-        grad[i] = (up - down) / (2 * step)
+        grad[i] = (up - down) / (2 * TOP_KL_STEP)
     return grad
 
 
@@ -575,35 +576,28 @@ class FpBpReport:
     bp_ok: bool
 
 
-def fp_bp_semantics_check(
-    model: LayeredDiscreteModel,
-    data,
-    rng,
-    top_nu=None,
-    n_competitors: int = 200,
-    step: float = 1e-4,
-) -> FpBpReport:
+def fp_bp_semantics_check(model: LayeredDiscreteModel, data, rng) -> FpBpReport:
     """Verify the two halves of the training semantics.
 
     Forward: the posterior assignments attain the maximal expected term
-    against random competitor assignments.  Backward: one step against
-    the finite-difference gradient of the supervised top-scale KL strictly
-    decreases that term.
+    against ``N_COMPETITORS`` random competitor assignments.  Backward:
+    one step of size ``BP_STEP`` against the finite-difference gradient of
+    the supervised top-scale KL, with the first top-scale state as the
+    target, strictly decreases that term.
     """
     posterior = posterior_assignments(model, data)
     best = decompose_likelihood(model, data, posterior).expected_ll
     top = None
-    for _ in range(n_competitors):
+    for _ in range(N_COMPETITORS):
         candidate = [rng.dirichlet(np.ones(p.shape[0])) for p in posterior]
         value = decompose_likelihood(model, data, candidate).expected_ll
         top = value if top is None else max(top, value)
     fp_ok = top <= best + 1e-12
-    if top_nu is None:
-        top_nu = np.zeros(model.scale_states(model.n_scales - 1).shape[0])
-        top_nu[0] = 1.0
+    top_nu = np.zeros(_n_states(model.scales[-1]))
+    top_nu[0] = 1.0
     kl_before = top_scale_kl(model, data, top_nu)
     grad = top_kl_gradient(model, data, top_nu)
-    theta = model.scales[-1].weight.ravel() - step * grad
+    theta = model.scales[-1].weight.ravel() - BP_STEP * grad
     kl_after = top_scale_kl(_with_top_weights(model, theta), data, top_nu)
     bp_ok = kl_after < kl_before or np.abs(grad).max() < 1e-10
     return FpBpReport(best, float(top), bool(fp_ok), kl_before, kl_after, bool(bp_ok))

@@ -387,7 +387,7 @@ def kernel_from_entry(entry, where: str) -> KernelSpec:
         rows, cols = int(entry["rows"]), int(entry["cols"])
         weight = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
         return KernelSpec(weight, entry.get("field", "01"))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise DomainError(f"malformed {where}: {exc}") from exc
 
 

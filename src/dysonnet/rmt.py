@@ -209,7 +209,11 @@ class EmpiricalSelfEnergy:
         stack = _sample_stack(samples, "empirical sample")
         if stack.shape[0] < 2:
             raise DomainError("need at least 2 samples to center fluctuations")
-        return cls(np.sqrt(stack.shape[1]) * (stack - stack.mean(axis=0)))
+        # The samples passed the check on their own scale.  Checking the
+        # much smaller fluctuations again would reject that accepted skew.
+        se = cls.__new__(cls)
+        se.fluctuations = np.sqrt(stack.shape[1]) * (stack - stack.mean(axis=0))
+        return se
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         m, n, _ = self.fluctuations.shape
@@ -811,7 +815,7 @@ def density_cdf(density: SpectralDensity) -> tuple[np.ndarray, np.ndarray]:
 def _strength_entry(s_doc: dict, key: str) -> float:
     try:
         return float(s_doc.get(key, 1.0))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"self-energy {key} must be a number, got {s_doc[key]!r}") from exc
 
 
@@ -828,7 +832,7 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
         a = np.asarray(doc["A"], dtype=float)
         s_doc = doc["S"]
         kind = s_doc["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed problem document: {exc}") from exc
     if kind == "isotropic":
         se = IsotropicSelfEnergy(_strength_entry(s_doc, "c"))

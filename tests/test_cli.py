@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dysonnet import __version__
 from dysonnet.cli import main
@@ -186,6 +188,8 @@ class TestExitCodes:
             ({"S": {"kind": "isotropic", "c": None}}, [], "self-energy c must be a number"),
             ({"S": {"kind": "wigner", "sigma2": [1.0]}}, [],
              "self-energy sigma2 must be a number"),
+            ({"A": [[10 ** 400]]}, [], "malformed problem document"),
+            ({"S": {"kind": "isotropic", "c": 10 ** 400}}, [], "self-energy c must be a number"),
             ({"S": {"kind": "empirical", "samples": "sym4.npy"}}, [],
              "self-energy acts on 4x4 matrices but the expectation matrix A is 2x2"),
             ({"A": [[0.0] * 4] * 4, "S": {"kind": "empirical", "samples": "skew4.npy"}}, [],
@@ -194,7 +198,8 @@ class TestExitCodes:
              "empirical sample 2 has non-finite entries"),
         ],
         ids=["nan-a", "inf-a", "nan-emin", "inf-emax", "nan-eta", "negative-c",
-             "negative-sigma2", "null-c", "list-sigma2", "samples-size-mismatch",
+             "negative-sigma2", "null-c", "list-sigma2", "huge-int-a", "huge-int-c",
+             "samples-size-mismatch",
              "skew-samples", "nan-samples"],
     )
     def test_invalid_mde_problem(self, workdir, capsys, problem, flags, named):
@@ -362,3 +367,97 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.stdout.strip() == "[]"
+
+
+# The JSON reader also accepts NaN, infinities and integers too large for a
+# float or an array dimension.
+HOSTILE = st.sampled_from([10 ** 400, 2 ** 63, -1, 0, float("inf"), float("nan"),
+                           None, True, "x", [], {}])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | HOSTILE,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _pmf(draw, size):
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=size, max_size=size))
+    return [w / sum(weights) for w in weights]
+
+
+def _mutated(draw, doc):
+    """``doc`` as it is, with one entry replaced or deleted, or as any JSON value."""
+    slots = []
+
+    def collect(node):
+        for key in (list(node) if isinstance(node, dict) else range(len(node))):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                collect(node[key])
+
+    collect(doc)
+    node, key = draw(st.sampled_from(slots))
+    mutation = draw(st.sampled_from(["none", "hostile", "any", "delete", "document"]))
+    if mutation == "hostile":
+        node[key] = draw(HOSTILE)
+    elif mutation == "any":
+        node[key] = draw(JSON_VALUES)
+    elif mutation == "delete":
+        del node[key]
+    elif mutation == "document":
+        return draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def decompose_documents(draw):
+    n = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    coords = st.floats(-3.0, 3.0)
+    return _mutated(draw, {
+        "x_support": [draw(st.lists(coords, min_size=dims[0], max_size=dims[0]))
+                      for _ in range(n)],
+        "x_pmf": _pmf(draw, n),
+        "scales": [{"rows": a, "cols": b, "field": draw(st.sampled_from(["01", "pm1"])),
+                    "weights": draw(st.lists(coords, min_size=a * b, max_size=a * b))}
+                   for a, b in zip(dims, dims[1:])],
+        "nu": [_pmf(draw, 2 ** b) for b in dims[1:]],
+    })
+
+
+@st.composite
+def contract_documents(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return _mutated(draw, {
+        "p": _pmf(draw, sizes[0]),
+        "q": _pmf(draw, sizes[0]),
+        "kernels": [[_pmf(draw, b) for _ in range(a)] for a, b in zip(sizes, sizes[1:])],
+    })
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def exit_code_of(fuzz_dir, command, doc):
+    (fuzz_dir / "doc.json").write_text(json.dumps(doc))
+    return run_cli(command, "--model", fuzz_dir / "doc.json", "--out", fuzz_dir / "out.json")
+
+
+@given(decompose_documents())
+@example({"x_support": [[10 ** 400]], "x_pmf": [1.0], "nu": [[0.5, 0.5]],
+          "scales": [{"rows": 1, "cols": 1, "weights": [0.0]}]})
+@example({"x_support": [[1.0]], "x_pmf": [1.0], "nu": [[0.5, 0.5]],
+          "scales": [{"rows": float("inf"), "cols": 1, "weights": [0.0]}]})
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_decompose_loader_maps_any_document_to_an_exit_code(fuzz_dir, doc):
+    assert exit_code_of(fuzz_dir, "decompose", doc) in (0, 2, 3)
+
+
+@given(contract_documents())
+@example({"p": [10 ** 400], "q": [1.0], "kernels": []})
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_contract_loader_maps_any_document_to_an_exit_code(fuzz_dir, doc):
+    assert exit_code_of(fuzz_dir, "contract", doc) in (0, 2, 3)

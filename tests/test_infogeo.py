@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dysonnet.errors import CapacityError, DomainError
+from dysonnet.errors import CapacityError, DomainError, ShapeError
 from dysonnet.infogeo import (
     ConvexFunction,
     ExpFamilyModel,
@@ -278,6 +278,20 @@ class TestDecomposition:
         with pytest.raises(CapacityError):
             decompose_likelihood(model, np.full(4, 0.25), [np.full(256, 1 / 256)])
 
+    def test_budget_counts_the_held_conditionals(self):
+        # 50 * 8**10 joint states, but only 50 * 10 * 8 conditional entries
+        rng = np.random.default_rng(55)
+        dims = [2] + [3] * 10
+        scales = tuple(KernelSpec(rng.standard_normal((a, b)), "01")
+                       for a, b in zip(dims, dims[1:]))
+        model = LayeredDiscreteModel(rng.standard_normal((50, 2)), scales)
+        nu = [rng.dirichlet(np.ones(8)) for _ in scales]
+        report = decompose_likelihood(model, rng.dirichlet(np.ones(50)), nu)
+        assert report.identity_defect <= 1e-10
+        small = LayeredDiscreteModel(model.x_support, scales, max_states=3999)
+        with pytest.raises(CapacityError, match="hold 4000 entries .*budget 3999"):
+            decompose_likelihood(small, np.full(50, 0.02), nu)
+
     def test_zero_probability_conditioning(self):
         # saturated kernel drives one conditional to exactly zero
         w = np.array([[800.0]])
@@ -423,6 +437,15 @@ def test_nonfinite_pmf_rejected(call, name):
         call(binary_scale_model())
 
 
+def test_top_nu_length_checked():
+    rng = np.random.default_rng(56)
+    model = random_two_scale(rng)
+    data = rng.dirichlet(np.ones(4))
+    for call in (top_scale_kl, top_kl_gradient):
+        with pytest.raises(ShapeError, match=r"^top_nu has 3 entries, scale has 4 states"):
+            call(model, data, np.full(3, 1 / 3))
+
+
 class TestFpBp:
     def test_posterior_beats_competitors(self):
         rng = np.random.default_rng(43)
@@ -473,7 +496,7 @@ class TestPropertyBased:
         p = p_raw / p_raw.sum()
         q = q_raw / q_raw.sum()
         kernel = k_raw / k_raw.sum(axis=1, keepdims=True)
-        stages = contraction_check(p, q, [kernel], tol=1e-9)
+        stages = contraction_check(p, q, [kernel])
         assert stages[1] <= stages[0] + 1e-12
 
     @given(hnp.arrays(np.float64, 3, elements=st.floats(0.05, 0.95)),

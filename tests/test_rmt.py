@@ -101,6 +101,19 @@ class TestSelfEnergies:
         with pytest.raises(DomainError, match="fluctuation sample 0 has non-finite entries"):
             EmpiricalSelfEnergy(np.full((2, 3, 3), np.inf))
 
+    def test_from_samples_accepts_what_its_check_accepts(self):
+        # A skew of 1e-9 at entries of size 1e3 is within 1e-12 * max|m|, but
+        # the centred fluctuations are of size 1, so a check on their scale fails.
+        rng = np.random.default_rng(54)
+        base = 1e3 * sample_wigner(4, rng)
+        samples = [base.copy() for _ in range(3)]
+        for i, skew in enumerate([0.0, 5e-10, 1e-9]):
+            samples[i] += 0.1 * i * np.eye(4)
+            samples[i][0, 1] += skew
+        se = EmpiricalSelfEnergy.from_samples(samples)
+        stack = np.stack(samples)
+        assert np.array_equal(se.fluctuations, 2.0 * (stack - stack.mean(axis=0)))
+
     @pytest.mark.parametrize("se", [IsotropicSelfEnergy(0.7), WignerSelfEnergy(1.3),
                                     ZeroSelfEnergy()], ids=["isotropic", "wigner", "zero"])
     def test_apply_eigen_is_apply_in_the_eigenbasis(self, se):
