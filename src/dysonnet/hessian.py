@@ -12,7 +12,17 @@ group; its blocks use the same path factor with an empty trailing product.
 Assembly is exact at points where no preactivation sits on an estimation
 kink and no sample sits on a loss kink; samples violating either are
 flagged rather than silently differentiated.  Per-sample blocks are summed
-in place, so memory does not grow with the number of samples.
+in place, so memory does not grow with the number of samples.  A dense
+P x P matrix, and the block sets that lead to it, are refused with
+:class:`CapacityError` beyond ``MAX_DENSE_ENTRIES`` before anything is
+allocated.
+
+The same Kronecker structure confines each sample's Hessian to a
+subspace of dimension k << P: within group g its range lies in the span
+of ``I ⊗ t_{g-1}`` and ``u_g ⊗ I``.  The landscape report projects each
+sample's blocks onto an orthonormal basis of that span and reads the
+sample's operator norm off the k x k core; no per-sample P x P matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import CapacityError, DomainError, NumericError, ShapeError
 from .net import Dataset, LossL0, NetworkParams, _sample_terms, param_group_dims
 
 __all__ = [
@@ -34,6 +44,34 @@ __all__ = [
 ]
 
 KINK_TOL = 1e-9
+MAX_DENSE_ENTRIES = 25_000_000  # largest P*P for a dense Hessian: P <= 5000, 200 MB
+
+
+def _check_dense_budget(n: int) -> None:
+    if n * n > MAX_DENSE_ENTRIES:
+        raise CapacityError(
+            f"a dense Hessian of P={n} parameters needs {n * n} entries ({8 * n * n} bytes),"
+            f" over the budget of {MAX_DENSE_ENTRIES} entries"
+        )
+
+
+def _mirrored(dims, blocks: dict) -> np.ndarray:
+    """Dense symmetric matrix from cross blocks ``blocks[(p, q)]`` over groups of ``dims``."""
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    full = np.zeros((offsets[-1], offsets[-1]))
+    for (p, q), block in blocks.items():
+        rows = slice(offsets[q - 1], offsets[q])
+        cols = slice(offsets[p - 1], offsets[p])
+        full[rows, cols] = block
+        full[cols, rows] = block.T
+    return full
+
+
+def _eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition of {what} failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -63,18 +101,16 @@ class HessianBlocks:
         return int(sum(self.dims))
 
     def assemble(self) -> np.ndarray:
-        """Dense symmetric matrix with blocks mirrored across the diagonal."""
-        offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-        full = np.zeros((self.n, self.n))
-        for (p, q), block in self.blocks.items():
-            rows = slice(offsets[q - 1], offsets[q])
-            cols = slice(offsets[p - 1], offsets[p])
-            full[rows, cols] = block
-            full[cols, rows] = block.T
-        return full
+        """Dense symmetric matrix with blocks mirrored across the diagonal.
+
+        Raises :class:`CapacityError` when P*P exceeds ``MAX_DENSE_ENTRIES``.
+        """
+        _check_dense_budget(self.n)
+        return _mirrored(self.dims, self.blocks)
 
 
 def _zero_blocks(dims: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
+    _check_dense_budget(int(sum(dims)))
     groups = len(dims)
     return {
         (p, q): np.zeros((dims[q - 1], dims[p - 1]))
@@ -83,28 +119,34 @@ def _zero_blocks(dims: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
     }
 
 
+def _output_vectors(params: NetworkParams, states) -> list:
+    """``u[q]`` for q = 1..L-1, built from the top down; ``u[0]`` is unused.
+
+    u_q = dg(h''_q) W_{q+1} dg(h''_{q+1}) ... W_{L-1} dg(h''_{L-1}) alpha, where
+    h'' = h' * h' is the squared estimation derivative.
+    """
+    u = [None] * (len(params.weights) + 1)
+    acc = params.alpha
+    for k in range(len(params.weights), 0, -1):
+        h_prime = states[k - 1].h_prime
+        u[k] = h_prime * h_prime * acc
+        acc = params.weights[k - 1] @ u[k]
+    return u
+
+
 def _geometry_blocks(params: NetworkParams, states) -> dict:
     """Per-sample blocks without the loss-derivative factor.
 
     Group indices are 1-based; group L is the output vector.  For p < q < L
-    the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with
-    u_q = dg(h''_q) W_{q+1} dg(h''_{q+1}) ... W_{L-1} dg(h''_{L-1}) alpha, where
-    h'' = h' * h' is the squared estimation derivative, and
+    the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with u_q from
+    :func:`_output_vectors` and
     P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p); for q = L the u
     factor is the empty product.
     """
     n_layers = len(params.weights)
     groups = n_layers + 1
     blocks: dict[tuple[int, int], np.ndarray] = {}
-
-    # u[q] for q = 1..n_layers, built from the top down.
-    u = [None] * (n_layers + 1)
-    acc = params.alpha
-    for k in range(n_layers, 0, -1):
-        h_prime = states[k - 1].h_prime
-        acc_k = h_prime * h_prime * acc
-        u[k] = acc_k
-        acc = params.weights[k - 1] @ acc_k if k > 1 else acc_k
+    u = _output_vectors(params, states)
 
     for p in range(1, groups):
         path = np.diag(states[p - 1].h_prime)
@@ -119,6 +161,50 @@ def _geometry_blocks(params: NetworkParams, states) -> dict:
             else:
                 blocks[(p, q)] = np.kron(path, t_prev[None, :])
     return blocks
+
+
+def _range_bases(params: NetworkParams, states) -> list[np.ndarray]:
+    """Orthonormal basis of each group's part of one sample's Hessian range.
+
+    Group g < L is the column group of blocks whose row space lies in the
+    span of ``I ⊗ t_{g-1}`` and, for g > 1, the row group of blocks whose
+    column space lies in the span of ``u_g ⊗ I``.
+    ``[I ⊗ t̂, û ⊗ N]``, with N an orthonormal basis of t̂'s complement,
+    is an orthonormal basis of the sum of the two spans; a piece whose
+    vector is zero (a dead layer, a zero input) is dropped.  The output
+    group's range is the whole group.
+    """
+    u = _output_vectors(params, states)
+    bases = []
+    for g, state in enumerate(states, start=1):
+        t = state.t_in
+        out_eye = np.eye(state.h_hat.size)
+        pieces = [np.zeros((out_eye.shape[0] * t.size, 0))]  # every piece may drop
+        t_norm = np.linalg.norm(t)
+        complement = np.eye(t.size)
+        if t_norm > 0.0:
+            t_hat = t / t_norm
+            pieces.append(np.kron(out_eye, t_hat[:, None]))
+            complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
+        u_norm = np.linalg.norm(u[g])
+        if g > 1 and u_norm > 0.0:
+            pieces.append(np.kron((u[g] / u_norm)[:, None], complement))
+        bases.append(np.hstack(pieces))
+    bases.append(np.eye(params.alpha.size))
+    return bases
+
+
+def _range_core(params: NetworkParams, states, geometry: dict) -> np.ndarray:
+    """The k x k matrix Q^T H Q of one sample's geometry H, Q = blockdiag(bases).
+
+    H's range lies in the span of Q, so H and the core share their nonzero
+    eigenvalues.
+    """
+    bases = _range_bases(params, states)
+    projected = {
+        (p, q): bases[q - 1].T @ block @ bases[p - 1] for (p, q), block in geometry.items()
+    }
+    return _mirrored([b.shape[1] for b in bases], projected)
 
 
 def _summed_geometry(params: NetworkParams, kind: LossL0, dataset: Dataset, total: dict):
@@ -162,7 +248,11 @@ class LandscapeReport:
     ``lambda0`` is the largest operator norm among the per-sample geometry
     factors, so the bound ``op_norm <= mean_lprime * lambda0`` certifies
     that the spectrum collapses as the mean absolute loss derivative
-    vanishes.  ``kink_samples`` lists samples with a preactivation within
+    vanishes.  Each sample's norm is the exact largest |eigenvalue| of its
+    k x k range core (see the module docstring); ``sample_ranks`` holds
+    each sample's k, the dimension of the subspace its Hessian lives in,
+    and ``lambda0_sample`` the first sample attaining ``lambda0``.
+    ``kink_samples`` lists samples with a preactivation within
     ``KINK_TOL`` of an estimation kink or a hinge margin ``1 - y * score``
     or residual ``score - y`` within ``KINK_TOL`` of the loss kink at 0.
     """
@@ -173,7 +263,9 @@ class LandscapeReport:
     op_norm: float
     eigs: np.ndarray
     neg_fraction: float
-    kink_samples: tuple[int, ...] = ()
+    kink_samples: tuple[int, ...]
+    lambda0_sample: int
+    sample_ranks: tuple[int, ...]
 
     @property
     def bound(self) -> float:
@@ -188,7 +280,8 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     """Assemble the risk Hessian, its spectrum and the operator-norm bound."""
     dims = param_group_dims(params)
     total = _zero_blocks(dims)
-    lambda0 = 0.0
+    norms = []
+    ranks = []
     abs_derivs = []
     losses = []
     kinks = []
@@ -198,24 +291,24 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
         abs_derivs.append(abs(deriv))
         if abs(offset) < KINK_TOL or any(np.any(np.abs(s.h_hat) < KINK_TOL) for s in states):
             kinks.append(i)
-        tilde = HessianBlocks(dims, geometry).assemble()
-        lambda0 = max(lambda0, float(np.max(np.abs(np.linalg.eigvalsh(tilde)))))
+        core = _range_core(params, states, geometry)
+        ranks.append(core.shape[0])
+        norms.append(float(np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))))
     m = len(dataset)
     blocks = HessianBlocks(dims, {k: v / m for k, v in total.items()})
-    full = blocks.assemble()
-    try:
-        eigs = np.sort(np.linalg.eigvalsh(full))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    eigs = np.sort(_eigvalsh(blocks.assemble(), "the risk Hessian"))
     op_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    top = int(np.argmax(norms))
     report = LandscapeReport(
         risk=float(np.sum(losses) / m),
         mean_lprime=float(np.sum(abs_derivs) / m),
-        lambda0=lambda0,
+        lambda0=norms[top],
         op_norm=op_norm,
         eigs=eigs,
         neg_fraction=negative_fraction(eigs, 1e-8 * op_norm if op_norm > 0 else np.inf),
         kink_samples=tuple(kinks),
+        lambda0_sample=top,
+        sample_ranks=tuple(ranks),
     )
     if not report.bound_holds:
         raise NumericError(

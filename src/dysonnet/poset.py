@@ -380,11 +380,15 @@ def read_json(source):
 def kernel_from_entry(entry, where: str) -> KernelSpec:
     """Kernel of one layer entry ``{"rows": r, "cols": c, "weights": [...], "field": ...}``.
 
-    ``weights`` is row-major and ``field`` defaults to ``"01"``.  ``where``
+    ``weights`` is row-major and ``field`` defaults to ``"01"``.  ``rows``
+    and ``cols`` must be positive integers (not bools or floats).  ``where``
     names the entry in the error raised for a malformed one.
     """
     try:
-        rows, cols = int(entry["rows"]), int(entry["cols"])
+        rows, cols = entry["rows"], entry["cols"]
+        for name, size in (("rows", rows), ("cols", cols)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise DomainError(f"{name} must be a positive integer, got {size!r}")
         weight = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
         return KernelSpec(weight, entry.get("field", "01"))
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:

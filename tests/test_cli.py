@@ -257,6 +257,48 @@ class TestExitCodes:
         assert named in err
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("command", ["landscape", "hessian", "decompose"])
+    @pytest.mark.parametrize(
+        "shape, named",
+        [
+            ({"rows": -1, "weights": [-1.386]}, "rows must be a positive integer, got -1"),
+            ({"cols": 0, "weights": []}, "cols must be a positive integer, got 0"),
+            ({"cols": 1.7}, "cols must be a positive integer, got 1.7"),
+            ({"rows": True}, "rows must be a positive integer, got True"),
+        ],
+        ids=["negative-rows", "zero-cols", "fractional-cols", "bool-rows"],
+    )
+    def test_impossible_kernel_shape(self, workdir, capsys, command, shape, named):
+        if command == "decompose":
+            path, entry = workdir / "model.json", "scale entry 0"
+            doc = json.loads(path.read_text())
+            doc["scales"][0].update(shape)
+            inputs = ["--model", path]
+        else:
+            path, entry = workdir / "net.json", "layer entry for node '1'"
+            doc = json.loads(path.read_text())
+            doc["layers"]["1"].update(shape)
+            inputs = ["--network", path, "--data", workdir / "data.csv"]
+        path.write_text(json.dumps(doc))
+        rc = run_cli(command, *inputs, "--out", workdir / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"malformed {entry}: {named}" in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["landscape", "hessian"])
+    def test_dense_hessian_over_budget(self, workdir, capsys, command):
+        # P = 50*50 + 50*50 + 50 = 5050 > 5000: refused before any block is built
+        params = NetworkParams((np.zeros((50, 50)), np.zeros((50, 50))), np.zeros(50))
+        (workdir / "big.json").write_text(json.dumps(network_to_chain_json(params)))
+        save_dataset_csv(workdir / "big.csv", Dataset(np.ones((1, 50)), np.array([1.0])))
+        rc = run_cli(command, "--network", workdir / "big.json", "--data", workdir / "big.csv",
+                     "--out", workdir / "out")
+        assert rc == 2
+        assert "a dense Hessian of P=5050 parameters needs 25502500 entries" in (
+            capsys.readouterr().err)
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("row", ["1", "1,1,1"], ids=["short", "long"])
     def test_ragged_dataset_row(self, workdir, capsys, row):
         data = workdir / "data.csv"

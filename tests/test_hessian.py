@@ -4,10 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dysonnet.errors import DomainError
+from dysonnet.errors import CapacityError, DomainError, NumericError
 from dysonnet.hessian import (
+    MAX_DENSE_ENTRIES,
     HessianBlocks,
+    _geometry_blocks,
     landscape_report,
     negative_fraction,
     risk_hessian,
@@ -21,18 +25,20 @@ from dysonnet.net import (
     flatten_params,
     forward,
     loss,
+    param_group_dims,
     risk_gradient,
     unflatten_params,
 )
+from dysonnet.poset import ActivationRule
 
 
-def random_net(rng, max_width=8, max_depth=4):
+def random_net(rng, max_width=8, max_depth=4, rule=ActivationRule.ARGMAX_MASK_01):
     depth = int(rng.integers(2, max_depth + 1))
     widths = rng.integers(1, max_width + 1, size=depth)
     weights = tuple(
         rng.standard_normal((widths[i], widths[i + 1])) for i in range(depth - 1)
     )
-    return NetworkParams(weights, rng.standard_normal(widths[-1]))
+    return NetworkParams(weights, rng.standard_normal(widths[-1]), rule)
 
 
 def clear_of_kinks(params, x, y, clearance=1e-3):
@@ -285,3 +291,172 @@ def test_negative_fraction_thresholding():
 def test_blocks_shape_validation():
     with pytest.raises(Exception):
         HessianBlocks((2, 3), {(1, 2): np.zeros((2, 2))})
+
+
+def dense_sample_norms(params, dataset):
+    """Oracle: each sample's geometry Hessian as a dense P x P matrix, eigvalsh'd."""
+    dims = param_group_dims(params)
+    return [
+        float(np.max(np.abs(np.linalg.eigvalsh(
+            HessianBlocks(dims, _geometry_blocks(params, forward(params, x)[1])).assemble()
+        ))))
+        for x in dataset.x
+    ]
+
+
+def assert_lambda0_matches_dense(params, kind, dataset):
+    report = landscape_report(params, kind, dataset)
+    norms = dense_sample_norms(params, dataset)
+    assert abs(report.lambda0 - max(norms)) <= 1e-12 * max(norms)
+    assert norms[report.lambda0_sample] >= max(norms) * (1.0 - 1e-12)
+    assert len(report.sample_ranks) == len(dataset)
+    assert all(1 <= k <= sum(param_group_dims(params)) for k in report.sample_ranks)
+    return report
+
+
+class TestLambda0:
+    @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
+    def test_matches_dense_on_random_nets(self, kind):
+        rng = np.random.default_rng(22)
+        one_layer = 0
+        for trial in range(24):
+            params = random_net(rng, rule=list(ActivationRule)[trial % 4])
+            one_layer += len(params.weights) == 1
+            dataset = Dataset(
+                rng.standard_normal((4, params.input_dim)), rng.choice([-1.0, 1.0], size=4)
+            )
+            assert_lambda0_matches_dense(params, kind, dataset)
+        assert one_layer > 0
+
+    def test_one_layer_net_core(self):
+        # groups W_1 (3 x 4) and alpha: k = 4 columns for I (x) x-hat plus 4 for alpha
+        rng = np.random.default_rng(23)
+        params = NetworkParams((rng.standard_normal((3, 4)),), rng.standard_normal(4))
+        dataset = Dataset(rng.standard_normal((3, 3)), np.array([1.0, -1.0, 1.0]))
+        report = assert_lambda0_matches_dense(params, LossL0.HINGE, dataset)
+        assert report.sample_ranks == (8, 8, 8)
+
+    def test_generic_samples_have_k_6w_minus_2(self):
+        # widths (w, w, w, w): k = w + 2 (2w - 1) + w, as at the bench size
+        w = 5
+        rng = np.random.default_rng(24)
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) for _ in range(3)), rng.standard_normal(w),
+            ActivationRule.PARTIAL_EXPECTATION_01,
+        )
+        dataset = Dataset(rng.standard_normal((3, w)), np.array([1.0, -1.0, 1.0]))
+        report = assert_lambda0_matches_dense(params, LossL0.ABSOLUTE, dataset)
+        assert report.sample_ranks == (6 * w - 2,) * 3
+
+    def test_dead_layer_drops_its_basis_piece(self):
+        # relu layer 1 is dead for a positive input: t_1 = 0 and u_1 = 0, so
+        # group 2 keeps no column and the geometry is exactly zero
+        rng = np.random.default_rng(25)
+        params = NetworkParams(
+            (-np.abs(rng.standard_normal((3, 4))), rng.standard_normal((4, 2))),
+            rng.standard_normal(2),
+        )
+        dataset = Dataset(np.abs(rng.standard_normal((1, 3))), np.array([1.0]))
+        report = assert_lambda0_matches_dense(params, LossL0.HINGE, dataset)
+        assert report.lambda0 == 0.0
+        assert report.sample_ranks == (4 + 2,)
+
+    @pytest.mark.parametrize(
+        "rule", [ActivationRule.PARTIAL_EXPECTATION_PM1, ActivationRule.EXPECTATION_MASK_01]
+    )
+    def test_zero_layer_output_with_live_derivatives(self, rule):
+        # zero weights into layer 2: t_2 = 0 but h'_2 != 0, so group 3 keeps
+        # only its u-piece, u_3 (x) I_3, while the blocks below it stay nonzero
+        rng = np.random.default_rng(26)
+        params = NetworkParams(
+            (rng.standard_normal((3, 4)), np.zeros((4, 3)), rng.standard_normal((3, 2))),
+            rng.standard_normal(2), rule,
+        )
+        dataset = Dataset(rng.standard_normal((2, 3)), np.array([1.0, -1.0]))
+        report = assert_lambda0_matches_dense(params, LossL0.ABSOLUTE, dataset)
+        assert report.lambda0 > 0.0
+        assert report.sample_ranks == (4 + (3 + 3) + 3 + 2,) * 2
+
+    def test_zero_input(self):
+        # group 1's basis is empty; the sigmoid passes 0.5 on, so the rest lives
+        rng = np.random.default_rng(27)
+        params = NetworkParams(
+            (rng.standard_normal((3, 4)), rng.standard_normal((4, 2))), rng.standard_normal(2),
+            ActivationRule.PARTIAL_EXPECTATION_01,
+        )
+        xs = np.vstack([np.zeros(3), rng.standard_normal(3)])
+        report = assert_lambda0_matches_dense(params, LossL0.HINGE, Dataset(xs, np.array([1.0, 1.0])))
+        assert report.lambda0 > 0.0
+        assert report.sample_ranks == (0 + (2 + 3) + 2, 4 + (2 + 3) + 2)
+
+    @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
+    def test_kink_and_zero_loss_samples(self, kind):
+        # sample 0 sits on an estimation kink, sample 1 on the loss kink
+        # (zero loss, l' = 0); its geometry still counts towards lambda0
+        params = NetworkParams((np.array([[1.0, -1.0]]),), np.array([1.0, 0.5]))
+        dataset = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([-1.0, 1.0, -1.0]))
+        report = assert_lambda0_matches_dense(params, kind, dataset)
+        assert report.kink_samples == (0, 1)
+        assert report.lambda0 > 0.0
+
+    def test_zero_loss_sample_attains_lambda0(self):
+        # the zero-loss sample has the largest input, hence the largest norm
+        params = NetworkParams((np.array([[2.0]]),), np.array([1.0]))
+        dataset = Dataset(np.array([[0.1], [3.0]]), np.array([1.0, 1.0]))
+        report = assert_lambda0_matches_dense(params, LossL0.HINGE, dataset)
+        assert report.risk > 0.0
+        assert loss(LossL0.HINGE, forward(params, dataset.x[1])[0], 1.0)[0] == 0.0
+        assert report.lambda0_sample == 1
+        assert report.lambda0 == pytest.approx(3.0)
+
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        kind=st.sampled_from(list(LossL0)),
+        rule=st.sampled_from(list(ActivationRule)),
+        dead_first=st.booleans(),
+        zero_input=st.booleans(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_property_matches_dense(self, seed, kind, rule, dead_first, zero_input):
+        rng = np.random.default_rng(seed)
+        params = random_net(rng, rule=rule)
+        xs = rng.standard_normal((3, params.input_dim))
+        if dead_first:
+            xs = np.abs(xs)
+            params = NetworkParams(
+                (-np.abs(params.weights[0]),) + params.weights[1:], params.alpha, rule
+            )
+        if zero_input:
+            xs[0] = 0.0
+        assert_lambda0_matches_dense(params, kind, Dataset(xs, rng.choice([-1.0, 1.0], size=3)))
+
+    def test_core_eigensolver_failure_is_numeric_error(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        params = NetworkParams((rng.standard_normal((2, 3)),), rng.standard_normal(3))
+        dataset = Dataset(rng.standard_normal((2, 2)), np.array([1.0, -1.0]))
+        eigvalsh = np.linalg.eigvalsh
+
+        def failing_on_cores(matrix):
+            if matrix.shape[0] < sum(param_group_dims(params)):
+                raise np.linalg.LinAlgError("did not converge")
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_cores)
+        with pytest.raises(NumericError, match="sample 0's range core failed"):
+            landscape_report(params, LossL0.HINGE, dataset)
+
+
+class TestDenseBudget:
+    def test_refused_before_allocation(self):
+        blocks = HessianBlocks((10 ** 5, 10 ** 5), {})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"P=200000 .*\(320000000000 bytes\)"):
+                blocks.assemble()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_admits_the_sizes_in_use(self):
+        assert MAX_DENSE_ENTRIES >= 1900 ** 2
