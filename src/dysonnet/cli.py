@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, DysonnetError, NumericError
-from .hessian import landscape_report, risk_hessian
+from .hessian import _check_dense_budget, landscape_report, risk_hessian
 from .infogeo import LayeredDiscreteModel, contraction_check, decompose_likelihood
 from .net import LossL0, load_dataset_csv, network_from_chain_json
 from .poset import kernel_from_entry, read_json
@@ -101,6 +101,17 @@ def _hessian_widths(n_target: int) -> tuple[int, ...]:
 
 
 def _cmd_esd_sample(args):
+    # what one trial holds at once, refused before the pool starts
+    if args.ensemble == "wigner":
+        _check_dense_budget(args.n * args.n, f"esd sample --ensemble wigner --n {args.n}")
+    else:
+        widths = _hessian_widths(args.n)
+        p = sum(a * b for a, b in zip(widths, widths[1:])) + widths[-1]
+        _check_dense_budget(
+            args.samples * p * p,
+            f"esd sample --ensemble centered-hessian --n {args.n} --samples {args.samples}"
+            f" ({args.samples} Hessians of P={p} parameters)",
+        )
     generators = _trial_generators(args.seed, args.trials)
 
     def one_trial(index):
@@ -215,16 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dysonnet",
         description="Spectral and information-geometry experiments on layered networks.",
     )
-    # --seed and --threads are accepted both before and after the subcommand
-    parser.add_argument("--seed", type=int, default=None, dest="seed_global",
-                        help="64-bit run seed (default 0)")
+    # --seed and --threads are accepted both before and after the subcommand;
+    # the subcommand's copies default to SUPPRESS, so a value given after it
+    # overrides one given before and an absent one leaves it alone
+    parser.add_argument("--seed", type=int, default=0, help="64-bit run seed (default 0)")
     parser.add_argument("--threads", type=_positive(int, "--threads"), default=None,
-                        dest="threads_global",
                         help="worker-pool size; defaults to SPECTRAL_THREADS or 1")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
-    common.add_argument("--threads", type=_positive(int, "--threads"), default=None,
-                        help=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    common.add_argument("--threads", type=_positive(int, "--threads"),
+                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)
 
     mde = commands.add_parser("mde", help="Matrix Dyson Equation tools")
@@ -288,11 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_globals(args):
-    if args.seed is None:
-        args.seed = args.seed_global if args.seed_global is not None else 0
-    if args.threads is None:
-        args.threads = args.threads_global
+def _resolve_threads(args):
     if args.threads is None:
         # --threads is checked by its parser; only the environment fallback is checked here.
         text = os.environ.get("SPECTRAL_THREADS", "1")
@@ -308,7 +315,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_globals(args)
+        _resolve_threads(args)
         return args.func(args)
     except NumericError as exc:
         print(f"dysonnet: numeric failure: {exc}", file=sys.stderr)

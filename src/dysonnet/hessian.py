@@ -1,13 +1,16 @@
-"""Exact dense Hessian of the empirical risk, block by block.
+"""Exact dense Hessian of the empirical risk of a relu chain, block by block.
 
-For the piecewise-linear loss class the per-sample Hessian has zero
-diagonal blocks, and each cross block between parameter groups p < q
-factors into a Kronecker product of three pieces: the vector obtained by
-propagating the output vector down to layer q through the squared
-estimation derivatives, the activation-path matrix connecting layer p to
-layer q-1 through the estimation derivatives, and the forward activation
+For the piecewise-linear loss class and relu layers the per-sample Hessian
+has zero diagonal blocks, and each cross block between parameter groups
+p < q factors into a Kronecker product of three pieces: the backprop
+vector u_q (the score's derivative in layer q's preactivation, as the
+gradient uses it), the activation-path matrix connecting layer p to layer
+q-1 through the estimation derivatives, and the forward activation
 entering layer p.  The output vector is treated as the final parameter
 group; its blocks use the same path factor with an empty trailing product.
+The smooth rules (``swish``, ``sigmoid``, ``tanh``) are refused with
+:class:`DomainError`: their estimation maps have second derivatives, which
+add diagonal blocks and break the Kronecker structure used here.
 
 Assembly is exact at points where no preactivation sits on an estimation
 kink and no sample sits on a loss kink; samples violating either are
@@ -32,7 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, NumericError, ShapeError
-from .net import Dataset, LossL0, NetworkParams, _sample_terms, param_group_dims
+from .net import Dataset, LossL0, NetworkParams, param_group_dims
+from .net import _backprop_deltas, _sample_terms
+from .poset import ActivationRule
 
 __all__ = [
     "HessianBlocks",
@@ -47,10 +52,11 @@ KINK_TOL = 1e-9
 MAX_DENSE_ENTRIES = 25_000_000  # largest P*P for a dense Hessian: P <= 5000, 200 MB
 
 
-def _check_dense_budget(n: int) -> None:
-    if n * n > MAX_DENSE_ENTRIES:
+def _check_dense_budget(entries: int, what: str) -> None:
+    """Refuse ``what``, which would hold ``entries`` floats, beyond ``MAX_DENSE_ENTRIES``."""
+    if entries > MAX_DENSE_ENTRIES:
         raise CapacityError(
-            f"a dense Hessian of P={n} parameters needs {n * n} entries ({8 * n * n} bytes),"
+            f"{what} needs {entries} entries ({8 * entries} bytes),"
             f" over the budget of {MAX_DENSE_ENTRIES} entries"
         )
 
@@ -105,12 +111,19 @@ class HessianBlocks:
 
         Raises :class:`CapacityError` when P*P exceeds ``MAX_DENSE_ENTRIES``.
         """
-        _check_dense_budget(self.n)
+        _check_dense_budget(self.n * self.n, f"a dense Hessian of P={self.n} parameters")
         return _mirrored(self.dims, self.blocks)
 
 
-def _zero_blocks(dims: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
-    _check_dense_budget(int(sum(dims)))
+def _zero_blocks(params: NetworkParams) -> dict[tuple[int, int], np.ndarray]:
+    """Zero cross blocks of the network's groups, once the rule and the budget admit them."""
+    if params.rule is not ActivationRule.ARGMAX_MASK_01:
+        raise DomainError(
+            f"the exact Hessian needs relu layers; the network uses {params.rule.value!r}"
+        )
+    dims = param_group_dims(params)
+    n = int(sum(dims))
+    _check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
     groups = len(dims)
     return {
         (p, q): np.zeros((dims[q - 1], dims[p - 1]))
@@ -119,34 +132,18 @@ def _zero_blocks(dims: tuple[int, ...]) -> dict[tuple[int, int], np.ndarray]:
     }
 
 
-def _output_vectors(params: NetworkParams, states) -> list:
-    """``u[q]`` for q = 1..L-1, built from the top down; ``u[0]`` is unused.
-
-    u_q = dg(h''_q) W_{q+1} dg(h''_{q+1}) ... W_{L-1} dg(h''_{L-1}) alpha, where
-    h'' = h' * h' is the squared estimation derivative.
-    """
-    u = [None] * (len(params.weights) + 1)
-    acc = params.alpha
-    for k in range(len(params.weights), 0, -1):
-        h_prime = states[k - 1].h_prime
-        u[k] = h_prime * h_prime * acc
-        acc = params.weights[k - 1] @ u[k]
-    return u
-
-
-def _geometry_blocks(params: NetworkParams, states) -> dict:
+def _geometry_blocks(params: NetworkParams, states, deltas) -> dict:
     """Per-sample blocks without the loss-derivative factor.
 
     Group indices are 1-based; group L is the output vector.  For p < q < L
-    the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with u_q from
-    :func:`_output_vectors` and
+    the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with u_q = ``deltas[q-1]``
+    from :func:`net._backprop_deltas` and
     P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p); for q = L the u
     factor is the empty product.
     """
     n_layers = len(params.weights)
     groups = n_layers + 1
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    u = _output_vectors(params, states)
 
     for p in range(1, groups):
         path = np.diag(states[p - 1].h_prime)
@@ -157,50 +154,49 @@ def _geometry_blocks(params: NetworkParams, states) -> dict:
                 j = q - 1
                 path = (states[j - 1].h_prime[:, None] * params.weights[j - 1].T) @ path
             if q <= n_layers:
-                blocks[(p, q)] = np.kron(u[q][:, None], np.kron(path, t_prev[None, :]))
+                blocks[(p, q)] = np.kron(deltas[q - 1][:, None], np.kron(path, t_prev[None, :]))
             else:
                 blocks[(p, q)] = np.kron(path, t_prev[None, :])
     return blocks
 
 
-def _range_bases(params: NetworkParams, states) -> list[np.ndarray]:
+def _range_bases(params: NetworkParams, states, deltas) -> list[np.ndarray]:
     """Orthonormal basis of each group's part of one sample's Hessian range.
 
     Group g < L is the column group of blocks whose row space lies in the
     span of ``I ⊗ t_{g-1}`` and, for g > 1, the row group of blocks whose
-    column space lies in the span of ``u_g ⊗ I``.
+    column space lies in the span of ``u_g ⊗ I``, u_g = ``deltas[g-1]``.
     ``[I ⊗ t̂, û ⊗ N]``, with N an orthonormal basis of t̂'s complement,
     is an orthonormal basis of the sum of the two spans; a piece whose
-    vector is zero (a dead layer, a zero input) is dropped.  The output
-    group's range is the whole group.
+    vector is zero (a dead layer) is dropped.  Under relu t_{g-1} = 0 zeroes
+    layer g's mask and so u_g: a group with a zero input keeps no columns.
+    The output group's range is the whole group.
     """
-    u = _output_vectors(params, states)
     bases = []
     for g, state in enumerate(states, start=1):
         t = state.t_in
         out_eye = np.eye(state.h_hat.size)
         pieces = [np.zeros((out_eye.shape[0] * t.size, 0))]  # every piece may drop
         t_norm = np.linalg.norm(t)
-        complement = np.eye(t.size)
         if t_norm > 0.0:
             t_hat = t / t_norm
             pieces.append(np.kron(out_eye, t_hat[:, None]))
-            complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
-        u_norm = np.linalg.norm(u[g])
-        if g > 1 and u_norm > 0.0:
-            pieces.append(np.kron((u[g] / u_norm)[:, None], complement))
+            u_norm = np.linalg.norm(deltas[g - 1])
+            if g > 1 and u_norm > 0.0:
+                complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
+                pieces.append(np.kron((deltas[g - 1] / u_norm)[:, None], complement))
         bases.append(np.hstack(pieces))
     bases.append(np.eye(params.alpha.size))
     return bases
 
 
-def _range_core(params: NetworkParams, states, geometry: dict) -> np.ndarray:
+def _range_core(params: NetworkParams, states, deltas, geometry: dict) -> np.ndarray:
     """The k x k matrix Q^T H Q of one sample's geometry H, Q = blockdiag(bases).
 
     H's range lies in the span of Q, so H and the core share their nonzero
     eigenvalues.
     """
-    bases = _range_bases(params, states)
+    bases = _range_bases(params, states, deltas)
     projected = {
         (p, q): bases[q - 1].T @ block @ bases[p - 1] for (p, q), block in geometry.items()
     }
@@ -208,23 +204,24 @@ def _range_core(params: NetworkParams, states, geometry: dict) -> np.ndarray:
 
 
 def _summed_geometry(params: NetworkParams, kind: LossL0, dataset: Dataset, total: dict):
-    """Yield ``(value, deriv, offset, states, geometry)`` for each sample.
+    """Yield ``(value, deriv, offset, states, deltas, geometry)`` for each sample.
 
-    ``deriv * geometry`` is added to ``total`` in place before each yield."""
+    ``deltas`` is the sample's one backward pass.  ``deriv * geometry`` is
+    added to ``total`` in place before each yield."""
     for value, deriv, offset, states in _sample_terms(params, kind, dataset):
-        geometry = _geometry_blocks(params, states)
+        deltas = _backprop_deltas(params, states)
+        geometry = _geometry_blocks(params, states, deltas)
         for k, block in geometry.items():
             total[k] += deriv * block
-        yield value, deriv, offset, states, geometry
+        yield value, deriv, offset, states, deltas, geometry
 
 
 def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> HessianBlocks:
-    """Blockwise mean of the per-sample Hessians."""
-    dims = param_group_dims(params)
-    total = _zero_blocks(dims)
+    """Blockwise mean of the per-sample Hessians of a relu chain."""
+    total = _zero_blocks(params)
     for _ in _summed_geometry(params, kind, dataset, total):
         pass
-    return HessianBlocks(dims, {k: v / len(dataset) for k, v in total.items()})
+    return HessianBlocks(param_group_dims(params), {k: v / len(dataset) for k, v in total.items()})
 
 
 def sample_hessian(params: NetworkParams, kind: LossL0, x: np.ndarray, y: float) -> HessianBlocks:
@@ -277,25 +274,24 @@ class LandscapeReport:
 
 
 def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> LandscapeReport:
-    """Assemble the risk Hessian, its spectrum and the operator-norm bound."""
-    dims = param_group_dims(params)
-    total = _zero_blocks(dims)
+    """Assemble the risk Hessian of a relu chain, its spectrum and the operator-norm bound."""
+    total = _zero_blocks(params)
     norms = []
     ranks = []
     abs_derivs = []
     losses = []
     kinks = []
     samples = _summed_geometry(params, kind, dataset, total)
-    for i, (value, deriv, offset, states, geometry) in enumerate(samples):
+    for i, (value, deriv, offset, states, deltas, geometry) in enumerate(samples):
         losses.append(value)
         abs_derivs.append(abs(deriv))
         if abs(offset) < KINK_TOL or any(np.any(np.abs(s.h_hat) < KINK_TOL) for s in states):
             kinks.append(i)
-        core = _range_core(params, states, geometry)
+        core = _range_core(params, states, deltas, geometry)
         ranks.append(core.shape[0])
         norms.append(float(np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))))
     m = len(dataset)
-    blocks = HessianBlocks(dims, {k: v / m for k, v in total.items()})
+    blocks = HessianBlocks(param_group_dims(params), {k: v / m for k, v in total.items()})
     eigs = np.sort(_eigvalsh(blocks.assemble(), "the risk Hessian"))
     op_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     top = int(np.argmax(norms))

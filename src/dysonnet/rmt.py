@@ -40,7 +40,7 @@ from .errors import (
 )
 from .hessian import HessianBlocks, sample_hessian
 from .net import LossL0, NetworkParams
-from .poset import ActivationRule, read_json
+from .poset import read_json
 
 __all__ = [
     "CumulantReport",
@@ -758,13 +758,8 @@ def sample_wigner(n: int, rng, sigma: float = 1.0) -> np.ndarray:
     return sigma * (a + a.T) / np.sqrt(2.0 * n)
 
 
-def sample_centered_hessians(
-    widths,
-    n_samples: int,
-    rng,
-    rule: ActivationRule = ActivationRule.ARGMAX_MASK_01,
-) -> list[np.ndarray]:
-    """Centered per-sample risk Hessians of a random network.
+def sample_centered_hessians(widths, n_samples: int, rng) -> list[np.ndarray]:
+    """Centered per-sample risk Hessians of a random relu network.
 
     Draws a network with the given layer widths (input width first), then
     ``n_samples`` hinge-loss sample Hessians at standard-normal inputs and
@@ -779,7 +774,7 @@ def sample_centered_hessians(
         for i in range(len(widths) - 1)
     )
     alpha = rng.standard_normal(widths[-1]) / np.sqrt(widths[-1])
-    params = NetworkParams(weights, alpha, rule)
+    params = NetworkParams(weights, alpha)
     mats = []
     for _ in range(n_samples):
         x = rng.standard_normal(widths[0])

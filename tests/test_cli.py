@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dysonnet import __version__
+from dysonnet import __version__, cli
 from dysonnet.cli import main
 from dysonnet.net import Dataset, NetworkParams, network_to_chain_json, save_dataset_csv
 from dysonnet.poset import ActivationRule
@@ -299,6 +300,47 @@ class TestExitCodes:
             capsys.readouterr().err)
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["landscape", "hessian"])
+    def test_smooth_rule_chain_refused(self, workdir, capsys, command):
+        params = NetworkParams((np.array([[0.3, -0.2]]), np.array([[1.0], [2.0]])),
+                               np.array([0.5]), ActivationRule.EXPECTATION_MASK_01)
+        (workdir / "swish.json").write_text(json.dumps(network_to_chain_json(params)))
+        rc = run_cli(command, "--network", workdir / "swish.json", "--data", workdir / "data.csv",
+                     "--out", workdir / "out")
+        assert rc == 2
+        assert "the exact Hessian needs relu layers; the network uses 'swish'" in (
+            capsys.readouterr().err)
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--ensemble", "centered-hessian", "--n", 4000, "--samples", 16],
+             "esd sample --ensemble centered-hessian --n 4000 --samples 16"
+             " (16 Hessians of P=4144 parameters) needs 274763776 entries"),
+            (["--ensemble", "wigner", "--n", 6000],
+             "esd sample --ensemble wigner --n 6000 needs 36000000 entries"),
+        ],
+        ids=["centered-hessian", "wigner"],
+    )
+    def test_esd_sample_over_budget(self, workdir, capsys, monkeypatch, flags, named):
+        # refused before the trial pool starts: no sampler runs, nothing is allocated
+        def sampler_started(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(cli, "sample_wigner", sampler_started)
+        monkeypatch.setattr(cli, "sample_centered_hessians", sampler_started)
+        tracemalloc.start()
+        try:
+            rc = run_cli("esd", "sample", *flags, "--trials", 1, "--out", workdir / "esd.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not (workdir / "esd.csv").exists()
+
     @pytest.mark.parametrize("row", ["1", "1,1,1"], ids=["short", "long"])
     def test_ragged_dataset_row(self, workdir, capsys, row):
         data = workdir / "data.csv"
@@ -333,6 +375,18 @@ class TestDeterminism:
                        "--ensemble", "wigner", "--n", 25, "--trials", 4,
                        "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "before, after, seed",
+        [([], [], 0), (["--seed", 3], [], 3), ([], ["--seed", 4], 4),
+         (["--seed", 3], ["--seed", 4], 4)],
+        ids=["neither", "before", "after", "both"],
+    )
+    def test_seed_before_or_after_the_subcommand(self, workdir, before, after, seed):
+        out = workdir / "seed.csv"
+        assert run_cli(*before, "esd", "sample", *after, "--ensemble", "wigner", "--n", 4,
+                       "--trials", 1, "--out", out) == 0
+        assert out.read_text().splitlines()[0] == f"# seed={seed} tool-version={__version__}"
 
     def test_env_var_thread_fallback(self, workdir):
         proc = subprocess.run(

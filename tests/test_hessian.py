@@ -21,6 +21,7 @@ from dysonnet.net import (
     Dataset,
     LossL0,
     NetworkParams,
+    _backprop_deltas,
     empirical_risk,
     flatten_params,
     forward,
@@ -296,12 +297,14 @@ def test_blocks_shape_validation():
 def dense_sample_norms(params, dataset):
     """Oracle: each sample's geometry Hessian as a dense P x P matrix, eigvalsh'd."""
     dims = param_group_dims(params)
-    return [
-        float(np.max(np.abs(np.linalg.eigvalsh(
-            HessianBlocks(dims, _geometry_blocks(params, forward(params, x)[1])).assemble()
-        ))))
-        for x in dataset.x
-    ]
+    norms = []
+    for x in dataset.x:
+        states = forward(params, x)[1]
+        geometry = _geometry_blocks(params, states, _backprop_deltas(params, states))
+        norms.append(float(np.max(np.abs(np.linalg.eigvalsh(
+            HessianBlocks(dims, geometry).assemble()
+        )))))
+    return norms
 
 
 def assert_lambda0_matches_dense(params, kind, dataset):
@@ -320,7 +323,7 @@ class TestLambda0:
         rng = np.random.default_rng(22)
         one_layer = 0
         for trial in range(24):
-            params = random_net(rng, rule=list(ActivationRule)[trial % 4])
+            params = random_net(rng)
             one_layer += len(params.weights) == 1
             dataset = Dataset(
                 rng.standard_normal((4, params.input_dim)), rng.choice([-1.0, 1.0], size=4)
@@ -341,8 +344,7 @@ class TestLambda0:
         w = 5
         rng = np.random.default_rng(24)
         params = NetworkParams(
-            tuple(rng.standard_normal((w, w)) for _ in range(3)), rng.standard_normal(w),
-            ActivationRule.PARTIAL_EXPECTATION_01,
+            tuple(rng.standard_normal((w, w)) for _ in range(3)), rng.standard_normal(w)
         )
         dataset = Dataset(rng.standard_normal((3, w)), np.array([1.0, -1.0, 1.0]))
         report = assert_lambda0_matches_dense(params, LossL0.ABSOLUTE, dataset)
@@ -361,33 +363,18 @@ class TestLambda0:
         assert report.lambda0 == 0.0
         assert report.sample_ranks == (4 + 2,)
 
-    @pytest.mark.parametrize(
-        "rule", [ActivationRule.PARTIAL_EXPECTATION_PM1, ActivationRule.EXPECTATION_MASK_01]
-    )
-    def test_zero_layer_output_with_live_derivatives(self, rule):
-        # zero weights into layer 2: t_2 = 0 but h'_2 != 0, so group 3 keeps
-        # only its u-piece, u_3 (x) I_3, while the blocks below it stay nonzero
-        rng = np.random.default_rng(26)
-        params = NetworkParams(
-            (rng.standard_normal((3, 4)), np.zeros((4, 3)), rng.standard_normal((3, 2))),
-            rng.standard_normal(2), rule,
-        )
-        dataset = Dataset(rng.standard_normal((2, 3)), np.array([1.0, -1.0]))
-        report = assert_lambda0_matches_dense(params, LossL0.ABSOLUTE, dataset)
-        assert report.lambda0 > 0.0
-        assert report.sample_ranks == (4 + (3 + 3) + 3 + 2,) * 2
-
     def test_zero_input(self):
-        # group 1's basis is empty; the sigmoid passes 0.5 on, so the rest lives
+        # relu passes the zero input on as zero, so neither weight group of
+        # sample 0 keeps a column and only alpha's 2 remain
         rng = np.random.default_rng(27)
         params = NetworkParams(
-            (rng.standard_normal((3, 4)), rng.standard_normal((4, 2))), rng.standard_normal(2),
-            ActivationRule.PARTIAL_EXPECTATION_01,
+            (rng.standard_normal((3, 4)), rng.standard_normal((4, 2))), rng.standard_normal(2)
         )
         xs = np.vstack([np.zeros(3), rng.standard_normal(3)])
         report = assert_lambda0_matches_dense(params, LossL0.HINGE, Dataset(xs, np.array([1.0, 1.0])))
         assert report.lambda0 > 0.0
-        assert report.sample_ranks == (0 + (2 + 3) + 2, 4 + (2 + 3) + 2)
+        assert report.lambda0_sample == 1
+        assert report.sample_ranks == (0 + 0 + 2, 4 + (2 + 3) + 2)
 
     @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
     def test_kink_and_zero_loss_samples(self, kind):
@@ -412,20 +399,17 @@ class TestLambda0:
     @given(
         seed=st.integers(0, 2 ** 32 - 1),
         kind=st.sampled_from(list(LossL0)),
-        rule=st.sampled_from(list(ActivationRule)),
         dead_first=st.booleans(),
         zero_input=st.booleans(),
     )
     @settings(max_examples=60, derandomize=True, deadline=None)
-    def test_property_matches_dense(self, seed, kind, rule, dead_first, zero_input):
+    def test_property_matches_dense(self, seed, kind, dead_first, zero_input):
         rng = np.random.default_rng(seed)
-        params = random_net(rng, rule=rule)
+        params = random_net(rng)
         xs = rng.standard_normal((3, params.input_dim))
         if dead_first:
             xs = np.abs(xs)
-            params = NetworkParams(
-                (-np.abs(params.weights[0]),) + params.weights[1:], params.alpha, rule
-            )
+            params = NetworkParams((-np.abs(params.weights[0]),) + params.weights[1:], params.alpha)
         if zero_input:
             xs[0] = 0.0
         assert_lambda0_matches_dense(params, kind, Dataset(xs, rng.choice([-1.0, 1.0], size=3)))
@@ -444,6 +428,37 @@ class TestLambda0:
         monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_cores)
         with pytest.raises(NumericError, match="sample 0's range core failed"):
             landscape_report(params, LossL0.HINGE, dataset)
+
+
+SMOOTH_RULES = [
+    ActivationRule.EXPECTATION_MASK_01,
+    ActivationRule.PARTIAL_EXPECTATION_01,
+    ActivationRule.PARTIAL_EXPECTATION_PM1,
+]
+
+
+@pytest.mark.parametrize("rule", SMOOTH_RULES, ids=lambda rule: rule.value)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda params, x: risk_hessian(params, LossL0.HINGE, Dataset([x], [1.0])),
+        lambda params, x: sample_hessian(params, LossL0.HINGE, x, 1.0),
+        lambda params, x: landscape_report(params, LossL0.HINGE, Dataset([x], [1.0])),
+    ],
+    ids=["risk_hessian", "sample_hessian", "landscape_report"],
+)
+def test_smooth_rules_are_refused(call, rule):
+    # their second derivatives are not in the Kronecker blocks, so the
+    # result would not be the Hessian; the rule is refused before P is
+    # checked, even for a network over the dense budget
+    for params in (
+        random_net(np.random.default_rng(29), rule=rule),
+        NetworkParams((np.zeros((50, 50)), np.zeros((50, 50))), np.zeros(50), rule),
+    ):
+        with pytest.raises(DomainError, match=(
+            f"the exact Hessian needs relu layers; the network uses '{rule.value}'"
+        )):
+            call(params, np.ones(params.input_dim))
 
 
 class TestDenseBudget:
