@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -101,6 +100,9 @@ def _hessian_widths(n_target: int) -> tuple[int, ...]:
 
 
 def _cmd_esd_sample(args):
+    # imported here: it adds to the start-up of every other subcommand
+    from concurrent.futures import ThreadPoolExecutor
+
     # what one trial holds at once, refused before the pool starts
     if args.ensemble == "wigner":
         _check_dense_budget(args.n * args.n, f"esd sample --ensemble wigner --n {args.n}")

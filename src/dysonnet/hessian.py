@@ -4,28 +4,34 @@ For the piecewise-linear loss class and relu layers the per-sample Hessian
 has zero diagonal blocks, and each cross block between parameter groups
 p < q factors into a Kronecker product of three pieces: the backprop
 vector u_q (the score's derivative in layer q's preactivation, as the
-gradient uses it), the activation-path matrix connecting layer p to layer
-q-1 through the estimation derivatives, and the forward activation
-entering layer p.  The output vector is treated as the final parameter
-group; its blocks use the same path factor with an empty trailing product.
-The smooth rules (``swish``, ``sigmoid``, ``tanh``) are refused with
-:class:`DomainError`: their estimation maps have second derivatives, which
-add diagonal blocks and break the Kronecker structure used here.
+gradient uses it), the activation-path matrix P_pq connecting layer p to
+layer q-1 through the estimation derivatives, and the forward activation
+t_{p-1} entering layer p.  The output vector is treated as the final
+parameter group, with u = 1.  The smooth rules (``swish``, ``sigmoid``,
+``tanh``) are refused with :class:`DomainError`: their estimation maps
+have second derivatives, which add diagonal blocks and break the
+Kronecker structure used here.
 
 Assembly is exact at points where no preactivation sits on an estimation
 kink and no sample sits on a loss kink; samples violating either are
-flagged rather than silently differentiated.  Per-sample blocks are summed
-in place, so memory does not grow with the number of samples.  A dense
-P x P matrix, and the block sets that lead to it, are refused with
-:class:`CapacityError` beyond ``MAX_DENSE_ENTRIES`` before anything is
-allocated.
+flagged rather than silently differentiated.  A dense P x P matrix, and
+the block sets that lead to it, are refused with :class:`CapacityError`
+beyond ``MAX_DENSE_ENTRIES`` before anything is allocated.
+
+No per-sample block is formed.  Each sample keeps only its factors: the
+layer inputs t, the vectors u and the w x w path matrices P_pq.  Samples
+are stacked in chunks, and a chunk adds into each block (p, q) with one
+GEMM, ``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``.  The chunk length is set so that
+a chunk's stacked factors fit in one block set.  The peak is therefore a
+few block sets however many samples there are: the summed blocks (or, for
+the landscape report, the one P x P matrix), one chunk and one block's
+GEMM output.
 
 The same Kronecker structure confines each sample's Hessian to a
 subspace of dimension k << P: within group g its range lies in the span
-of ``I ⊗ t_{g-1}`` and ``u_g ⊗ I``.  The landscape report projects each
-sample's blocks onto an orthonormal basis of that span and reads the
-sample's operator norm off the k x k core; no per-sample P x P matrix is
-formed.
+of ``I ⊗ t_{g-1}`` and ``u_g ⊗ I``.  The landscape report builds each
+sample's k x k core in that basis in closed form from the sample's
+factors, and reads the sample's operator norm off the core.
 """
 
 from __future__ import annotations
@@ -115,8 +121,8 @@ class HessianBlocks:
         return _mirrored(self.dims, self.blocks)
 
 
-def _zero_blocks(params: NetworkParams) -> dict[tuple[int, int], np.ndarray]:
-    """Zero cross blocks of the network's groups, once the rule and the budget admit them."""
+def _checked_dims(params: NetworkParams) -> tuple[int, ...]:
+    """The network's group sizes, once the rule and the dense budget admit its Hessian."""
     if params.rule is not ActivationRule.ARGMAX_MASK_01:
         raise DomainError(
             f"the exact Hessian needs relu layers; the network uses {params.rule.value!r}"
@@ -124,104 +130,162 @@ def _zero_blocks(params: NetworkParams) -> dict[tuple[int, int], np.ndarray]:
     dims = param_group_dims(params)
     n = int(sum(dims))
     _check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
-    groups = len(dims)
-    return {
-        (p, q): np.zeros((dims[q - 1], dims[p - 1]))
-        for p in range(1, groups)
-        for q in range(p + 1, groups + 1)
-    }
+    return dims
 
 
-def _geometry_blocks(params: NetworkParams, states, deltas) -> dict:
-    """Per-sample blocks without the loss-derivative factor.
+def _pairs(groups: int):
+    return [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
 
-    Group indices are 1-based; group L is the output vector.  For p < q < L
-    the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with u_q = ``deltas[q-1]``
-    from :func:`net._backprop_deltas` and
-    P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p); for q = L the u
-    factor is the empty product.
+
+def _path_matrices(params: NetworkParams, states) -> dict:
+    """One sample's path matrices P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p).
+
+    P_pq is d_{q-1} x d_p for 1 <= p < q <= L, group L being the output
+    vector; P_{p,p+1} = dg(h'_p).
     """
-    n_layers = len(params.weights)
-    groups = n_layers + 1
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-
-    for p in range(1, groups):
+    paths = {}
+    for p in range(1, len(states) + 1):
         path = np.diag(states[p - 1].h_prime)
-        t_prev = states[p - 1].t_in
-        for q in range(p + 1, groups + 1):
-            if q > p + 1:
-                # extend the path through layer q-1
-                j = q - 1
-                path = (states[j - 1].h_prime[:, None] * params.weights[j - 1].T) @ path
-            if q <= n_layers:
-                blocks[(p, q)] = np.kron(deltas[q - 1][:, None], np.kron(path, t_prev[None, :]))
-            else:
-                blocks[(p, q)] = np.kron(path, t_prev[None, :])
-    return blocks
+        paths[(p, p + 1)] = path
+        for q in range(p + 2, len(states) + 2):
+            path = (states[q - 2].h_prime[:, None] * params.weights[q - 2].T) @ path
+            paths[(p, q)] = path
+    return paths
 
 
-def _range_bases(params: NetworkParams, states, deltas) -> list[np.ndarray]:
-    """Orthonormal basis of each group's part of one sample's Hessian range.
+def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
+    """Add a chunk's part of one cross block into ``target`` with one GEMM.
 
-    Group g < L is the column group of blocks whose row space lies in the
-    span of ``I ⊗ t_{g-1}`` and, for g > 1, the row group of blocks whose
-    column space lies in the span of ``u_g ⊗ I``, u_g = ``deltas[g-1]``.
-    ``[I ⊗ t̂, û ⊗ N]``, with N an orthonormal basis of t̂'s complement,
-    is an orthonormal basis of the sum of the two spans; a piece whose
-    vector is zero (a dead layer) is dropped.  Under relu t_{g-1} = 0 zeroes
-    layer g's mask and so u_g: a group with a zero input keeps no columns.
-    The output group's range is the whole group.
+    Row i of ``u`` (None for the output group, u = 1) and ``t`` and
+    ``paths[i]`` are sample i's u_q, scaled t_{p-1} and P_pq.  The GEMM
+    ``(u ⊗ t)^T @ vec(P)`` sums the samples' blocks in (c, b) x (r, a)
+    order; ``target`` is in the column-major Kronecker order (c, r) x (a, b).
     """
-    bases = []
-    for g, state in enumerate(states, start=1):
-        t = state.t_in
-        out_eye = np.eye(state.h_hat.size)
-        pieces = [np.zeros((out_eye.shape[0] * t.size, 0))]  # every piece may drop
-        t_norm = np.linalg.norm(t)
-        if t_norm > 0.0:
-            t_hat = t / t_norm
-            pieces.append(np.kron(out_eye, t_hat[:, None]))
-            u_norm = np.linalg.norm(deltas[g - 1])
-            if g > 1 and u_norm > 0.0:
-                complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
-                pieces.append(np.kron((deltas[g - 1] / u_norm)[:, None], complement))
-        bases.append(np.hstack(pieces))
-    bases.append(np.eye(params.alpha.size))
-    return bases
+    rows, width_r, width_a = paths.shape
+    x = t if u is None else (u[:, :, None] * t[:, None, :]).reshape(rows, -1)
+    summed = x.T @ paths.reshape(rows, -1)
+    n_c, width_b = target.shape[0] // width_r, t.shape[1]
+    blocks = np.reshape(target, (n_c, width_r, width_a, width_b), copy=False)
+    # one u entry at a time: a whole strided block would make the ufunc
+    # take full-size iteration buffers
+    for c, part in enumerate(summed.reshape(n_c, width_b, width_r, width_a)):
+        blocks[c] += part.transpose(1, 2, 0)
 
 
-def _range_core(params: NetworkParams, states, deltas, geometry: dict) -> np.ndarray:
-    """The k x k matrix Q^T H Q of one sample's geometry H, Q = blockdiag(bases).
+def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, targets: dict):
+    """Yield ``(value, deriv, offset, states, deltas, paths)`` for each sample.
 
-    H's range lies in the span of Q, so H and the core share their nonzero
-    eigenvalues.
+    ``deltas`` is the sample's one backward pass and ``paths`` its
+    :func:`_path_matrices`.  Block (p, q) of a sample's Hessian is
+    ``deriv * kron(u_q, kron(P_pq, t_{p-1}^T))``, with u_q = ``deltas[q-1]``
+    and u_L = 1; ``1/m`` of it is added into ``targets[(p, q)]``, a
+    writable array of that block's shape.  Samples with a nonzero
+    ``deriv`` are stacked in chunks whose factors, with the one pair's
+    outer products ``u_q ⊗ t_{p-1}`` formed at a time, fit in one block
+    set; a chunk adds into each block with one GEMM.
     """
-    bases = _range_bases(params, states, deltas)
-    projected = {
-        (p, q): bases[q - 1].T @ block @ bases[p - 1] for (p, q), block in geometry.items()
-    }
-    return _mirrored([b.shape[1] for b in bases], projected)
+    widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
+    groups = len(widths)
+    pairs = _pairs(groups)
 
+    def out_width(q):  # length of u_q
+        return widths[q] if q < groups else 1
 
-def _summed_geometry(params: NetworkParams, kind: LossL0, dataset: Dataset, total: dict):
-    """Yield ``(value, deriv, offset, states, deltas, geometry)`` for each sample.
+    block_set = sum(out_width(q) * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
+    # a sample's t's, u's and P's, and its row of the largest u ⊗ t formed
+    factors = sum(widths[:-1]) + sum(widths[1:-1])
+    factors += sum(widths[q - 1] * widths[p] for p, q in pairs)
+    largest_outer = max((out_width(q) * widths[p - 1] for p, q in pairs), default=0)
+    chunk = max(1, min(len(dataset), block_set // max(factors + largest_outer, 1)))
+    t_stack = {p: np.empty((chunk, widths[p - 1])) for p in range(1, groups)}
+    u_stack = {q: np.empty((chunk, widths[q])) for q in range(2, groups)}
+    p_stack = {(p, q): np.empty((chunk, widths[q - 1], widths[p])) for p, q in pairs}
 
-    ``deltas`` is the sample's one backward pass.  ``deriv * geometry`` is
-    added to ``total`` in place before each yield."""
+    def flush(rows):
+        for p, q in pairs:
+            u = u_stack[q][:rows] if q in u_stack else None
+            _add_chunk(targets[(p, q)], u, t_stack[p][:rows], p_stack[(p, q)][:rows])
+
+    rows = 0
     for value, deriv, offset, states in _sample_terms(params, kind, dataset):
         deltas = _backprop_deltas(params, states)
-        geometry = _geometry_blocks(params, states, deltas)
-        for k, block in geometry.items():
-            total[k] += deriv * block
-        yield value, deriv, offset, states, deltas, geometry
+        paths = _path_matrices(params, states)
+        if deriv != 0.0:
+            if rows == chunk:
+                flush(rows)
+                rows = 0
+            for p in t_stack:
+                t_stack[p][rows] = states[p - 1].t_in * (deriv / len(dataset))
+            for q in u_stack:
+                u_stack[q][rows] = deltas[q - 1]
+            for pq, path in paths.items():
+                p_stack[pq][rows] = path
+            rows += 1
+        yield value, deriv, offset, states, deltas, paths
+    if rows:
+        flush(rows)
+
+
+def _sample_core(params: NetworkParams, states, deltas, paths) -> np.ndarray:
+    """The k x k core Q^T H Q of one sample's geometry H, from its factors.
+
+    Q = blockdiag(Q_1, ..., Q_L) with Q_g = [I ⊗ t̂_{g-1}, û_g ⊗ N] for
+    g < L, N an orthonormal basis of t̂_{g-1}'s complement, and Q_L = I.
+    The û piece exists for g > 1 only, and a piece whose vector is zero
+    is dropped; under relu t_{g-1} = 0 zeroes u_g too, so such a group
+    keeps no column.  Block (p, q) of H is X ⊗ t_{p-1}^T with
+    X = u_q ⊗ P_pq.  Its column part along I ⊗ t̂_{p-1} is |t_{p-1}| X,
+    and along û_p ⊗ N it is 0, since N ⊥ t̂_{p-1}.  X's row parts are
+    ``outer(u_q, t̂_{q-1}^T P_pq)`` and ``|u_q| N^T P_pq`` (P_pL itself for
+    the output group).  H's range lies in the span of Q, so H and the
+    core share their nonzero eigenvalues.
+    """
+    pieces = []  # per group g < L: None, or (|t_{g-1}|, t̂_{g-1}, |u_g| N or None)
+    sizes = []
+    for g, state in enumerate(states, start=1):
+        t_norm = np.linalg.norm(state.t_in)
+        if t_norm == 0.0:
+            pieces.append(None)
+            sizes.append(0)
+            continue
+        t_hat = state.t_in / t_norm
+        scaled_complement = None
+        size = state.h_hat.size
+        u_norm = np.linalg.norm(deltas[g - 1])
+        if g > 1 and u_norm > 0.0:
+            complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
+            scaled_complement = u_norm * complement
+            size += complement.shape[1]
+        pieces.append((t_norm, t_hat, scaled_complement))
+        sizes.append(size)
+    sizes.append(params.alpha.size)
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    core = np.zeros((offsets[-1], offsets[-1]))
+    for (p, q), path in paths.items():
+        if pieces[p - 1] is None or (q <= len(states) and pieces[q - 1] is None):
+            continue  # no columns in group p, or (t_{q-1} = 0) P_pq = 0
+        if q > len(states):
+            rows = path
+        else:
+            _, t_hat, scaled_complement = pieces[q - 1]
+            rows = np.outer(deltas[q - 1], t_hat @ path)
+            if scaled_complement is not None:
+                rows = np.vstack([rows, scaled_complement.T @ path])
+        block = pieces[p - 1][0] * rows
+        r = slice(offsets[q - 1], offsets[q - 1] + block.shape[0])
+        c = slice(offsets[p - 1], offsets[p - 1] + block.shape[1])
+        core[r, c] = block
+        core[c, r] = block.T
+    return core
 
 
 def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> HessianBlocks:
     """Blockwise mean of the per-sample Hessians of a relu chain."""
-    total = _zero_blocks(params)
-    for _ in _summed_geometry(params, kind, dataset, total):
+    dims = _checked_dims(params)
+    blocks = {(p, q): np.zeros((dims[q - 1], dims[p - 1])) for p, q in _pairs(len(dims))}
+    for _ in _summed_factors(params, kind, dataset, blocks):
         pass
-    return HessianBlocks(param_group_dims(params), {k: v / len(dataset) for k, v in total.items()})
+    return HessianBlocks(dims, blocks)
 
 
 def sample_hessian(params: NetworkParams, kind: LossL0, x: np.ndarray, y: float) -> HessianBlocks:
@@ -275,36 +339,43 @@ class LandscapeReport:
 
 def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> LandscapeReport:
     """Assemble the risk Hessian of a relu chain, its spectrum and the operator-norm bound."""
-    total = _zero_blocks(params)
-    norms = []
-    ranks = []
-    abs_derivs = []
-    losses = []
+    dims = _checked_dims(params)
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    full = np.zeros((offsets[-1], offsets[-1]))
+    blocks = {
+        (p, q): full[offsets[q - 1]:offsets[q], offsets[p - 1]:offsets[p]]
+        for p, q in _pairs(len(dims))
+    }
+    m = len(dataset)
+    losses = np.empty(m)
+    abs_derivs = np.empty(m)
+    norms = np.empty(m)
+    ranks = np.empty(m, dtype=int)
     kinks = []
-    samples = _summed_geometry(params, kind, dataset, total)
-    for i, (value, deriv, offset, states, deltas, geometry) in enumerate(samples):
-        losses.append(value)
-        abs_derivs.append(abs(deriv))
+    samples = _summed_factors(params, kind, dataset, blocks)
+    for i, (value, deriv, offset, states, deltas, paths) in enumerate(samples):
+        losses[i] = value
+        abs_derivs[i] = abs(deriv)
         if abs(offset) < KINK_TOL or any(np.any(np.abs(s.h_hat) < KINK_TOL) for s in states):
             kinks.append(i)
-        core = _range_core(params, states, deltas, geometry)
-        ranks.append(core.shape[0])
-        norms.append(float(np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))))
-    m = len(dataset)
-    blocks = HessianBlocks(param_group_dims(params), {k: v / m for k, v in total.items()})
-    eigs = np.sort(_eigvalsh(blocks.assemble(), "the risk Hessian"))
+        core = _sample_core(params, states, deltas, paths)
+        ranks[i] = core.shape[0]
+        norms[i] = np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))
+    for (p, q), block in blocks.items():
+        full[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
+    eigs = np.sort(_eigvalsh(full, "the risk Hessian"))
     op_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     top = int(np.argmax(norms))
     report = LandscapeReport(
         risk=float(np.sum(losses) / m),
         mean_lprime=float(np.sum(abs_derivs) / m),
-        lambda0=norms[top],
+        lambda0=float(norms[top]),
         op_norm=op_norm,
         eigs=eigs,
         neg_fraction=negative_fraction(eigs, 1e-8 * op_norm if op_norm > 0 else np.inf),
         kink_samples=tuple(kinks),
         lambda0_sample=top,
-        sample_ranks=tuple(ranks),
+        sample_ranks=tuple(int(k) for k in ranks),
     )
     if not report.bound_holds:
         raise NumericError(

@@ -38,8 +38,8 @@ from .errors import (
     ShapeError,
     StabilityError,
 )
-from .hessian import HessianBlocks, sample_hessian
-from .net import LossL0, NetworkParams
+from .hessian import HessianBlocks, _check_dense_budget, sample_hessian
+from .net import LossL0, NetworkParams, param_group_dims
 from .poset import read_json
 
 __all__ = [
@@ -115,6 +115,9 @@ def _sample_stack(samples, what: str, symmetric: bool = True) -> np.ndarray:
             for s in samples]
     if len({m.shape for m in mats}) > 1:
         raise ShapeError(f"all {what}s must share one shape")
+    if mats:
+        _check_dense_budget(len(mats) * mats[0].size,
+                            f"a stack of {len(mats)} {what}s of shape {mats[0].shape}")
     stack = np.stack(mats) if mats else np.empty((0, 0, 0))
     return _checked_matrix(stack, what, stack=True, symmetric=symmetric)
 
@@ -211,8 +214,11 @@ class EmpiricalSelfEnergy:
             raise DomainError("need at least 2 samples to center fluctuations")
         # The samples passed the check on their own scale.  Checking the
         # much smaller fluctuations again would reject that accepted skew.
+        # The stack is this call's own copy: centre and scale it in place.
+        stack -= stack.mean(axis=0)
+        stack *= np.sqrt(stack.shape[1])
         se = cls.__new__(cls)
-        se.fluctuations = np.sqrt(stack.shape[1]) * (stack - stack.mean(axis=0))
+        se.fluctuations = stack
         return se
 
     def apply(self, r: np.ndarray) -> np.ndarray:
@@ -529,7 +535,13 @@ def solve_mde(
     length-n steps); any other keeps full n x n matrices.
     """
     apply_eigen = getattr(problem.self_energy, "apply_eigen", None)
+    count = len(problem.z_grid)
     if apply_eigen is None:
+        _check_dense_budget(
+            2 * count * problem.n * problem.n,
+            f"the dense MDE solution of {count} grid points of {problem.n}x{problem.n}"
+            " complex matrices (2 entries each)",
+        )
         basis = None
         steps = _DenseSteps(problem.a_matrix, problem.self_energy)
     else:
@@ -538,7 +550,6 @@ def solve_mde(
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition of A failed: {exc}") from exc
         steps = _EigenSteps(eigenvalues, apply_eigen)
-    count = len(problem.z_grid)
     values = np.empty((count,) + steps.shape, dtype=complex)
     residuals = np.empty(count)
     stieltjes = np.empty(count, dtype=complex)
@@ -775,14 +786,14 @@ def sample_centered_hessians(widths, n_samples: int, rng) -> list[np.ndarray]:
     )
     alpha = rng.standard_normal(widths[-1]) / np.sqrt(widths[-1])
     params = NetworkParams(weights, alpha)
-    mats = []
-    for _ in range(n_samples):
+    n = sum(param_group_dims(params))
+    stack = np.empty((n_samples, n, n))
+    for i in range(n_samples):
         x = rng.standard_normal(widths[0])
         y = float(rng.choice([-1.0, 1.0]))
-        mats.append(sample_hessian(params, LossL0.HINGE, x, y).assemble())
-    stack = np.stack(mats)
-    centered = stack - stack.mean(axis=0)
-    return [centered[i] for i in range(n_samples)]
+        stack[i] = sample_hessian(params, LossL0.HINGE, x, y).assemble()
+    stack -= stack.mean(axis=0)
+    return list(stack)
 
 
 def ks_distance(values: np.ndarray, cdf_grid: np.ndarray, cdf_values: np.ndarray) -> float:
@@ -837,9 +848,13 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
         se = WignerSelfEnergy(_strength_entry(s_doc, "sigma2"))
     elif kind == "empirical":
         try:
-            samples = np.load(s_doc["samples"])
-        except (KeyError, OSError, ValueError) as exc:
+            # mapped, not read: the header's shape is checked before the read
+            samples = np.lib.format.open_memmap(s_doc["samples"], mode="r")
+        except (KeyError, OSError, TypeError, ValueError) as exc:
             raise DomainError(f"cannot load empirical samples: {exc}") from exc
+        if samples.ndim != 3:
+            raise ShapeError("empirical samples must form a stack of square matrices")
+        _check_dense_budget(samples.size, f"empirical samples of shape {samples.shape}")
         se = EmpiricalSelfEnergy.from_samples(samples)
     else:
         raise DomainError(f"unknown self-energy kind {kind!r}")

@@ -341,6 +341,34 @@ class TestExitCodes:
         assert peak < 1 << 20
         assert not (workdir / "esd.csv").exists()
 
+    @pytest.mark.parametrize(
+        "shape, points, named",
+        [
+            ((2, 60, 60), 3500, "the dense MDE solution of 3500 grid points of 60x60 complex"
+             " matrices (2 entries each) needs 25200000 entries"),
+            ((26, 1000, 1000), 5, "empirical samples of shape (26, 1000, 1000)"
+             " needs 26000000 entries"),
+        ],
+        ids=["solution", "samples"],
+    )
+    def test_empirical_mde_over_budget(self, workdir, capsys, shape, points, named):
+        # the samples file is sparse: only its header is ever read when refused
+        path = workdir / "samples.npy"
+        with open(path, "wb") as handle:
+            np.lib.format.write_array_header_1_0(
+                handle, {"descr": "<f8", "fortran_order": False, "shape": shape}
+            )
+            handle.truncate(handle.tell() + 8 * int(np.prod(shape)))
+        n = shape[1]
+        (workdir / "p.json").write_text(json.dumps(
+            {"A": np.zeros((n, n)).tolist(), "S": {"kind": "empirical", "samples": str(path)}}
+        ))
+        rc = run_cli("mde", "solve", "--problem", workdir / "p.json", "--points", points,
+                     "--out", workdir / "rho.csv")
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (workdir / "rho.csv").exists()
+
     @pytest.mark.parametrize("row", ["1", "1,1,1"], ids=["short", "long"])
     def test_ragged_dataset_row(self, workdir, capsys, row):
         data = workdir / "data.csv"

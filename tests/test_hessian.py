@@ -11,7 +11,9 @@ from dysonnet.errors import CapacityError, DomainError, NumericError
 from dysonnet.hessian import (
     MAX_DENSE_ENTRIES,
     HessianBlocks,
-    _geometry_blocks,
+    _mirrored,
+    _path_matrices,
+    _sample_core,
     landscape_report,
     negative_fraction,
     risk_hessian,
@@ -22,6 +24,7 @@ from dysonnet.net import (
     LossL0,
     NetworkParams,
     _backprop_deltas,
+    _sample_terms,
     empirical_risk,
     flatten_params,
     forward,
@@ -31,6 +34,92 @@ from dysonnet.net import (
     unflatten_params,
 )
 from dysonnet.poset import ActivationRule
+
+
+# The dense per-sample pass that dysonnet.hessian replaced: every sample's
+# Kronecker blocks formed at full size, summed, and projected onto the
+# sample's range basis.  Kept as the oracle of the factored pass.
+
+
+def _geometry_blocks(params: NetworkParams, states, deltas) -> dict:
+    """Per-sample blocks without the loss-derivative factor.
+
+    Group indices are 1-based; group L is the output vector.  For p < q < L
+    the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with u_q = ``deltas[q-1]``
+    from :func:`net._backprop_deltas` and
+    P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p); for q = L the u
+    factor is the empty product.
+    """
+    n_layers = len(params.weights)
+    groups = n_layers + 1
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+
+    for p in range(1, groups):
+        path = np.diag(states[p - 1].h_prime)
+        t_prev = states[p - 1].t_in
+        for q in range(p + 1, groups + 1):
+            if q > p + 1:
+                # extend the path through layer q-1
+                j = q - 1
+                path = (states[j - 1].h_prime[:, None] * params.weights[j - 1].T) @ path
+            if q <= n_layers:
+                blocks[(p, q)] = np.kron(deltas[q - 1][:, None], np.kron(path, t_prev[None, :]))
+            else:
+                blocks[(p, q)] = np.kron(path, t_prev[None, :])
+    return blocks
+
+
+def _range_bases(params: NetworkParams, states, deltas) -> list[np.ndarray]:
+    """Orthonormal basis of each group's part of one sample's Hessian range.
+
+    Group g < L is the column group of blocks whose row space lies in the
+    span of ``I ⊗ t_{g-1}`` and, for g > 1, the row group of blocks whose
+    column space lies in the span of ``u_g ⊗ I``, u_g = ``deltas[g-1]``.
+    ``[I ⊗ t̂, û ⊗ N]``, with N an orthonormal basis of t̂'s complement,
+    is an orthonormal basis of the sum of the two spans; a piece whose
+    vector is zero (a dead layer) is dropped.  The output group's range
+    is the whole group.
+    """
+    bases = []
+    for g, state in enumerate(states, start=1):
+        t = state.t_in
+        out_eye = np.eye(state.h_hat.size)
+        pieces = [np.zeros((out_eye.shape[0] * t.size, 0))]  # every piece may drop
+        t_norm = np.linalg.norm(t)
+        if t_norm > 0.0:
+            t_hat = t / t_norm
+            pieces.append(np.kron(out_eye, t_hat[:, None]))
+            u_norm = np.linalg.norm(deltas[g - 1])
+            if g > 1 and u_norm > 0.0:
+                complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
+                pieces.append(np.kron((deltas[g - 1] / u_norm)[:, None], complement))
+        bases.append(np.hstack(pieces))
+    bases.append(np.eye(params.alpha.size))
+    return bases
+
+
+def _range_core(params: NetworkParams, states, deltas, geometry: dict) -> np.ndarray:
+    """The k x k matrix Q^T H Q of one sample's geometry H, Q = blockdiag(bases)."""
+    bases = _range_bases(params, states, deltas)
+    projected = {
+        (p, q): bases[q - 1].T @ block @ bases[p - 1] for (p, q), block in geometry.items()
+    }
+    return _mirrored([b.shape[1] for b in bases], projected)
+
+
+def _summed_geometry(params: NetworkParams, kind: LossL0, dataset: Dataset) -> dict:
+    """Mean over the samples of ``deriv`` times each sample's dense blocks."""
+    dims = param_group_dims(params)
+    total = {
+        (p, q): np.zeros((dims[q - 1], dims[p - 1]))
+        for p in range(1, len(dims))
+        for q in range(p + 1, len(dims) + 1)
+    }
+    for _, deriv, _, states in _sample_terms(params, kind, dataset):
+        geometry = _geometry_blocks(params, states, _backprop_deltas(params, states))
+        for k, block in geometry.items():
+            total[k] += deriv * block
+    return {k: v / len(dataset) for k, v in total.items()}
 
 
 def random_net(rng, max_width=8, max_depth=4, rule=ActivationRule.ARGMAX_MASK_01):
@@ -66,6 +155,51 @@ def fd_hessian(params, kind, x, y, step=1e-4):
             mm = theta.copy(); mm[i] -= step; mm[j] -= step
             out[i, j] = out[j, i] = (value(pp) - value(pm) - value(mp) + value(mm)) / (4 * step * step)
     return out
+
+
+def assert_blocks_match_oracle(params, kind, dataset):
+    blocks = risk_hessian(params, kind, dataset).blocks
+    oracle = _summed_geometry(params, kind, dataset)
+    assert blocks.keys() == oracle.keys()
+    for k, want in oracle.items():
+        scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+        assert np.abs(blocks[k] - want).max(initial=0.0) <= 1e-13 * scale, k
+
+
+@st.composite
+def relu_cases(draw):
+    """A relu net of 1-4 layers, m of 1-9 samples and a loss.
+
+    Optionally one layer is dead for every sample, sample 0 is the zero
+    input, and the net and inputs are small integers with labels taken
+    from the exact scores where that gives zero loss.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(list(LossL0)))
+    n_layers = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 9))
+    dead = draw(st.integers(0, n_layers))  # 0: no dead layer
+    exact = draw(st.booleans())
+    widths = rng.integers(1, 6, size=n_layers + 1)
+    weights = [rng.standard_normal((widths[i], widths[i + 1])) for i in range(n_layers)]
+    alpha = rng.standard_normal(widths[-1])
+    xs = rng.standard_normal((m, widths[0]))
+    if exact:
+        weights, alpha, xs = [np.round(w) for w in weights], np.round(alpha), np.round(xs)
+    if dead:
+        # relu outputs are >= 0, so a nonpositive layer above them is dead
+        if dead == 1:
+            xs = np.abs(xs)
+        weights[dead - 1] = -np.abs(weights[dead - 1])
+    if draw(st.booleans()):
+        xs[0] = 0.0
+    params = NetworkParams(tuple(weights), alpha)
+    ys = rng.choice([-1.0, 1.0], size=m)
+    if exact:
+        scores = np.array([forward(params, x)[0] for x in xs])
+        hit = np.abs(scores) == 1.0 if kind is LossL0.ABSOLUTE else np.abs(scores) >= 1.0
+        ys = np.where(hit, np.sign(scores), ys)
+    return params, kind, Dataset(xs, ys)
 
 
 HAND = dict(
@@ -184,6 +318,55 @@ class TestRiskHessian:
         finally:
             tracemalloc.stop()
         assert peak < 5 * one_set
+
+    @pytest.mark.parametrize("m", [400, 2000])
+    @pytest.mark.parametrize("call", [risk_hessian, landscape_report],
+                             ids=["risk_hessian", "landscape_report"])
+    def test_peak_memory_bounded_at_large_m(self, call, m):
+        # samples are stacked in chunks of at most one block set, so the
+        # peak stays a few block sets however many samples there are
+        rng = np.random.default_rng(30)
+        w = 10
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(3)),
+            rng.standard_normal(w),
+        )
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        dims = param_group_dims(params)
+        one_set = 8 * sum(
+            dims[q] * dims[p] for p in range(len(dims)) for q in range(p + 1, len(dims))
+        )
+        tracemalloc.start()
+        try:
+            call(params, LossL0.HINGE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * one_set
+
+    def test_many_chunks_match_oracle(self):
+        # widths 3: a chunk holds fewer samples than the dataset, so the
+        # blocks are summed over several chunks
+        rng = np.random.default_rng(31)
+        params = NetworkParams(
+            tuple(rng.standard_normal((3, 3)) for _ in range(3)), rng.standard_normal(3)
+        )
+        dataset = Dataset(rng.standard_normal((50, 3)), rng.choice([-1.0, 1.0], size=50))
+        assert_blocks_match_oracle(params, LossL0.ABSOLUTE, dataset)
+
+    @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
+    def test_zero_loss_samples_match_oracle(self, kind):
+        # scores 1, 2 and 0.5 with y = 1: sample 0 has zero loss under
+        # both losses, sample 1 under the hinge
+        params = NetworkParams((np.array([[1.0, -1.0]]), np.eye(2)), np.array([1.0, 0.5]))
+        dataset = Dataset(np.array([[1.0], [2.0], [0.5]]), np.array([1.0, 1.0, 1.0]))
+        assert loss(kind, forward(params, dataset.x[0])[0], 1.0) == (0.0, 0.0)
+        assert_blocks_match_oracle(params, kind, dataset)
+
+    @given(case=relu_cases())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_property_matches_oracle_mean(self, case):
+        assert_blocks_match_oracle(*case)
 
 
 class TestLandscape:
@@ -413,6 +596,21 @@ class TestLambda0:
         if zero_input:
             xs[0] = 0.0
         assert_lambda0_matches_dense(params, kind, Dataset(xs, rng.choice([-1.0, 1.0], size=3)))
+
+    @given(case=relu_cases())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_property_core_matches_projected_oracle(self, case):
+        # the closed-form core equals the oracle's projection of the dense
+        # per-sample blocks onto the same basis
+        params, _, dataset = case
+        for x in dataset.x:
+            states = forward(params, x)[1]
+            deltas = _backprop_deltas(params, states)
+            core = _sample_core(params, states, deltas, _path_matrices(params, states))
+            want = _range_core(params, states, deltas, _geometry_blocks(params, states, deltas))
+            assert core.shape == want.shape
+            scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+            assert np.abs(core - want).max(initial=0.0) <= 1e-13 * scale
 
     def test_core_eigensolver_failure_is_numeric_error(self, monkeypatch):
         rng = np.random.default_rng(28)

@@ -1,9 +1,14 @@
 """Self-energy operators, Dyson-equation solutions and spectral checks."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dysonnet.errors import ConvergenceError, DomainError, ShapeError
+from dysonnet.cli import _hessian_widths
+from dysonnet.errors import CapacityError, ConvergenceError, DomainError, ShapeError
+from dysonnet.hessian import MAX_DENSE_ENTRIES
 from dysonnet.rmt import (
     EmpiricalSelfEnergy,
     IsotropicSelfEnergy,
@@ -16,6 +21,7 @@ from dysonnet.rmt import (
     density_cdf,
     empirical_esd,
     ks_distance,
+    load_problem_json,
     sample_centered_hessians,
     sample_wigner,
     self_energy_apply,
@@ -520,6 +526,92 @@ class TestCenteredHessians:
             for g in range(3):
                 sl = slice(offsets[g], offsets[g + 1])
                 assert np.abs(m[sl, sl]).max() == 0.0
+
+
+    def test_peak_is_about_one_stack(self):
+        # the samples fill one preallocated stack that is centred in place
+        rng = np.random.default_rng(31)
+        widths = _hessian_widths(300)
+        n = sum(a * b for a, b in zip(widths, widths[1:])) + widths[-1]
+        tracemalloc.start()
+        try:
+            mats = sample_centered_hessians(widths, 16, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mats[0].shape == (n, n)
+        assert peak <= 1.5 * 16 * n * n * 8
+
+
+def refusal_peak(call, match):
+    """Peak traced bytes of ``call``, which must raise a CapacityError matching ``match``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStackBudgets:
+    # each refusal comes before the stack exists: nothing of its size is allocated
+
+    def test_dense_solution_refused_before_allocation(self):
+        class DenseOnly:  # no apply_eigen: the solver keeps n x n matrices
+            def apply(self, r):
+                return r
+
+        n, points = 60, 3500  # 2 * 3500 * 60 * 60 = 25200000 entries
+        problem = MDEProblem(np.zeros((n, n)), DenseOnly(), np.linspace(-1, 1, points) + 0.1j)
+        assert refusal_peak(lambda: solve_mde(problem), (
+            r"the dense MDE solution of 3500 grid points of 60x60 complex matrices"
+            r" \(2 entries each\) needs 25200000 entries"
+        )) < 1 << 20
+        assert 2 * points * n * n > MAX_DENSE_ENTRIES
+
+    def test_from_samples_refused_before_stacking(self):
+        samples = np.broadcast_to(np.zeros(()), (26, 1000, 1000))  # no memory behind it
+        assert refusal_peak(
+            lambda: EmpiricalSelfEnergy.from_samples(samples),
+            r"a stack of 26 empirical samples of shape \(1000, 1000\) needs 26000000 entries",
+        ) < 1 << 20
+
+    def test_load_problem_refused_from_the_header(self, tmp_path):
+        # a sparse file: the header declares 26 x 1000 x 1000 floats, and the
+        # data is never read
+        path = tmp_path / "big.npy"
+        with open(path, "wb") as handle:
+            np.lib.format.write_array_header_1_0(
+                handle, {"descr": "<f8", "fortran_order": False, "shape": (26, 1000, 1000)}
+            )
+            handle.truncate(handle.tell() + 26 * 1000 * 1000 * 8)
+        doc = tmp_path / "problem.json"
+        doc.write_text(
+            '{"A": [[0.0]], "S": {"kind": "empirical", "samples": "%s"}}' % path.as_posix()
+        )
+        assert refusal_peak(
+            lambda: load_problem_json(doc, 0.1, np.zeros(3)),
+            r"empirical samples of shape \(26, 1000, 1000\) needs 26000000 entries",
+        ) < 1 << 20
+
+    @pytest.mark.parametrize("samples", [5, None, [1.0]], ids=["int", "null", "list"])
+    def test_load_problem_needs_a_samples_path(self, tmp_path, samples):
+        doc = tmp_path / "problem.json"
+        doc.write_text(json.dumps({"A": [[0.0]], "S": {"kind": "empirical", "samples": samples}}))
+        with pytest.raises(DomainError, match="cannot load empirical samples"):
+            load_problem_json(doc, 0.1, np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)], ids=["scalar", "vector", "matrix"])
+    def test_load_problem_needs_a_stack(self, tmp_path, shape):
+        path = tmp_path / "samples.npy"
+        np.save(path, np.zeros(shape))
+        doc = tmp_path / "problem.json"
+        doc.write_text(
+            '{"A": [[0.0]], "S": {"kind": "empirical", "samples": "%s"}}' % path.as_posix()
+        )
+        with pytest.raises(ShapeError, match="empirical samples must form a stack of square"):
+            load_problem_json(doc, 0.1, np.zeros(3))
 
 
 def test_semicircle_forms_consistent():
