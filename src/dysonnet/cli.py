@@ -10,6 +10,11 @@ with 17 significant digits for lossless round-trip.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric non-convergence
 (the message carries the final residual).
+
+Each subcommand imports the modules it runs when it runs, so an
+invocation loads and compiles only those: ``decompose`` never loads
+``rmt`` or ``hessian``, and an isotropic ``mde solve`` never loads
+``hessian``, ``net`` or ``infogeo``.
 """
 
 from __future__ import annotations
@@ -22,18 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, DysonnetError, NumericError
-from .hessian import _check_dense_budget, landscape_report, risk_hessian
-from .infogeo import LayeredDiscreteModel, contraction_check, decompose_likelihood
-from .net import LossL0, load_dataset_csv, network_from_chain_json
-from .poset import kernel_from_entry, read_json
-from .rmt import (
-    load_problem_json,
-    sample_centered_hessians,
-    sample_wigner,
-    solve_mde,
-    stieltjes_invert,
-)
+from .errors import DomainError, DysonnetError, NumericError, check_dense_budget
+
 
 def _write_csv(path, seed, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -68,6 +63,8 @@ def _positive(kind, name):
 
 
 def _cmd_mde_solve(args):
+    from .rmt import load_problem_json, solve_mde, stieltjes_invert
+
     for name, value in (("--emin", args.emin), ("--emax", args.emax)):
         if not np.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
@@ -100,16 +97,17 @@ def _hessian_widths(n_target: int) -> tuple[int, ...]:
 
 
 def _cmd_esd_sample(args):
-    # imported here: it adds to the start-up of every other subcommand
     from concurrent.futures import ThreadPoolExecutor
+
+    from .rmt import sample_centered_hessians, sample_wigner
 
     # what one trial holds at once, refused before the pool starts
     if args.ensemble == "wigner":
-        _check_dense_budget(args.n * args.n, f"esd sample --ensemble wigner --n {args.n}")
+        check_dense_budget(args.n * args.n, f"esd sample --ensemble wigner --n {args.n}")
     else:
         widths = _hessian_widths(args.n)
         p = sum(a * b for a, b in zip(widths, widths[1:])) + widths[-1]
-        _check_dense_budget(
+        check_dense_budget(
             args.samples * p * p,
             f"esd sample --ensemble centered-hessian --n {args.n} --samples {args.samples}"
             f" ({args.samples} Hessians of P={p} parameters)",
@@ -135,6 +133,9 @@ def _cmd_esd_sample(args):
 
 
 def _cmd_hessian(args):
+    from .hessian import risk_hessian
+    from .net import LossL0, load_dataset_csv, network_from_chain_json
+
     params = network_from_chain_json(args.network)
     dataset = load_dataset_csv(args.data)
     blocks = risk_hessian(params, LossL0(args.loss), dataset)
@@ -144,6 +145,9 @@ def _cmd_hessian(args):
 
 
 def _cmd_landscape(args):
+    from .hessian import landscape_report
+    from .net import LossL0, load_dataset_csv, network_from_chain_json
+
     params = network_from_chain_json(args.network)
     dataset = load_dataset_csv(args.data)
     report = landscape_report(params, LossL0(args.loss), dataset)
@@ -167,6 +171,9 @@ def _cmd_landscape(args):
 
 
 def _cmd_contract(args):
+    from .infogeo import contraction_check
+    from .poset import read_json
+
     doc = read_json(args.model)
     try:
         p = np.asarray(doc["p"], dtype=float)
@@ -191,6 +198,9 @@ def _cmd_contract(args):
 
 
 def _cmd_decompose(args):
+    from .infogeo import LayeredDiscreteModel, decompose_likelihood
+    from .poset import kernel_from_entry, read_json
+
     doc = read_json(args.model)
     try:
         support = np.asarray(doc["x_support"], dtype=float)

@@ -5,6 +5,9 @@ bad identifiers or invalid probability data (:class:`DomainError`),
 incompatible array dimensions (:class:`ShapeError`), exceeded enumeration
 budgets (:class:`CapacityError`), and numerical failures
 (:class:`NumericError` and its convergence/stability refinements).
+
+It also holds the one dense budget, ``MAX_DENSE_ENTRIES``, that the CLI,
+the MDE solver and the Hessian apply before they allocate a dense array.
 """
 
 
@@ -44,3 +47,15 @@ class ConvergenceError(NumericError):
 
 class StabilityError(NumericError):
     """An iterate left the admissible region (e.g. lost positive imaginary part)."""
+
+
+MAX_DENSE_ENTRIES = 25_000_000  # largest dense float array: a P x P Hessian of P <= 5000, 200 MB
+
+
+def check_dense_budget(entries: int, what: str) -> None:
+    """Refuse ``what``, which would hold ``entries`` floats, beyond ``MAX_DENSE_ENTRIES``."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise CapacityError(
+            f"{what} needs {entries} entries ({8 * entries} bytes),"
+            f" over the budget of {MAX_DENSE_ENTRIES} entries"
+        )

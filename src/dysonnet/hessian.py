@@ -16,7 +16,7 @@ Assembly is exact at points where no preactivation sits on an estimation
 kink and no sample sits on a loss kink; samples violating either are
 flagged rather than silently differentiated.  A dense P x P matrix, and
 the block sets that lead to it, are refused with :class:`CapacityError`
-beyond ``MAX_DENSE_ENTRIES`` before anything is allocated.
+beyond ``errors.MAX_DENSE_ENTRIES`` before anything is allocated.
 
 No per-sample block is formed.  Each sample keeps only its factors: the
 layer inputs t, the vectors u and the w x w path matrices P_pq.  Samples
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, check_dense_budget
 from .net import Dataset, LossL0, NetworkParams, param_group_dims
 from .net import _backprop_deltas, _sample_terms
 from .poset import ActivationRule
@@ -55,16 +55,6 @@ __all__ = [
 ]
 
 KINK_TOL = 1e-9
-MAX_DENSE_ENTRIES = 25_000_000  # largest P*P for a dense Hessian: P <= 5000, 200 MB
-
-
-def _check_dense_budget(entries: int, what: str) -> None:
-    """Refuse ``what``, which would hold ``entries`` floats, beyond ``MAX_DENSE_ENTRIES``."""
-    if entries > MAX_DENSE_ENTRIES:
-        raise CapacityError(
-            f"{what} needs {entries} entries ({8 * entries} bytes),"
-            f" over the budget of {MAX_DENSE_ENTRIES} entries"
-        )
 
 
 def _mirrored(dims, blocks: dict) -> np.ndarray:
@@ -115,9 +105,9 @@ class HessianBlocks:
     def assemble(self) -> np.ndarray:
         """Dense symmetric matrix with blocks mirrored across the diagonal.
 
-        Raises :class:`CapacityError` when P*P exceeds ``MAX_DENSE_ENTRIES``.
+        Raises :class:`CapacityError` when P*P exceeds ``errors.MAX_DENSE_ENTRIES``.
         """
-        _check_dense_budget(self.n * self.n, f"a dense Hessian of P={self.n} parameters")
+        check_dense_budget(self.n * self.n, f"a dense Hessian of P={self.n} parameters")
         return _mirrored(self.dims, self.blocks)
 
 
@@ -129,7 +119,7 @@ def _checked_dims(params: NetworkParams) -> tuple[int, ...]:
         )
     dims = param_group_dims(params)
     n = int(sum(dims))
-    _check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
+    check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
     return dims
 
 

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, NumericError, ShapeError
-from .net import NetworkParams, forward
 from .poset import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
+
+if TYPE_CHECKING:
+    from .net import NetworkParams
 
 __all__ = [
     "ConvexFunction",
@@ -337,6 +339,8 @@ def deformation_scenario(base, shift: int, net: NetworkParams) -> np.ndarray:
     for inspection; monotonicity is a property of exact kernels and is
     not asserted here.
     """
+    from .net import forward
+
     base = np.asarray(base, dtype=float)
     if net.rule is not ActivationRule.PARTIAL_EXPECTATION_01:
         raise DomainError("deformation comparison needs logistic-mean layers")

@@ -238,6 +238,9 @@ def network_from_chain_json(source) -> NetworkParams:
         raise DomainError("network document is not a chain")
     if len(order) < 2:
         raise DomainError("chain must contain at least one layer above the input")
+    missing = [node for node in order[1:] if node not in specs]
+    if missing:
+        raise DomainError(f"chain nodes {missing} have no layer entry")
     kernels = [specs[node][0] for node in order[1:]]
     rules = {specs[node][1] for node in order[1:-1]}
     if len(rules) > 1:

@@ -412,6 +412,10 @@ def load_network_json(source) -> tuple[ScalePoset, dict[str, tuple[KernelSpec, A
         layer_doc = doc["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed network document: {exc}") from exc
+    if not isinstance(layer_doc, dict):
+        raise DomainError(
+            f"layers must map node ids to layer entries, got {type(layer_doc).__name__}"
+        )
     with_incoming = {b for _, b in edges}
     sources = [n for n in nodes if n not in with_incoming]
     if len(sources) != 1:

@@ -37,9 +37,8 @@ from .errors import (
     NumericError,
     ShapeError,
     StabilityError,
+    check_dense_budget,
 )
-from .hessian import HessianBlocks, _check_dense_budget, sample_hessian
-from .net import LossL0, NetworkParams, param_group_dims
 from .poset import read_json
 
 __all__ = [
@@ -88,6 +87,8 @@ def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -
     ``1e-12 * max(1, max|m|)`` unless ``symmetric`` is false.  With
     ``stack`` it is a 3-d stack of such matrices, measured on one scale,
     and a failure names the first bad matrix as ``what`` and its index.
+    The checks run one matrix at a time, so their temporaries are the
+    size of one matrix, not of the stack.
     """
     m = np.asarray(m, dtype=float)
     mats = m if stack else m[np.newaxis]
@@ -95,29 +96,32 @@ def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -
         raise ShapeError(f"{what}s must form a stack of square matrices" if stack
                          else f"{what} must be square")
 
-    def name(flags):
-        return f"{what} {int(np.argmax(flags))}" if stack else what
+    def name(index):
+        return f"{what} {index}" if stack else what
 
-    bad = ~np.isfinite(mats).all(axis=(1, 2))
-    if bad.any():
-        raise DomainError(f"{name(bad)} has non-finite entries")
+    for index, mat in enumerate(mats):
+        if not np.isfinite(mat).all():
+            raise DomainError(f"{name(index)} has non-finite entries")
     if symmetric:
-        scale = max(1.0, float(np.abs(mats).max(initial=0.0)))
-        skewed = np.abs(mats - mats.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
-        if skewed.any():
-            raise DomainError(f"{name(skewed)} is not symmetric")
+        scale = max([1.0] + [float(np.abs(mat).max(initial=0.0)) for mat in mats])
+        for index, mat in enumerate(mats):
+            skew = mat - mat.T
+            if np.abs(skew, out=skew).max(initial=0.0) > 1e-12 * scale:
+                raise DomainError(f"{name(index)} is not symmetric")
     return m
 
 
 def _sample_stack(samples, what: str, symmetric: bool = True) -> np.ndarray:
     """Checked stack of sample matrices given as arrays or :class:`HessianBlocks`."""
+    from .hessian import HessianBlocks
+
     mats = [s.assemble() if isinstance(s, HessianBlocks) else np.asarray(s, dtype=float)
             for s in samples]
     if len({m.shape for m in mats}) > 1:
         raise ShapeError(f"all {what}s must share one shape")
     if mats:
-        _check_dense_budget(len(mats) * mats[0].size,
-                            f"a stack of {len(mats)} {what}s of shape {mats[0].shape}")
+        check_dense_budget(len(mats) * mats[0].size,
+                           f"a stack of {len(mats)} {what}s of shape {mats[0].shape}")
     stack = np.stack(mats) if mats else np.empty((0, 0, 0))
     return _checked_matrix(stack, what, stack=True, symmetric=symmetric)
 
@@ -537,7 +541,7 @@ def solve_mde(
     apply_eigen = getattr(problem.self_energy, "apply_eigen", None)
     count = len(problem.z_grid)
     if apply_eigen is None:
-        _check_dense_budget(
+        check_dense_budget(
             2 * count * problem.n * problem.n,
             f"the dense MDE solution of {count} grid points of {problem.n}x{problem.n}"
             " complex matrices (2 entries each)",
@@ -777,6 +781,9 @@ def sample_centered_hessians(widths, n_samples: int, rng) -> list[np.ndarray]:
     symmetric random labels, and subtracts the ensemble mean so the
     returned matrices average to zero exactly.
     """
+    from .hessian import sample_hessian
+    from .net import LossL0, NetworkParams, param_group_dims
+
     widths = [int(w) for w in widths]
     if len(widths) < 2:
         raise DomainError("need at least an input width and one layer width")
@@ -854,7 +861,7 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
             raise DomainError(f"cannot load empirical samples: {exc}") from exc
         if samples.ndim != 3:
             raise ShapeError("empirical samples must form a stack of square matrices")
-        _check_dense_budget(samples.size, f"empirical samples of shape {samples.shape}")
+        check_dense_budget(samples.size, f"empirical samples of shape {samples.shape}")
         se = EmpiricalSelfEnergy.from_samples(samples)
     else:
         raise DomainError(f"unknown self-energy kind {kind!r}")

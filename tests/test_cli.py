@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dysonnet import __version__, cli
+from dysonnet import __version__, rmt
 from dysonnet.cli import main
 from dysonnet.net import Dataset, NetworkParams, network_to_chain_json, save_dataset_csv
 from dysonnet.poset import ActivationRule
@@ -328,8 +328,8 @@ class TestExitCodes:
         def sampler_started(*args):
             raise AssertionError("a trial started")
 
-        monkeypatch.setattr(cli, "sample_wigner", sampler_started)
-        monkeypatch.setattr(cli, "sample_centered_hessians", sampler_started)
+        monkeypatch.setattr(rmt, "sample_wigner", sampler_started)
+        monkeypatch.setattr(rmt, "sample_centered_hessians", sampler_started)
         tracemalloc.start()
         try:
             rc = run_cli("esd", "sample", *flags, "--trials", 1, "--out", workdir / "esd.csv")
@@ -493,6 +493,34 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "args, unloaded",
+    [
+        (["decompose", "--model", "model.json", "--out", "report.json"],
+         ["rmt", "hessian", "net"]),
+        (["landscape", "--network", "net.json", "--data", "data.csv", "--out", "land.json"],
+         ["rmt", "infogeo"]),
+        (["mde", "solve", "--problem", "wigner.json", "--points", "5", "--out", "rho.csv"],
+         ["hessian", "net", "infogeo"]),
+    ],
+    ids=["decompose", "landscape", "mde-solve-isotropic"],
+)
+def test_subcommand_loads_only_the_modules_it_runs(workdir, args, unloaded):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, dysonnet.cli; code = dysonnet.cli.main(sys.argv[1:]); "
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dysonnet.')))); "
+         "sys.exit(code)",
+         *args],
+        capture_output=True, text=True, cwd=workdir,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "dysonnet.cli" in loaded
+    assert not {f"dysonnet.{name}" for name in unloaded} & set(loaded)
+
+
 # The JSON reader also accepts NaN, infinities and integers too large for a
 # float or an array dimension.
 HOSTILE = st.sampled_from([10 ** 400, 2 ** 63, -1, 0, float("inf"), float("nan"),
@@ -562,7 +590,15 @@ def contract_documents(draw):
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
+    path = tmp_path_factory.mktemp("fuzz")
+    # the files that problem and network documents name: sample stacks and a dataset
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3):
+        samples = rng.standard_normal((3, n, n))
+        np.save(path / f"samples{n}.npy", samples + samples.transpose(0, 2, 1))
+    save_dataset_csv(path / "data.csv",
+                     Dataset(rng.standard_normal((4, 2)), np.array([1.0, -1.0, 1.0, -1.0])))
+    return path
 
 
 def exit_code_of(fuzz_dir, command, doc):
@@ -585,3 +621,61 @@ def test_decompose_loader_maps_any_document_to_an_exit_code(fuzz_dir, doc):
 @settings(max_examples=50, derandomize=True, deadline=None)
 def test_contract_loader_maps_any_document_to_an_exit_code(fuzz_dir, doc):
     assert exit_code_of(fuzz_dir, "contract", doc) in (0, 2, 3)
+
+
+@st.composite
+def problem_documents(draw):
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0)
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(entries)
+    kind = draw(st.sampled_from(["isotropic", "zero", "wigner", "empirical"]))
+    s_doc = {"kind": kind}
+    if kind == "isotropic":
+        s_doc["c"] = draw(st.floats(0.0, 2.0))
+    elif kind == "wigner":
+        s_doc["sigma2"] = draw(st.floats(0.0, 2.0))
+    elif kind == "empirical":
+        s_doc["samples"] = f"samples{n}.npy"
+    return _mutated(draw, {"A": a, "S": s_doc})
+
+
+@st.composite
+def network_documents(draw):
+    # a relu chain on an input of width 2, the width of the fuzz dataset
+    widths = [2] + draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    coords = st.floats(-2.0, 2.0)
+    weights = tuple(np.asarray(draw(st.lists(coords, min_size=a * b, max_size=a * b)))
+                    .reshape(a, b) for a, b in zip(widths, widths[1:]))
+    alpha = np.asarray(draw(st.lists(coords, min_size=widths[-1], max_size=widths[-1])))
+    rule = draw(st.sampled_from(list(ActivationRule)))
+    return _mutated(draw, network_to_chain_json(NetworkParams(weights, alpha, rule)))
+
+
+@given(problem_documents())
+@example({"A": [[10 ** 400]], "S": {"kind": "isotropic"}})
+@example({"A": [[0.0]], "S": {"kind": "empirical", "samples": "samples2.npy"}})
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_mde_problem_loader_maps_any_document_to_an_exit_code(fuzz_dir, doc):
+    (fuzz_dir / "doc.json").write_text(json.dumps(doc))
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # the documents name their sample stacks relative to it
+    try:
+        rc = run_cli("mde", "solve", "--problem", "doc.json", "--points", 5, "--eta", 0.1,
+                     "--max-iter", 200, "--out", "out.csv")
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 2, 3)
+
+
+@pytest.mark.parametrize("command", ["hessian", "landscape"])
+@given(doc=network_documents())
+@example(doc={"nodes": ["0", "1"], "edges": [["0", "1"]], "layers": []})
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_network_loader_maps_any_document_to_an_exit_code(fuzz_dir, command, doc):
+    (fuzz_dir / "net.json").write_text(json.dumps(doc))
+    rc = run_cli(command, "--network", fuzz_dir / "net.json",
+                 "--data", fuzz_dir / "data.csv", "--out", fuzz_dir / "out")
+    assert rc in (0, 2, 3)

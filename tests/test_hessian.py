@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysonnet.errors import CapacityError, DomainError, NumericError
+from dysonnet.errors import MAX_DENSE_ENTRIES, CapacityError, DomainError, NumericError
 from dysonnet.hessian import (
-    MAX_DENSE_ENTRIES,
     HessianBlocks,
     _mirrored,
     _path_matrices,

@@ -5,10 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dysonnet.cli import _hessian_widths
-from dysonnet.errors import CapacityError, ConvergenceError, DomainError, ShapeError
-from dysonnet.hessian import MAX_DENSE_ENTRIES
+from dysonnet.errors import (
+    MAX_DENSE_ENTRIES,
+    CapacityError,
+    ConvergenceError,
+    DomainError,
+    ShapeError,
+)
 from dysonnet.rmt import (
     EmpiricalSelfEnergy,
     IsotropicSelfEnergy,
@@ -120,6 +127,20 @@ class TestSelfEnergies:
         stack = np.stack(samples)
         assert np.array_equal(se.fluctuations, 2.0 * (stack - stack.mean(axis=0)))
 
+    def test_from_samples_peak_is_about_one_stack(self):
+        # the symmetry check holds one matrix at a time, not copies of the stack
+        rng = np.random.default_rng(55)
+        g = rng.standard_normal((16, 310, 310))
+        samples = g + g.transpose(0, 2, 1)
+        tracemalloc.start()
+        try:
+            se = EmpiricalSelfEnergy.from_samples(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert se.fluctuations.shape == samples.shape
+        assert peak <= 1.2 * samples.nbytes
+
     @pytest.mark.parametrize("se", [IsotropicSelfEnergy(0.7), WignerSelfEnergy(1.3),
                                     ZeroSelfEnergy()], ids=["isotropic", "wigner", "zero"])
     def test_apply_eigen_is_apply_in_the_eigenbasis(self, se):
@@ -192,6 +213,48 @@ class TestEigenbasisPath:
         assert tight.ladder_levels.tolist() == [4, 4]
         # the failed warm start (40 steps and a final residual) counts too
         assert tight.iterations[1] == 41 + alone.iterations[0]
+
+
+@st.composite
+def symmetric_matrices(draw, n):
+    upper = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n))
+    a = np.triu(np.asarray(upper).reshape(n, n))
+    return a + np.triu(a, 1).T
+
+
+STRENGTHS = st.floats(0.0, 2.0)
+EIGEN_SELF_ENERGIES = st.one_of(STRENGTHS.map(IsotropicSelfEnergy),
+                                STRENGTHS.map(WignerSelfEnergy),
+                                st.just(ZeroSelfEnergy()))
+ETAS = st.sampled_from([1e-2, 1e-1, 0.5])
+MATRICES = st.integers(1, 5).flatmap(symmetric_matrices)
+
+
+class TestSolverProperties:
+    @given(a=MATRICES, se=EIGEN_SELF_ENERGIES, eta=ETAS, dense=st.booleans())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_stieltjes_transform_in_upper_half_plane(self, a, se, eta, dense):
+        z_grid = np.linspace(-3.0, 3.0, 13) + 1j * eta
+        solution = solve_mde(MDEProblem(a, _DenseOnly(se) if dense else se, z_grid))
+        assert np.all(solution.stieltjes.imag > 0.0)
+
+    @given(n=st.integers(1, 4), se=EIGEN_SELF_ENERGIES, eta=ETAS, dense=st.booleans())
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_density_is_even_for_zero_expectation(self, n, se, eta, dense):
+        grid = np.linspace(-3.0, 3.0, 13)
+        solution = solve_mde(MDEProblem(np.zeros((n, n)), _DenseOnly(se) if dense else se,
+                                        grid + 1j * eta))
+        density = stieltjes_invert(solution, grid, eta)
+        assert symmetry_check(density) <= 1e-8 * max(1.0, float(density.density.max()))
+
+    @given(a=MATRICES, se=EIGEN_SELF_ENERGIES, eta=ETAS)
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_eigenbasis_path_matches_dense_path(self, a, se, eta):
+        z_grid = np.linspace(-3.0, 3.0, 13) + 1j * eta
+        fast = solve_mde(MDEProblem(a, se, z_grid))
+        dense = solve_mde(MDEProblem(a, _DenseOnly(se), z_grid))
+        assert np.abs(fast.stieltjes - dense.stieltjes).max() <= 1e-9
+        assert np.abs(fast.m - dense.m).max() <= 1e-8
 
 
 class TestSolveMDE:
