@@ -13,8 +13,8 @@ Exit codes: 0 success, 2 validation failure, 3 numeric non-convergence
 
 Each subcommand imports the modules it runs when it runs, so an
 invocation loads and compiles only those: ``decompose`` never loads
-``rmt`` or ``hessian``, and an isotropic ``mde solve`` never loads
-``hessian``, ``net`` or ``infogeo``.
+``rmt`` or ``hessian``, and ``mde solve``, isotropic or empirical, never
+loads ``hessian``, ``net`` or ``infogeo``.
 """
 
 from __future__ import annotations
@@ -117,11 +117,9 @@ def _cmd_esd_sample(args):
     def one_trial(index):
         gen = generators[index]
         if args.ensemble == "wigner":
-            eigs = np.linalg.eigvalsh(sample_wigner(args.n, gen))
-        else:
-            mats = sample_centered_hessians(_hessian_widths(args.n), args.samples, gen)
-            eigs = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in mats]))
-        return np.sort(eigs)
+            return np.linalg.eigvalsh(sample_wigner(args.n, gen))
+        mats = sample_centered_hessians(_hessian_widths(args.n), args.samples, gen)
+        return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in mats]))
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         per_trial = list(pool.map(one_trial, range(args.trials)))
@@ -138,8 +136,7 @@ def _cmd_hessian(args):
 
     params = network_from_chain_json(args.network)
     dataset = load_dataset_csv(args.data)
-    blocks = risk_hessian(params, LossL0(args.loss), dataset)
-    full = blocks.assemble()
+    full = risk_hessian(params, LossL0(args.loss), dataset).assemble()
     _write_csv(args.out, args.seed, [f"c{j}" for j in range(full.shape[1])], full)
     return 0
 

@@ -14,18 +14,18 @@ Kronecker structure used here.
 
 Assembly is exact at points where no preactivation sits on an estimation
 kink and no sample sits on a loss kink; samples violating either are
-flagged rather than silently differentiated.  A dense P x P matrix, and
-the block sets that lead to it, are refused with :class:`CapacityError`
-beyond ``errors.MAX_DENSE_ENTRIES`` before anything is allocated.
+flagged rather than silently differentiated.  The dense P x P matrix is
+refused with :class:`CapacityError` beyond ``errors.MAX_DENSE_ENTRIES``
+before anything is allocated.
 
 No per-sample block is formed.  Each sample keeps only its factors: the
 layer inputs t, the vectors u and the w x w path matrices P_pq.  Samples
-are stacked in chunks, and a chunk adds into each block (p, q) with one
-GEMM, ``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``.  The chunk length is set so that
-a chunk's stacked factors fit in one block set.  The peak is therefore a
-few block sets however many samples there are: the summed blocks (or, for
-the landscape report, the one P x P matrix), one chunk and one block's
-GEMM output.
+are stacked in chunks, and a chunk adds into each block (p, q) of the one
+P x P matrix with one GEMM, ``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``; the blocks
+are mirrored across the diagonal once, after the last chunk.  The chunk
+length is set so that a chunk's stacked factors fit in one block set.  The
+peak is therefore a few block sets however many samples there are, for
+every caller: the one P x P matrix, one chunk and one block's GEMM output.
 
 The same Kronecker structure confines each sample's Hessian to a
 subspace of dimension k << P: within group g its range lies in the span
@@ -57,18 +57,6 @@ __all__ = [
 KINK_TOL = 1e-9
 
 
-def _mirrored(dims, blocks: dict) -> np.ndarray:
-    """Dense symmetric matrix from cross blocks ``blocks[(p, q)]`` over groups of ``dims``."""
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    full = np.zeros((offsets[-1], offsets[-1]))
-    for (p, q), block in blocks.items():
-        rows = slice(offsets[q - 1], offsets[q])
-        cols = slice(offsets[p - 1], offsets[p])
-        full[rows, cols] = block
-        full[cols, rows] = block.T
-    return full
-
-
 def _eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(matrix)
@@ -78,37 +66,33 @@ def _eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HessianBlocks:
-    """Cross blocks of a symmetric Hessian with zero diagonal blocks.
+    """A symmetric Hessian with zero diagonal blocks, held as one dense matrix.
 
     ``dims`` are the flat sizes of the parameter groups in order
-    W_1, ..., W_{L-1}, alpha.  ``blocks[(p, q)]`` for 1-based p < q is the
-    dense matrix over vec(W_q) rows and vec(W_p) columns, column-major
-    vectorization throughout.
+    W_1, ..., W_{L-1}, alpha, and ``matrix`` is the P x P Hessian over
+    them, P = ``sum(dims)``, column-major vectorization throughout.  Block
+    (p, q) for p < q, over vec(W_q) rows and vec(W_p) columns, sits below
+    the diagonal and its transpose above.  numpy reads a ``HessianBlocks``
+    as its matrix.
     """
 
     dims: tuple[int, ...]
-    blocks: dict[tuple[int, int], np.ndarray]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        groups = len(self.dims)
-        for (p, q), block in self.blocks.items():
-            if not 1 <= p < q <= groups:
-                raise DomainError(f"block index ({p}, {q}) outside 1..{groups}")
-            expected = (self.dims[q - 1], self.dims[p - 1])
-            if block.shape != expected:
-                raise ShapeError(f"block ({p}, {q}) has shape {block.shape}, expected {expected}")
+        if self.matrix.shape != (self.n, self.n):
+            raise ShapeError(f"matrix has shape {self.matrix.shape}, expected {(self.n, self.n)}")
 
     @property
     def n(self) -> int:
         return int(sum(self.dims))
 
     def assemble(self) -> np.ndarray:
-        """Dense symmetric matrix with blocks mirrored across the diagonal.
+        """The dense symmetric matrix itself; nothing is copied."""
+        return self.matrix
 
-        Raises :class:`CapacityError` when P*P exceeds ``errors.MAX_DENSE_ENTRIES``.
-        """
-        check_dense_budget(self.n * self.n, f"a dense Hessian of P={self.n} parameters")
-        return _mirrored(self.dims, self.blocks)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 def _checked_dims(params: NetworkParams) -> tuple[int, ...]:
@@ -121,10 +105,6 @@ def _checked_dims(params: NetworkParams) -> tuple[int, ...]:
     n = int(sum(dims))
     check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
     return dims
-
-
-def _pairs(groups: int):
-    return [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
 
 
 def _path_matrices(params: NetworkParams, states) -> dict:
@@ -162,21 +142,26 @@ def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
         blocks[c] += part.transpose(1, 2, 0)
 
 
-def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, targets: dict):
+def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, out: np.ndarray):
     """Yield ``(value, deriv, offset, states, deltas, paths)`` for each sample.
 
     ``deltas`` is the sample's one backward pass and ``paths`` its
     :func:`_path_matrices`.  Block (p, q) of a sample's Hessian is
     ``deriv * kron(u_q, kron(P_pq, t_{p-1}^T))``, with u_q = ``deltas[q-1]``
-    and u_L = 1; ``1/m`` of it is added into ``targets[(p, q)]``, a
-    writable array of that block's shape.  Samples with a nonzero
-    ``deriv`` are stacked in chunks whose factors, with the one pair's
-    outer products ``u_q ⊗ t_{p-1}`` formed at a time, fit in one block
-    set; a chunk adds into each block with one GEMM.
+    and u_L = 1; ``1/m`` of it is added into that block of ``out``, the
+    zeroed P x P matrix.  Samples with a nonzero ``deriv`` are stacked in
+    chunks whose factors, with the one pair's outer products
+    ``u_q ⊗ t_{p-1}`` formed at a time, fit in one block set; a chunk adds
+    into each block with one GEMM.  After the last sample the blocks are
+    mirrored into the upper triangle, and ``out`` holds the risk Hessian.
     """
     widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     groups = len(widths)
-    pairs = _pairs(groups)
+    pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
+    offsets = np.concatenate([[0], np.cumsum(param_group_dims(params))]).astype(int)
+    targets = {
+        (p, q): out[offsets[q - 1]:offsets[q], offsets[p - 1]:offsets[p]] for p, q in pairs
+    }
 
     def out_width(q):  # length of u_q
         return widths[q] if q < groups else 1
@@ -214,6 +199,8 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, targe
         yield value, deriv, offset, states, deltas, paths
     if rows:
         flush(rows)
+    for (p, q), block in targets.items():
+        out[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
 
 
 def _sample_core(params: NetworkParams, states, deltas, paths) -> np.ndarray:
@@ -270,12 +257,12 @@ def _sample_core(params: NetworkParams, states, deltas, paths) -> np.ndarray:
 
 
 def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> HessianBlocks:
-    """Blockwise mean of the per-sample Hessians of a relu chain."""
+    """Mean of the per-sample Hessians of a relu chain, as one dense P x P matrix."""
     dims = _checked_dims(params)
-    blocks = {(p, q): np.zeros((dims[q - 1], dims[p - 1])) for p, q in _pairs(len(dims))}
-    for _ in _summed_factors(params, kind, dataset, blocks):
+    matrix = np.zeros((sum(dims), sum(dims)))
+    for _ in _summed_factors(params, kind, dataset, matrix):
         pass
-    return HessianBlocks(dims, blocks)
+    return HessianBlocks(dims, matrix)
 
 
 def sample_hessian(params: NetworkParams, kind: LossL0, x: np.ndarray, y: float) -> HessianBlocks:
@@ -330,19 +317,14 @@ class LandscapeReport:
 def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> LandscapeReport:
     """Assemble the risk Hessian of a relu chain, its spectrum and the operator-norm bound."""
     dims = _checked_dims(params)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    full = np.zeros((offsets[-1], offsets[-1]))
-    blocks = {
-        (p, q): full[offsets[q - 1]:offsets[q], offsets[p - 1]:offsets[p]]
-        for p, q in _pairs(len(dims))
-    }
+    full = np.zeros((sum(dims), sum(dims)))
     m = len(dataset)
     losses = np.empty(m)
     abs_derivs = np.empty(m)
     norms = np.empty(m)
     ranks = np.empty(m, dtype=int)
     kinks = []
-    samples = _summed_factors(params, kind, dataset, blocks)
+    samples = _summed_factors(params, kind, dataset, full)
     for i, (value, deriv, offset, states, deltas, paths) in enumerate(samples):
         losses[i] = value
         abs_derivs[i] = abs(deriv)
@@ -351,8 +333,6 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
         core = _sample_core(params, states, deltas, paths)
         ranks[i] = core.shape[0]
         norms[i] = np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))
-    for (p, q), block in blocks.items():
-        full[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
     eigs = np.sort(_eigvalsh(full, "the risk Hessian"))
     op_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     top = int(np.argmax(norms))

@@ -50,6 +50,8 @@ KERNEL_TOL = 1e-12  # contraction_check's tolerance on pmf sums and kernel row s
 TOP_KL_STEP = 1e-6  # central-difference step of top_kl_gradient
 N_COMPETITORS = 200  # random assignments fp_bp_semantics_check compares with the posterior
 BP_STEP = 1e-4  # descent step of fp_bp_semantics_check's backward check
+TRANSPORT_RULE = ActivationRule.PARTIAL_EXPECTATION_01  # estimation passing each scale's input on
+MAX_CONDITIONAL_ENTRIES = 10 ** 6  # conditionals decompose_likelihood holds: n_x * sum_s |S_s|
 
 
 def logsumexp(a) -> float:
@@ -366,15 +368,14 @@ class LayeredDiscreteModel:
     """Chain of discrete-indicator scales over a finite input support.
 
     Scale ``s`` receives the deterministic transport of the input (the
-    estimated indicator of the previous scale) and assigns its indicator
-    the per-coordinate law of the kernel, making the scales conditionally
-    independent given the input.  All state spaces are enumerable.
+    previous scale's indicator estimated under ``TRANSPORT_RULE``) and
+    assigns its indicator the per-coordinate law of the kernel, making the
+    scales conditionally independent given the input.  All state spaces
+    are enumerable.
     """
 
     x_support: np.ndarray
     scales: tuple[KernelSpec, ...]
-    transport_rule: ActivationRule = ActivationRule.PARTIAL_EXPECTATION_01
-    max_states: int = 10 ** 6
 
     def __post_init__(self):
         support = np.asarray(self.x_support, dtype=float)
@@ -412,7 +413,7 @@ class LayeredDiscreteModel:
         inputs = []
         for spec in self.scales:
             inputs.append(t)
-            t, _ = estimate_indicator(self.transport_rule, t @ spec.weight)
+            t, _ = estimate_indicator(TRANSPORT_RULE, t @ spec.weight)
         return inputs
 
     def conditionals(self, x) -> list[np.ndarray]:
@@ -490,15 +491,15 @@ def decompose_likelihood(model: LayeredDiscreteModel, data, nu) -> Decomposition
     The three quantities are computed independently; their identity
     defect is reported.  The conditionals of the support points are held
     at once: ``n_x * sum_s |S_s|`` entries, ``|S_s| = 2^width_s`` being
-    the number of states of scale ``s``.  ``max_states`` caps that count,
-    and a larger model raises :class:`CapacityError` before anything is
-    allocated.
+    the number of states of scale ``s``.  ``MAX_CONDITIONAL_ENTRIES`` caps
+    that count, and a larger model raises :class:`CapacityError` before
+    anything is allocated.
     """
     held = model.x_support.shape[0] * sum(_n_states(spec) for spec in model.scales)
-    if held > model.max_states:
+    if held > MAX_CONDITIONAL_ENTRIES:
         raise CapacityError(
             f"per-scale conditionals hold {held} entries (n_x * sum_s |S_s|), "
-            f"budget {model.max_states}"
+            f"budget {MAX_CONDITIONAL_ENTRIES}"
         )
     w, conds = _observed_conditionals(model, data)
     nus = _validate_nu(model, nu)
@@ -549,7 +550,7 @@ def _with_top_weights(model: LayeredDiscreteModel, flat) -> LayeredDiscreteModel
     spec = model.scales[-1]
     weight = np.asarray(flat, dtype=float).reshape(spec.weight.shape)
     scales = model.scales[:-1] + (KernelSpec(weight, spec.field),)
-    return LayeredDiscreteModel(model.x_support, scales, model.transport_rule, model.max_states)
+    return LayeredDiscreteModel(model.x_support, scales)
 
 
 def top_kl_gradient(model: LayeredDiscreteModel, data, top_nu) -> np.ndarray:

@@ -112,11 +112,11 @@ def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -
 
 
 def _sample_stack(samples, what: str, symmetric: bool = True) -> np.ndarray:
-    """Checked stack of sample matrices given as arrays or :class:`HessianBlocks`."""
-    from .hessian import HessianBlocks
+    """Checked stack of sample matrices, each read by ``np.asarray``.
 
-    mats = [s.assemble() if isinstance(s, HessianBlocks) else np.asarray(s, dtype=float)
-            for s in samples]
+    A :class:`~dysonnet.hessian.HessianBlocks` reads as its matrix.
+    """
+    mats = [np.asarray(s, dtype=float) for s in samples]
     if len({m.shape for m in mats}) > 1:
         raise ShapeError(f"all {what}s must share one shape")
     if mats:
@@ -706,17 +706,18 @@ class CumulantReport:
 def cumulant_diagnostics(samples) -> CumulantReport:
     """Pairwise-cumulant diagnostics over an ensemble of symmetric matrices.
 
-    ``samples`` is a sequence of finite square arrays (symmetric or not)
-    or :class:`HessianBlocks`; two suffice to form the estimate but 30 or
-    more are needed for it to mean much.  The pairwise cumulant
-    kappa(alpha, beta) is the sample covariance of entries alpha, beta
-    across the ensemble.  ``av2_norm`` is the operator norm of the
-    absolute-cumulant matrix; ``iso2_upper`` bounds the isotropic norm via
-    the trivial decomposition (diagonal part equal to the full cumulant)
-    combined with a Cauchy-Schwarz majorant of the supremum over unit
-    vectors; ``offdiag_decay`` is the largest absolute cumulant left after
-    excluding, for each entry, its ``floor(N**(1/2 - CUMULANT_MU))``
-    strongest partners.
+    ``samples`` is a sequence of finite square matrices (symmetric or
+    not), each anything ``np.asarray`` reads as one, a
+    :class:`~dysonnet.hessian.HessianBlocks` included; two suffice to form
+    the estimate but 30 or more are needed for it to mean much.  The
+    pairwise cumulant kappa(alpha, beta) is the sample covariance of
+    entries alpha, beta across the ensemble.  ``av2_norm`` is the operator
+    norm of the absolute-cumulant matrix; ``iso2_upper`` bounds the
+    isotropic norm via the trivial decomposition (diagonal part equal to
+    the full cumulant) combined with a Cauchy-Schwarz majorant of the
+    supremum over unit vectors; ``offdiag_decay`` is the largest absolute
+    cumulant left after excluding, for each entry, its
+    ``floor(N**(1/2 - CUMULANT_MU))`` strongest partners.
     """
     stack = _sample_stack(samples, "cumulant sample", symmetric=False)
     if stack.shape[0] < 2:

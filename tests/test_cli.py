@@ -502,10 +502,17 @@ def test_cli_import_loads_no_scipy():
          ["rmt", "infogeo"]),
         (["mde", "solve", "--problem", "wigner.json", "--points", "5", "--out", "rho.csv"],
          ["hessian", "net", "infogeo"]),
+        (["mde", "solve", "--problem", "empirical.json", "--points", "5", "--out", "rho.csv"],
+         ["hessian", "net", "infogeo"]),
     ],
-    ids=["decompose", "landscape", "mde-solve-isotropic"],
+    ids=["decompose", "landscape", "mde-solve-isotropic", "mde-solve-empirical"],
 )
 def test_subcommand_loads_only_the_modules_it_runs(workdir, args, unloaded):
+    samples = np.random.default_rng(9).standard_normal((3, 4, 4))
+    np.save(workdir / "samples4.npy", samples + samples.transpose(0, 2, 1))
+    (workdir / "empirical.json").write_text(json.dumps(
+        {"A": np.eye(4).tolist(), "S": {"kind": "empirical", "samples": "samples4.npy"}}
+    ))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import json, sys, dysonnet.cli; code = dysonnet.cli.main(sys.argv[1:]); "

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dysonnet.errors import MAX_DENSE_ENTRIES, CapacityError, DomainError, NumericError
+from dysonnet.errors import (
+    MAX_DENSE_ENTRIES,
+    CapacityError,
+    DomainError,
+    NumericError,
+    ShapeError,
+)
 from dysonnet.hessian import (
     HessianBlocks,
-    _mirrored,
     _path_matrices,
     _sample_core,
     landscape_report,
@@ -38,6 +43,18 @@ from dysonnet.poset import ActivationRule
 # The dense per-sample pass that dysonnet.hessian replaced: every sample's
 # Kronecker blocks formed at full size, summed, and projected onto the
 # sample's range basis.  Kept as the oracle of the factored pass.
+
+
+def _mirrored(dims, blocks: dict) -> np.ndarray:
+    """Dense symmetric matrix from cross blocks ``blocks[(p, q)]`` over groups of ``dims``."""
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    full = np.zeros((offsets[-1], offsets[-1]))
+    for (p, q), block in blocks.items():
+        rows = slice(offsets[q - 1], offsets[q])
+        cols = slice(offsets[p - 1], offsets[p])
+        full[rows, cols] = block
+        full[cols, rows] = block.T
+    return full
 
 
 def _geometry_blocks(params: NetworkParams, states, deltas) -> dict:
@@ -157,12 +174,16 @@ def fd_hessian(params, kind, x, y, step=1e-4):
 
 
 def assert_blocks_match_oracle(params, kind, dataset):
-    blocks = risk_hessian(params, kind, dataset).blocks
+    # each block to 1e-13 of its own scale; the diagonal blocks exactly zero
+    dims = param_group_dims(params)
+    full = risk_hessian(params, kind, dataset).assemble()
     oracle = _summed_geometry(params, kind, dataset)
-    assert blocks.keys() == oracle.keys()
-    for k, want in oracle.items():
-        scale = max(1.0, float(np.abs(want).max(initial=0.0)))
-        assert np.abs(blocks[k] - want).max(initial=0.0) <= 1e-13 * scale, k
+    scales = _mirrored(dims, {
+        k: np.full(want.shape, max(1.0, float(np.abs(want).max(initial=0.0))))
+        for k, want in oracle.items()
+    })
+    assert full.shape == scales.shape
+    assert np.all(np.abs(full - _mirrored(dims, oracle)) <= 1e-13 * scales)
 
 
 @st.composite
@@ -309,7 +330,10 @@ class TestRiskHessian:
             rng.standard_normal(w),
         )
         dataset = Dataset(rng.standard_normal((40, w)), rng.choice([-1.0, 1.0], size=40))
-        one_set = sum(b.nbytes for b in risk_hessian(params, LossL0.HINGE, dataset).blocks.values())
+        dims = param_group_dims(params)
+        one_set = 8 * sum(
+            dims[q] * dims[p] for p in range(len(dims)) for q in range(p + 1, len(dims))
+        )
         tracemalloc.start()
         try:
             risk_hessian(params, LossL0.HINGE, dataset)
@@ -342,6 +366,25 @@ class TestRiskHessian:
         finally:
             tracemalloc.stop()
         assert peak < 5 * one_set
+
+    def test_assembled_peak_is_one_matrix(self):
+        # the accumulator sums into the P x P matrix that assemble() returns,
+        # so no second P x P (or block set beside it) is held at the peak
+        rng = np.random.default_rng(32)
+        w, m = 18, 20
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(3)),
+            rng.standard_normal(w),
+        )
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        p = sum(param_group_dims(params))
+        tracemalloc.start()
+        try:
+            risk_hessian(params, LossL0.HINGE, dataset).assemble()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * p * p
 
     def test_many_chunks_match_oracle(self):
         # widths 3: a chunk holds fewer samples than the dataset, so the
@@ -472,8 +515,8 @@ def test_negative_fraction_thresholding():
 
 
 def test_blocks_shape_validation():
-    with pytest.raises(Exception):
-        HessianBlocks((2, 3), {(1, 2): np.zeros((2, 2))})
+    with pytest.raises(ShapeError):
+        HessianBlocks((2, 3), np.zeros((5, 4)))
 
 
 def dense_sample_norms(params, dataset):
@@ -483,9 +526,7 @@ def dense_sample_norms(params, dataset):
     for x in dataset.x:
         states = forward(params, x)[1]
         geometry = _geometry_blocks(params, states, _backprop_deltas(params, states))
-        norms.append(float(np.max(np.abs(np.linalg.eigvalsh(
-            HessianBlocks(dims, geometry).assemble()
-        )))))
+        norms.append(float(np.max(np.abs(np.linalg.eigvalsh(_mirrored(dims, geometry))))))
     return norms
 
 
@@ -660,11 +701,13 @@ def test_smooth_rules_are_refused(call, rule):
 
 class TestDenseBudget:
     def test_refused_before_allocation(self):
-        blocks = HessianBlocks((10 ** 5, 10 ** 5), {})
+        # W (400 x 250), (250 x 250) and alpha (250): P = 162750
+        params = NetworkParams((np.zeros((400, 250)), np.zeros((250, 250))), np.zeros(250))
+        dataset = Dataset(np.ones((1, 400)), np.array([1.0]))
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match=r"P=200000 .*\(320000000000 bytes\)"):
-                blocks.assemble()
+            with pytest.raises(CapacityError, match=r"P=162750 .*\(211900500000 bytes\)"):
+                risk_hessian(params, LossL0.HINGE, dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dysonnet import infogeo
 from dysonnet.errors import CapacityError, DomainError, ShapeError
 from dysonnet.infogeo import (
     ConvexFunction,
@@ -269,16 +270,15 @@ class TestDecomposition:
             assert all(term >= 0.0 for term in report.kl_terms)
             assert report.expected_ll <= report.complete_ll + 1e-12
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
         rng = np.random.default_rng(42)
         scales = (KernelSpec(rng.standard_normal((2, 8)), "01"),)
-        model = LayeredDiscreteModel(
-            rng.standard_normal((4, 2)), scales, max_states=100
-        )
+        model = LayeredDiscreteModel(rng.standard_normal((4, 2)), scales)
+        monkeypatch.setattr(infogeo, "MAX_CONDITIONAL_ENTRIES", 100)
         with pytest.raises(CapacityError):
             decompose_likelihood(model, np.full(4, 0.25), [np.full(256, 1 / 256)])
 
-    def test_budget_counts_the_held_conditionals(self):
+    def test_budget_counts_the_held_conditionals(self, monkeypatch):
         # 50 * 8**10 joint states, but only 50 * 10 * 8 conditional entries
         rng = np.random.default_rng(55)
         dims = [2] + [3] * 10
@@ -288,9 +288,9 @@ class TestDecomposition:
         nu = [rng.dirichlet(np.ones(8)) for _ in scales]
         report = decompose_likelihood(model, rng.dirichlet(np.ones(50)), nu)
         assert report.identity_defect <= 1e-10
-        small = LayeredDiscreteModel(model.x_support, scales, max_states=3999)
+        monkeypatch.setattr(infogeo, "MAX_CONDITIONAL_ENTRIES", 3999)
         with pytest.raises(CapacityError, match="hold 4000 entries .*budget 3999"):
-            decompose_likelihood(small, np.full(50, 0.02), nu)
+            decompose_likelihood(model, np.full(50, 0.02), nu)
 
     def test_zero_probability_conditioning(self):
         # saturated kernel drives one conditional to exactly zero
@@ -314,7 +314,7 @@ def conditionals_by_states(model, x):
         law = conditional_group_law(spec, t)
         states = model.scale_states(s)
         pmfs.append(np.prod(np.where(states == spec.values[1], law[:, 1], law[:, 0]), axis=1))
-        t, _ = estimate_indicator(model.transport_rule, spec.weight.T @ t)
+        t, _ = estimate_indicator(infogeo.TRANSPORT_RULE, spec.weight.T @ t)
     return pmfs
 
 
@@ -354,7 +354,8 @@ def joint_enumeration(model, data, nu):
     return complete, expected, kl_terms
 
 
-def random_layered_model(rng):
+def random_layered_model(rng, monkeypatch):
+    """A random model, with a random ``TRANSPORT_RULE`` set for it."""
     dim = int(rng.integers(1, 4))
     support = rng.standard_normal((int(rng.integers(1, 5)), dim))
     scales = []
@@ -364,7 +365,8 @@ def random_layered_model(rng):
                                  str(rng.choice(["01", "pm1"]))))
         dim = width
     rule = list(ActivationRule)[int(rng.integers(len(ActivationRule)))]
-    return LayeredDiscreteModel(support, scales, rule)
+    monkeypatch.setattr(infogeo, "TRANSPORT_RULE", rule)
+    return LayeredDiscreteModel(support, scales)
 
 
 def sparse_pmf(rng, size):
@@ -376,11 +378,11 @@ def sparse_pmf(rng, size):
 
 
 class TestJointEnumerationOracle:
-    def test_per_scale_path_matches_joint_enumeration(self):
+    def test_per_scale_path_matches_joint_enumeration(self, monkeypatch):
         rng = np.random.default_rng(46)
         compared = 0
         for _ in range(200):
-            model = random_layered_model(rng)
+            model = random_layered_model(rng, monkeypatch)
             n_x = model.x_support.shape[0]
             batched = model.conditionals(model.x_support)
             for i, x in enumerate(model.x_support):
