@@ -52,6 +52,12 @@ def _write_json(path, seed, payload):
         handle.write("\n")
 
 
+def _refuse_shared_output(flag, path, other_flag, other_path):
+    """Refuse two outputs on one path, where the later write would replace the earlier."""
+    if other_path is not None and os.path.realpath(path) == os.path.realpath(other_path):
+        raise DomainError(f"{flag} and {other_flag} name the same file {other_path}")
+
+
 def _positive(kind, name):
     def parse(text):
         value = kind(text)
@@ -70,16 +76,9 @@ def _cmd_mde_solve(args):
             raise DomainError(f"{name} must be finite, got {value}")
     if args.emin >= args.emax:
         raise DomainError(f"--emin {args.emin} must be below --emax {args.emax}")
-    if not 0.0 < args.damping <= 1.0:
-        raise DomainError(f"--damping must lie in (0, 1], got {args.damping}")
     grid = np.linspace(args.emin, args.emax, args.points)
     problem = load_problem_json(args.problem, args.eta, grid)
-    solution = solve_mde(
-        problem,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        damping=args.damping,
-    )
+    solution = solve_mde(problem, tol=args.tol, max_iter=args.max_iter)
     density = stieltjes_invert(solution, grid, args.eta)
     _write_csv(args.out, args.seed, ["E", "rho"], zip(density.grid, density.density))
     return 0
@@ -142,6 +141,7 @@ def _cmd_hessian(args):
 
 
 def _cmd_landscape(args):
+    _refuse_shared_output("--out", args.out, "--eigs-csv", args.eigs_csv)
     from .hessian import landscape_report
     from .net import LossL0, load_dataset_csv, network_from_chain_json
 
@@ -168,6 +168,7 @@ def _cmd_landscape(args):
 
 
 def _cmd_contract(args):
+    _refuse_shared_output("--out", args.out, "--csv", args.csv)
     from .infogeo import contraction_check
     from .poset import read_json
 
@@ -195,6 +196,7 @@ def _cmd_contract(args):
 
 
 def _cmd_decompose(args):
+    _refuse_shared_output("--out", args.out, "--csv", args.csv)
     from .infogeo import LayeredDiscreteModel, decompose_likelihood
     from .poset import kernel_from_entry, read_json
 
@@ -258,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--eta", type=_positive(float, "--eta"), default=1e-3)
     solve.add_argument("--tol", type=_positive(float, "--tol"), default=1e-10)
     solve.add_argument("--max-iter", type=_positive(int, "--max-iter"), default=10000)
-    solve.add_argument("--damping", type=float, default=0.5)
     solve.add_argument("--out", required=True)
     solve.set_defaults(func=_cmd_mde_solve)
 

@@ -18,14 +18,17 @@ flagged rather than silently differentiated.  The dense P x P matrix is
 refused with :class:`CapacityError` beyond ``errors.MAX_DENSE_ENTRIES``
 before anything is allocated.
 
-No per-sample block is formed.  Each sample keeps only its factors: the
-layer inputs t, the vectors u and the w x w path matrices P_pq.  Samples
-are stacked in chunks, and a chunk adds into each block (p, q) of the one
-P x P matrix with one GEMM, ``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``; the blocks
-are mirrored across the diagonal once, after the last chunk.  The chunk
-length is set so that a chunk's stacked factors fit in one block set.  The
-peak is therefore a few block sets however many samples there are, for
-every caller: the one P x P matrix, one chunk and one block's GEMM output.
+No per-sample block is formed, and no sample is evaluated or copied on
+its own.  The samples are taken in chunks of rows: one stacked forward
+and backward pass gives a chunk's layer inputs t and vectors u as rows,
+and one batched product its w x w path matrices P_pq.  A chunk adds into
+each block (p, q) of the one P x P matrix with one GEMM,
+``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``; the blocks are mirrored across the
+diagonal once, after the last chunk.  The chunk length is set so that
+two chunks' factors fit in one block set.  The peak is therefore a few
+block sets however many samples there are, for every caller: the one
+P x P matrix, the chunk in hand and the one before it, and one block's
+GEMM output.
 
 The same Kronecker structure confines each sample's Hessian to a
 subspace of dimension k << P: within group g its range lies in the span
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError, check_dense_budget
 from .net import Dataset, LossL0, NetworkParams, param_group_dims
-from .net import _backprop_deltas, _sample_terms
+from .net import _sample_terms
 from .poset import ActivationRule
 
 __all__ = [
@@ -108,17 +111,19 @@ def _checked_dims(params: NetworkParams) -> tuple[int, ...]:
 
 
 def _path_matrices(params: NetworkParams, states) -> dict:
-    """One sample's path matrices P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p).
+    """The rows' path matrices P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p).
 
-    P_pq is d_{q-1} x d_p for 1 <= p < q <= L, group L being the output
-    vector; P_{p,p+1} = dg(h'_p).
+    ``states`` hold the samples as rows; ``paths[(p, q)]`` stacks their
+    d_{q-1} x d_p matrices P_pq for 1 <= p < q <= L, group L being the
+    output vector, and P_{p,p+1} = dg(h'_p).
     """
     paths = {}
     for p in range(1, len(states) + 1):
-        path = np.diag(states[p - 1].h_prime)
+        h_prime = states[p - 1].h_prime
+        path = h_prime[:, :, None] * np.eye(h_prime.shape[1])
         paths[(p, p + 1)] = path
         for q in range(p + 2, len(states) + 2):
-            path = (states[q - 2].h_prime[:, None] * params.weights[q - 2].T) @ path
+            path = (states[q - 2].h_prime[:, :, None] * params.weights[q - 2].T) @ path
             paths[(p, q)] = path
     return paths
 
@@ -143,17 +148,18 @@ def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
 
 
 def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, out: np.ndarray):
-    """Yield ``(value, deriv, offset, states, deltas, paths)`` for each sample.
+    """Yield ``(rows, values, derivs, loss_args, states, deltas, paths)`` for each chunk.
 
-    ``deltas`` is the sample's one backward pass and ``paths`` its
-    :func:`_path_matrices`.  Block (p, q) of a sample's Hessian is
-    ``deriv * kron(u_q, kron(P_pq, t_{p-1}^T))``, with u_q = ``deltas[q-1]``
-    and u_L = 1; ``1/m`` of it is added into that block of ``out``, the
-    zeroed P x P matrix.  Samples with a nonzero ``deriv`` are stacked in
-    chunks whose factors, with the one pair's outer products
-    ``u_q ⊗ t_{p-1}`` formed at a time, fit in one block set; a chunk adds
-    into each block with one GEMM.  After the last sample the blocks are
-    mirrored into the upper triangle, and ``out`` holds the risk Hessian.
+    A chunk is the slice ``rows`` of the samples, evaluated at once by
+    :func:`net._sample_terms`, with its :func:`_path_matrices`; every
+    array holds the chunk's samples as rows.  Block (p, q) of a sample's
+    Hessian is ``deriv * kron(u_q, kron(P_pq, t_{p-1}^T))``, with
+    u_q = ``deltas[q-1]`` and u_L = 1; ``1/m`` of it is added into that
+    block of ``out``, the zeroed P x P matrix.  A chunk's factors, with
+    the one pair's outer products ``u_q ⊗ t_{p-1}`` formed at a time, fit
+    in half a block set; its samples with a nonzero ``deriv`` add into
+    each block with one GEMM.  After the last chunk the blocks are mirrored
+    into the upper triangle, and ``out`` holds the risk Hessian.
     """
     widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     groups = len(widths)
@@ -167,45 +173,33 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, out: 
         return widths[q] if q < groups else 1
 
     block_set = sum(out_width(q) * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
-    # a sample's t's, u's and P's, and its row of the largest u ⊗ t formed
-    factors = sum(widths[:-1]) + sum(widths[1:-1])
-    factors += sum(widths[q - 1] * widths[p] for p, q in pairs)
+    # a sample's layer states, deltas and P's, and its row of the largest u ⊗ t formed
+    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
     largest_outer = max((out_width(q) * widths[p - 1] for p, q in pairs), default=0)
-    chunk = max(1, min(len(dataset), block_set // max(factors + largest_outer, 1)))
-    t_stack = {p: np.empty((chunk, widths[p - 1])) for p in range(1, groups)}
-    u_stack = {q: np.empty((chunk, widths[q])) for q in range(2, groups)}
-    p_stack = {(p, q): np.empty((chunk, widths[q - 1], widths[p])) for p, q in pairs}
-
-    def flush(rows):
-        for p, q in pairs:
-            u = u_stack[q][:rows] if q in u_stack else None
-            _add_chunk(targets[(p, q)], u, t_stack[p][:rows], p_stack[(p, q)][:rows])
-
-    rows = 0
-    for value, deriv, offset, states in _sample_terms(params, kind, dataset):
-        deltas = _backprop_deltas(params, states)
+    m = len(dataset)
+    # the caller still holds one chunk while the next is formed: two fit in a block set
+    chunk = max(1, min(m, block_set // max(2 * (factors + largest_outer), 1)))
+    # at least one chunk, so that _sample_terms refuses an empty dataset
+    for start in range(0, max(m, 1), chunk):
+        rows = slice(start, min(start + chunk, m))
+        values, derivs, loss_args, states, deltas = _sample_terms(params, kind, dataset, rows)
         paths = _path_matrices(params, states)
-        if deriv != 0.0:
-            if rows == chunk:
-                flush(rows)
-                rows = 0
-            for p in t_stack:
-                t_stack[p][rows] = states[p - 1].t_in * (deriv / len(dataset))
-            for q in u_stack:
-                u_stack[q][rows] = deltas[q - 1]
-            for pq, path in paths.items():
-                p_stack[pq][rows] = path
-            rows += 1
-        yield value, deriv, offset, states, deltas, paths
-    if rows:
-        flush(rows)
+        kept = derivs != 0.0
+        if np.any(kept):
+            scale = (derivs[kept] / m)[:, None]
+            for p, q in pairs:
+                u = deltas[q - 1][kept] if q < groups else None
+                _add_chunk(targets[(p, q)], u, states[p - 1].t_in[kept] * scale,
+                           paths[(p, q)][kept])
+        yield rows, values, derivs, loss_args, states, deltas, paths
     for (p, q), block in targets.items():
         out[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
 
 
-def _sample_core(params: NetworkParams, states, deltas, paths) -> np.ndarray:
-    """The k x k core Q^T H Q of one sample's geometry H, from its factors.
+def _sample_core(params: NetworkParams, states, deltas, paths, i: int) -> np.ndarray:
+    """The k x k core Q^T H Q of row ``i``'s geometry H, from its factors.
 
+    ``states``, ``deltas`` and ``paths`` hold a chunk of samples as rows.
     Q = blockdiag(Q_1, ..., Q_L) with Q_g = [I ⊗ t̂_{g-1}, û_g ⊗ N] for
     g < L, N an orthonormal basis of t̂_{g-1}'s complement, and Q_L = I.
     The û piece exists for g > 1 only, and a piece whose vector is zero
@@ -220,15 +214,16 @@ def _sample_core(params: NetworkParams, states, deltas, paths) -> np.ndarray:
     pieces = []  # per group g < L: None, or (|t_{g-1}|, t̂_{g-1}, |u_g| N or None)
     sizes = []
     for g, state in enumerate(states, start=1):
-        t_norm = np.linalg.norm(state.t_in)
+        t_in = state.t_in[i]
+        t_norm = np.linalg.norm(t_in)
         if t_norm == 0.0:
             pieces.append(None)
             sizes.append(0)
             continue
-        t_hat = state.t_in / t_norm
+        t_hat = t_in / t_norm
         scaled_complement = None
-        size = state.h_hat.size
-        u_norm = np.linalg.norm(deltas[g - 1])
+        size = state.h_hat.shape[1]
+        u_norm = np.linalg.norm(deltas[g - 1][i])
         if g > 1 and u_norm > 0.0:
             complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
             scaled_complement = u_norm * complement
@@ -238,14 +233,15 @@ def _sample_core(params: NetworkParams, states, deltas, paths) -> np.ndarray:
     sizes.append(params.alpha.size)
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     core = np.zeros((offsets[-1], offsets[-1]))
-    for (p, q), path in paths.items():
+    for (p, q), stacked in paths.items():
         if pieces[p - 1] is None or (q <= len(states) and pieces[q - 1] is None):
             continue  # no columns in group p, or (t_{q-1} = 0) P_pq = 0
+        path = stacked[i]
         if q > len(states):
             rows = path
         else:
             _, t_hat, scaled_complement = pieces[q - 1]
-            rows = np.outer(deltas[q - 1], t_hat @ path)
+            rows = np.outer(deltas[q - 1][i], t_hat @ path)
             if scaled_complement is not None:
                 rows = np.vstack([rows, scaled_complement.T @ path])
         block = pieces[p - 1][0] * rows
@@ -321,18 +317,20 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     m = len(dataset)
     losses = np.empty(m)
     abs_derivs = np.empty(m)
+    kinks = np.empty(m, dtype=bool)
     norms = np.empty(m)
     ranks = np.empty(m, dtype=int)
-    kinks = []
-    samples = _summed_factors(params, kind, dataset, full)
-    for i, (value, deriv, offset, states, deltas, paths) in enumerate(samples):
-        losses[i] = value
-        abs_derivs[i] = abs(deriv)
-        if abs(offset) < KINK_TOL or any(np.any(np.abs(s.h_hat) < KINK_TOL) for s in states):
-            kinks.append(i)
-        core = _sample_core(params, states, deltas, paths)
-        ranks[i] = core.shape[0]
-        norms[i] = np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))
+    chunks = _summed_factors(params, kind, dataset, full)
+    for rows, values, derivs, loss_args, states, deltas, paths in chunks:
+        losses[rows] = values
+        abs_derivs[rows] = np.abs(derivs)
+        kinks[rows] = np.abs(loss_args) < KINK_TOL
+        for state in states:
+            kinks[rows] |= np.any(np.abs(state.h_hat) < KINK_TOL, axis=1)
+        for row, i in enumerate(range(rows.start, rows.stop)):
+            core = _sample_core(params, states, deltas, paths, row)
+            ranks[i] = core.shape[0]
+            norms[i] = np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))
     eigs = np.sort(_eigvalsh(full, "the risk Hessian"))
     op_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     top = int(np.argmax(norms))
@@ -343,7 +341,7 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
         op_norm=op_norm,
         eigs=eigs,
         neg_fraction=negative_fraction(eigs, 1e-8 * op_norm if op_norm > 0 else np.inf),
-        kink_samples=tuple(kinks),
+        kink_samples=tuple(int(i) for i in np.flatnonzero(kinks)),
         lambda0_sample=top,
         sample_ranks=tuple(int(k) for k in ranks),
     )

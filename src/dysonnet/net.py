@@ -7,6 +7,12 @@ and the score is the inner product of the top activation with the output
 vector ``a``.  Losses are restricted to the nonnegative convex piecewise
 linear class with zero infimum (hinge and absolute), whose second
 derivative vanishes almost everywhere.
+
+The samples are evaluated as rows: the forward pass, the loss and the
+backward pass each take a stack of inputs, scores or layer states and
+act on every row at once, with no loop over the samples.  The risk and
+its gradient make one such pass over the whole dataset, and the Hessian
+one per chunk of rows.
 """
 
 from __future__ import annotations
@@ -106,23 +112,29 @@ class Dataset:
 def forward(params: NetworkParams, x: np.ndarray):
     """Evaluate the score and record every layer state.
 
-    Returns ``(score, states)`` where ``states[i]`` holds the layer input,
-    preactivation, estimated output and estimation-map derivatives needed
-    for gradient and second-order assembly.
+    ``x`` is one input of shape ``(d,)`` or a stack of inputs as rows,
+    shape ``(m, d)``.  Returns ``(score, states)`` where ``states[i]``
+    holds the layer input, preactivation, estimated output and
+    estimation-map derivatives needed for gradient and second-order
+    assembly; for a stack the score and every state field carry the rows
+    on a leading axis.  Each row is evaluated with the matrix-vector
+    products a lone input gets, so a row's results equal that input's bit
+    for bit.
     """
     t = np.asarray(x, dtype=float)
-    if t.shape != (params.input_dim,):
-        raise ShapeError(f"input has shape {t.shape}, network expects ({params.input_dim},)")
+    if t.ndim not in (1, 2) or t.shape[-1] != params.input_dim:
+        raise ShapeError(f"input has shape {t.shape}, network expects (..., {params.input_dim})")
     states: list[LayerState] = []
     for w in params.weights:
-        h_hat = w.T @ t
+        h_hat = (w.T @ t[..., None])[..., 0]
         h_tilde, h_prime = estimate_indicator(params.rule, h_hat)
         states.append(LayerState(t, h_hat, h_tilde, h_prime))
         t = h_tilde
-    return float(t @ params.alpha), states
+    score = (t[..., None, :] @ params.alpha[:, None])[..., 0, 0]
+    return (float(score) if score.ndim == 0 else score), states
 
 
-def _loss_argument(kind: LossL0, score: float, y: float):
+def _loss_argument(kind: LossL0, score, y):
     """Hinge margin ``1 - y * score`` or residual ``score - y``; the loss kinks at 0."""
     if kind is LossL0.HINGE:
         return 1.0 - y * score
@@ -131,42 +143,51 @@ def _loss_argument(kind: LossL0, score: float, y: float):
     raise DomainError(f"unknown loss {kind!r}")
 
 
-def loss(kind: LossL0, score: float, y: float):
-    """Loss value and its derivative in the score; subgradient 0 at kinks."""
-    if y not in (-1.0, 1.0, -1, 1):
-        raise DomainError(f"label must be -1 or +1, got {y}")
-    arg = _loss_argument(kind, score, y)
+def loss(kind: LossL0, score, y):
+    """Loss value and its derivative in the score; subgradient 0 at kinks.
+
+    Elementwise over stacked scores and labels; a scalar score gives scalars.
+    """
+    labels = np.asarray(y, dtype=float)
+    bad = ~np.isin(labels, (-1.0, 1.0))
+    if np.any(bad):
+        raise DomainError(f"label must be -1 or +1, got {labels[bad].flat[0]}")
+    arg = _loss_argument(kind, np.asarray(score, dtype=float), labels)
     if kind is LossL0.HINGE:
-        return (arg, -float(y)) if arg > 0.0 else (0.0, 0.0)
-    return (abs(arg), float(np.sign(arg))) if arg != 0.0 else (0.0, 0.0)
+        active = arg > 0.0
+        return np.where(active, arg, 0.0)[()], np.where(active, -labels, 0.0)[()]
+    return np.abs(arg)[()], np.sign(arg)[()]
 
 
-def _sample_terms(params: NetworkParams, kind: LossL0, dataset: Dataset):
-    """Yield each sample's loss, its score derivative, loss argument and layer states.
+def _sample_terms(params: NetworkParams, kind: LossL0, dataset: Dataset, rows=slice(None)):
+    """Losses, score derivatives, loss arguments, layer states and deltas of ``rows``.
 
-    The one place the risk, its gradient and its Hessian evaluate samples.
+    Every result holds the samples of the slice ``rows`` (all of them by
+    default) as rows.  The one place the risk, its gradient and its
+    Hessian evaluate samples.
     """
     if len(dataset) == 0:
         raise DomainError("dataset is empty")
-    for xi, yi in zip(dataset.x, dataset.y):
-        score, states = forward(params, xi)
-        value, deriv = loss(kind, score, yi)
-        yield value, deriv, _loss_argument(kind, score, yi), states
+    scores, states = forward(params, dataset.x[rows])
+    y = dataset.y[rows]
+    values, derivs = loss(kind, scores, y)
+    loss_args = _loss_argument(kind, scores, y)
+    return values, derivs, loss_args, states, _backprop_deltas(params, states)
 
 
 def empirical_risk(params: NetworkParams, kind: LossL0, dataset: Dataset) -> float:
     """Mean loss over the dataset."""
-    values = np.array([value for value, *_ in _sample_terms(params, kind, dataset)])
+    values = _sample_terms(params, kind, dataset)[0]
     return float(np.sum(values) / len(dataset))
 
 
 def _backprop_deltas(params: NetworkParams, states: list[LayerState]) -> list[np.ndarray]:
-    """Score derivatives with respect to each layer's preactivation."""
+    """Score derivatives with respect to each layer's preactivation, for one sample or rows."""
     deltas = [np.empty(0)] * len(params.weights)
     upstream = params.alpha
     for i in range(len(params.weights) - 1, -1, -1):
         deltas[i] = states[i].h_prime * upstream
-        upstream = params.weights[i] @ deltas[i]
+        upstream = (params.weights[i] @ deltas[i][..., None])[..., 0]
     return deltas
 
 
@@ -174,21 +195,17 @@ def risk_gradient(params: NetworkParams, kind: LossL0, dataset: Dataset) -> np.n
     """Analytic gradient of the empirical risk over all parameters.
 
     The layout is column-major vectorization of each weight matrix in layer
-    order, followed by the output vector.
+    order, followed by the output vector.  Group g's part is the one
+    product ``(deriv * T_g)^T Δ_g`` of the stacked layer inputs and deltas.
     """
-    total = np.zeros(sum(param_group_dims(params)))
-    for row, (_, deriv, _, states) in enumerate(_sample_terms(params, kind, dataset)):
-        if deriv == 0.0:
-            continue
-        deltas = _backprop_deltas(params, states)
-        pieces = [
-            (deriv * np.outer(states[i].t_in, deltas[i])).ravel(order="F")
-            for i in range(len(params.weights))
-        ]
-        top = states[-1].h_tilde if params.weights else dataset.x[row]
-        pieces.append(deriv * top)
-        total += np.concatenate(pieces)
-    return total / len(dataset)
+    _, derivs, _, states, deltas = _sample_terms(params, kind, dataset)
+    pieces = [
+        ((derivs[:, None] * state.t_in).T @ delta).ravel(order="F")
+        for state, delta in zip(states, deltas)
+    ]
+    top = states[-1].h_tilde if params.weights else dataset.x
+    pieces.append(derivs @ top)
+    return np.concatenate(pieces) / len(dataset)
 
 
 def param_group_dims(params: NetworkParams) -> tuple[int, ...]:

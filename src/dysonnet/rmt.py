@@ -78,6 +78,7 @@ CUMULANT_MU = 0.1  # cumulant_diagnostics keeps floor(N**(1/2 - mu)) partners
 MAX_CUMULANT_ENTRIES = 4096  # largest N*N for the N^2 x N^2 cumulant matrix
 NORM_TOL = 1e-10  # relative settling tolerance of the self-energy power iteration
 NORM_MAX_ITER = 1000
+DAMPING = 0.5  # base step of the damped fixed point
 
 
 def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -> np.ndarray:
@@ -449,7 +450,7 @@ class _EigenSteps:
         return m.sum()
 
 
-def _iterate(steps, z, m0, tol, max_iter, damping):
+def _iterate(steps, z, m0, tol, max_iter):
     """Damped fixed point at one spectral parameter.
 
     The step size is halved whenever the residual grows and recovers
@@ -459,7 +460,7 @@ def _iterate(steps, z, m0, tol, max_iter, damping):
     """
     shift = steps.shift(z)
     m = m0
-    gamma = damping
+    gamma = DAMPING
     res_prev = np.inf
     for count in range(1, max_iter + 1):
         res, k = steps.residual(shift, m)
@@ -469,7 +470,7 @@ def _iterate(steps, z, m0, tol, max_iter, damping):
         if res > 1.05 * res_prev:
             gamma = max(gamma / 2.0, 1.0 / 64.0)
         else:
-            gamma = min(gamma * 2.0 ** 0.25, damping)
+            gamma = min(gamma * 2.0 ** 0.25, DAMPING)
         target = steps.target(k)
         if target is None:
             return m, res, False, count
@@ -488,7 +489,7 @@ def _ladder_levels(eta_target):
     return levels + [eta_target]
 
 
-def _solve_point(steps, z, prev, tol, max_iter, damping):
+def _solve_point(steps, z, prev, tol, max_iter):
     """Warm start from ``prev``, else the continuation ladder in ``Im z``.
 
     Returns ``(m, residual, iterations, ladder levels)`` and raises
@@ -497,14 +498,14 @@ def _solve_point(steps, z, prev, tol, max_iter, damping):
     """
     m, res, ok, iterations = None, np.inf, False, 0
     if prev is not None:
-        m, res, ok, iterations = _iterate(steps, z, prev, tol, max_iter, damping)
+        m, res, ok, iterations = _iterate(steps, z, prev, tol, max_iter)
     levels = 0
     if not ok:
         for levels, eta in enumerate(_ladder_levels(z.imag), start=1):
             z_level = z.real + 1j * eta
             if levels == 1:
                 m = steps.target(steps.shift(z_level))
-            m, res, ok, count = _iterate(steps, z_level, m, tol, max_iter, damping)
+            m, res, ok, count = _iterate(steps, z_level, m, tol, max_iter)
             iterations += count
             if not ok:
                 raise ConvergenceError(
@@ -519,12 +520,7 @@ def _solve_point(steps, z, prev, tol, max_iter, damping):
     return m, res, iterations, levels
 
 
-def solve_mde(
-    problem: MDEProblem,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    damping: float = 0.5,
-) -> MDESolution:
+def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) -> MDESolution:
     """Solve the Dyson equation at every grid point.
 
     Each point is first attempted warm-started from the previous point's
@@ -537,7 +533,14 @@ def solve_mde(
     A self-energy with an ``apply_eigen`` method is solved on the
     eigenvalues of ``M`` in A's eigenbasis (one ``eigh`` of A, then
     length-n steps); any other keeps full n x n matrices.
+
+    ``tol`` must be finite and positive and ``max_iter`` at least 1;
+    otherwise :class:`DomainError` is raised before any work.
     """
+    if not 0.0 < tol < np.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     apply_eigen = getattr(problem.self_energy, "apply_eigen", None)
     count = len(problem.z_grid)
     if apply_eigen is None:
@@ -562,8 +565,7 @@ def solve_mde(
     prev = None
     for idx, z in enumerate(problem.z_grid):
         m, residuals[idx], iterations[idx], ladder_levels[idx] = _solve_point(
-            steps, z, prev, tol, max_iter, damping
-        )
+            steps, z, prev, tol, max_iter)
         values[idx] = m
         stieltjes[idx] = steps.trace(m) / problem.n
         prev = m

@@ -150,6 +150,24 @@ class TestExitCodes:
         assert rc == 3
         assert "residual" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, other",
+        [
+            (["landscape", "--network", "net.json", "--data", "data.csv"], "--eigs-csv"),
+            (["contract", "--model", "contract.json"], "--csv"),
+            (["decompose", "--model", "model.json"], "--csv"),
+        ],
+        ids=["landscape", "contract", "decompose"],
+    )
+    def test_two_outputs_on_one_path_refused(self, workdir, capsys, command, other):
+        # the second write would replace the first; refused before any output
+        inputs = [workdir / a if a.endswith((".json", ".csv")) else a for a in command]
+        out = workdir / "same.out"
+        rc = run_cli(*inputs, "--out", out, other, workdir / "." / "same.out")
+        assert rc == 2
+        assert f"--out and {other} name the same file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_model_document(self, workdir, capsys):
         (workdir / "bad.json").write_text(json.dumps({"p": [0.5, 0.5]}))
         rc = run_cli("contract", "--model", workdir / "bad.json",

@@ -27,7 +27,6 @@ from dysonnet.net import (
     Dataset,
     LossL0,
     NetworkParams,
-    _backprop_deltas,
     _sample_terms,
     empirical_risk,
     flatten_params,
@@ -57,12 +56,28 @@ def _mirrored(dims, blocks: dict) -> np.ndarray:
     return full
 
 
+def _deltas(params: NetworkParams, states) -> list[np.ndarray]:
+    """One sample's u_g = dg(h'_g) W_{g+1} dg(h'_{g+1}) ... W_{L-1} dg(h'_{L-1}) a.
+
+    Each u_g is its own product of dense matrices, left to right, rather
+    than the backward recursion of :func:`net._backprop_deltas`.
+    """
+    n_layers = len(params.weights)
+    deltas = []
+    for g in range(n_layers):
+        chain = np.diag(states[g].h_prime)
+        for j in range(g + 1, n_layers):
+            chain = chain @ params.weights[j] @ np.diag(states[j].h_prime)
+        deltas.append(chain @ params.alpha)
+    return deltas
+
+
 def _geometry_blocks(params: NetworkParams, states, deltas) -> dict:
     """Per-sample blocks without the loss-derivative factor.
 
     Group indices are 1-based; group L is the output vector.  For p < q < L
     the block is kron(u_q, kron(P_pq, t_{p-1}^T)) with u_q = ``deltas[q-1]``
-    from :func:`net._backprop_deltas` and
+    from :func:`_deltas` and
     P_pq = dg(h'_{q-1}) W_{q-1}^T ... W_{p+1}^T dg(h'_p); for q = L the u
     factor is the empty product.
     """
@@ -124,15 +139,21 @@ def _range_core(params: NetworkParams, states, deltas, geometry: dict) -> np.nda
 
 
 def _summed_geometry(params: NetworkParams, kind: LossL0, dataset: Dataset) -> dict:
-    """Mean over the samples of ``deriv`` times each sample's dense blocks."""
+    """Mean over the samples of ``deriv`` times each sample's dense blocks.
+
+    Each sample is evaluated on its own, with :func:`forward` and
+    :func:`loss`, not through the stacked pass under test.
+    """
     dims = param_group_dims(params)
     total = {
         (p, q): np.zeros((dims[q - 1], dims[p - 1]))
         for p in range(1, len(dims))
         for q in range(p + 1, len(dims) + 1)
     }
-    for _, deriv, _, states in _sample_terms(params, kind, dataset):
-        geometry = _geometry_blocks(params, states, _backprop_deltas(params, states))
+    for x, y in zip(dataset.x, dataset.y):
+        score, states = forward(params, x)
+        deriv = loss(kind, score, y)[1]
+        geometry = _geometry_blocks(params, states, _deltas(params, states))
         for k, block in geometry.items():
             total[k] += deriv * block
     return {k: v / len(dataset) for k, v in total.items()}
@@ -321,7 +342,7 @@ class TestRiskHessian:
             risk_hessian(params, LossL0.HINGE, Dataset(np.empty((0, 1)), np.empty(0)))
 
     def test_peak_memory_does_not_grow_with_samples(self):
-        # blocks are summed sample by sample: the peak is a few block sets,
+        # blocks are summed chunk by chunk: the peak is a few block sets,
         # not one set per sample
         rng = np.random.default_rng(20)
         w = 10
@@ -525,7 +546,7 @@ def dense_sample_norms(params, dataset):
     norms = []
     for x in dataset.x:
         states = forward(params, x)[1]
-        geometry = _geometry_blocks(params, states, _backprop_deltas(params, states))
+        geometry = _geometry_blocks(params, states, _deltas(params, states))
         norms.append(float(np.max(np.abs(np.linalg.eigvalsh(_mirrored(dims, geometry))))))
     return norms
 
@@ -642,12 +663,15 @@ class TestLambda0:
     def test_property_core_matches_projected_oracle(self, case):
         # the closed-form core equals the oracle's projection of the dense
         # per-sample blocks onto the same basis
-        params, _, dataset = case
-        for x in dataset.x:
-            states = forward(params, x)[1]
-            deltas = _backprop_deltas(params, states)
-            core = _sample_core(params, states, deltas, _path_matrices(params, states))
-            want = _range_core(params, states, deltas, _geometry_blocks(params, states, deltas))
+        params, kind, dataset = case
+        _, _, _, states, deltas = _sample_terms(params, kind, dataset)
+        paths = _path_matrices(params, states)
+        for i, x in enumerate(dataset.x):
+            core = _sample_core(params, states, deltas, paths, i)
+            alone = forward(params, x)[1]
+            alone_deltas = _deltas(params, alone)
+            want = _range_core(params, alone, alone_deltas,
+                               _geometry_blocks(params, alone, alone_deltas))
             assert core.shape == want.shape
             scale = max(1.0, float(np.abs(want).max(initial=0.0)))
             assert np.abs(core - want).max(initial=0.0) <= 1e-13 * scale

@@ -1,15 +1,19 @@
 """Forward evaluation, loss class properties, risk and analytic gradients."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dysonnet.errors import DomainError, ShapeError
 from dysonnet.net import (
     Dataset,
     LossL0,
     NetworkParams,
+    _backprop_deltas,
     empirical_risk,
     flatten_params,
     forward,
@@ -22,7 +26,7 @@ from dysonnet.net import (
     save_dataset_csv,
     unflatten_params,
 )
-from dysonnet.poset import ActivationRule, estimate_indicator
+from dysonnet.poset import ActivationRule, LayerState, estimate_indicator
 
 
 def random_net(rng, rule=ActivationRule.ARGMAX_MASK_01, max_width=6, max_depth=4):
@@ -159,6 +163,18 @@ class TestGradient:
         grad = risk_gradient(params, LossL0.HINGE, dataset)
         assert grad == pytest.approx([-x * a, -x * w], abs=1e-15)
 
+    @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
+    def test_zero_loss_samples_add_nothing(self, kind):
+        # scores 1, 2 and 0.5 with y = 1: sample 0 has zero loss under both
+        # losses, sample 1 under the hinge
+        params = NetworkParams((np.array([[1.0, -1.0]]), np.eye(2)), np.array([1.0, 0.5]))
+        xs = np.array([[1.0], [2.0], [0.5]])
+        lossy = [2] if kind is LossL0.HINGE else [1, 2]
+        grad = risk_gradient(params, kind, Dataset(xs, np.ones(3)))
+        part = risk_gradient(params, kind, Dataset(xs[lossy], np.ones(len(lossy))))
+        assert np.abs(grad - part * len(lossy) / 3).max() <= 1e-15
+        assert np.abs(part).max() > 0.0
+
     @pytest.mark.parametrize("rule", [ActivationRule.ARGMAX_MASK_01,
                                       ActivationRule.EXPECTATION_MASK_01,
                                       ActivationRule.PARTIAL_EXPECTATION_01,
@@ -188,6 +204,74 @@ class TestGradient:
             ])
             scale = max(np.abs(fd).max(), 1e-12)
             assert np.abs(grad - fd).max() / scale <= 1e-5
+
+
+def _drawn_net(rng, rule, n_layers):
+    """A net of ``n_layers`` weight matrices (0: alpha alone) of widths 1-5."""
+    widths = rng.integers(1, 6, size=n_layers + 1)
+    weights = tuple(rng.standard_normal((widths[i], widths[i + 1])) for i in range(n_layers))
+    return NetworkParams(weights, rng.standard_normal(widths[-1]), rule)
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    rule=st.sampled_from(list(ActivationRule)),
+    n_layers=st.integers(0, 3),
+    m=st.integers(1, 7),
+)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_stacked_forward_and_deltas_equal_rows_bit_for_bit(seed, rule, n_layers, m):
+    rng = np.random.default_rng(seed)
+    params = _drawn_net(rng, rule, n_layers)
+    xs = rng.standard_normal((m, params.input_dim))
+    scores, states = forward(params, xs)
+    deltas = _backprop_deltas(params, states)
+    assert scores.shape == (m,)
+    for i, x in enumerate(xs):
+        score, alone = forward(params, x)
+        assert scores[i].tobytes() == np.float64(score).tobytes()
+        for stacked, single in zip(states, alone, strict=True):
+            for field in fields(LayerState):
+                got, want = getattr(stacked, field.name)[i], getattr(single, field.name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in zip(deltas, _backprop_deltas(params, alone), strict=True):
+            assert got[i].shape == want.shape and got[i].tobytes() == want.tobytes()
+
+
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(list(LossL0)),
+    n_layers=st.integers(0, 3),
+    m=st.integers(1, 7),
+    exact=st.booleans(),
+)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_gradient_matches_per_sample_sum(seed, kind, n_layers, m, exact):
+    # small-integer nets and inputs have exact scores, so labels taken from
+    # them give samples of zero loss under either loss
+    rng = np.random.default_rng(seed)
+    params = _drawn_net(rng, ActivationRule.ARGMAX_MASK_01, n_layers)
+    xs = rng.standard_normal((m, params.input_dim))
+    ys = rng.choice([-1.0, 1.0], size=m)
+    if exact:
+        params = NetworkParams(tuple(np.round(w) for w in params.weights), np.round(params.alpha))
+        xs = np.round(xs)
+        scores = np.array([forward(params, x)[0] for x in xs])
+        hit = np.abs(scores) == 1.0 if kind is LossL0.ABSOLUTE else np.abs(scores) >= 1.0
+        ys = np.where(hit, np.sign(scores), ys)
+    want = np.zeros(sum(param_group_dims(params)))
+    for x, y in zip(xs, ys):
+        score, states = forward(params, x)
+        deriv = loss(kind, score, y)[1]
+        pieces = [
+            np.outer(state.t_in, delta).ravel(order="F")
+            for state, delta in zip(states, _backprop_deltas(params, states))
+        ]
+        pieces.append(states[-1].h_tilde if states else x)
+        want += deriv * np.concatenate(pieces)
+    want /= m
+    grad = risk_gradient(params, kind, Dataset(xs, ys))
+    assert np.abs(grad - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _clear_of_kinks(params, dataset, clearance=1e-3):

@@ -309,6 +309,20 @@ class TestSolveMDE:
             solve_mde(problem, max_iter=3)
         assert info.value.residual is not None
 
+    @pytest.mark.parametrize("flags", [
+        {"tol": 0.0}, {"tol": -1e-10}, {"tol": np.nan}, {"tol": np.inf}, {"max_iter": 0},
+    ])
+    def test_bad_tolerance_or_budget_refused_before_eigh(self, flags, monkeypatch):
+        # refused at the boundary: with tol=0 the solver would run every
+        # step and end in ConvergenceError, as no residual reaches 0
+        def no_eigh(matrix):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        problem = MDEProblem(np.zeros((4, 4)), IsotropicSelfEnergy(1.0), np.array([1j]))
+        with pytest.raises(DomainError, match=next(iter(flags))):
+            solve_mde(problem, **flags)
+
     def test_missing_grid_point_lookup(self):
         problem = MDEProblem(np.zeros((2, 2)), ZeroSelfEnergy(), np.array([1j]))
         solution = solve_mde(problem)
