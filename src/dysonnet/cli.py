@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, DysonnetError, NumericError, check_dense_budget
+from .errors import DomainError, DysonnetError, NumericError, check_dense_budget, read_json
 
 
 def _write_csv(path, seed, header, rows):
@@ -170,7 +170,6 @@ def _cmd_landscape(args):
 def _cmd_contract(args):
     _refuse_shared_output("--out", args.out, "--csv", args.csv)
     from .infogeo import contraction_check
-    from .poset import read_json
 
     doc = read_json(args.model)
     try:
@@ -198,7 +197,7 @@ def _cmd_contract(args):
 def _cmd_decompose(args):
     _refuse_shared_output("--out", args.out, "--csv", args.csv)
     from .infogeo import LayeredDiscreteModel, decompose_likelihood
-    from .poset import kernel_from_entry, read_json
+    from .poset import kernel_from_entry
 
     doc = read_json(args.model)
     try:

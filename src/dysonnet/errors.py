@@ -6,9 +6,12 @@ incompatible array dimensions (:class:`ShapeError`), exceeded enumeration
 budgets (:class:`CapacityError`), and numerical failures
 (:class:`NumericError` and its convergence/stability refinements).
 
-It also holds the one dense budget, ``MAX_DENSE_ENTRIES``, that the CLI,
-the MDE solver and the Hessian apply before they allocate a dense array.
+It also holds what every subcommand shares: the one dense budget,
+``MAX_DENSE_ENTRIES``, that the CLI, the MDE solver and the Hessian apply
+before they allocate a dense array, and the JSON document reader.
 """
+
+import json
 
 
 class DysonnetError(Exception):
@@ -59,3 +62,13 @@ def check_dense_budget(entries: int, what: str) -> None:
             f"{what} needs {entries} entries ({8 * entries} bytes),"
             f" over the budget of {MAX_DENSE_ENTRIES} entries"
         )
+
+
+def read_json(source):
+    """Parse a JSON document given as a path, an open file or an already-parsed dict."""
+    if isinstance(source, dict):
+        return source
+    if hasattr(source, "read"):
+        return json.load(source)
+    with open(source, "r", encoding="utf-8") as handle:
+        return json.load(handle)

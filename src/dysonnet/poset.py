@@ -11,14 +11,13 @@ multilayer perceptron.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, read_json
 
 __all__ = [
     "ActivationRule",
@@ -33,7 +32,6 @@ __all__ = [
     "evaluate_plan",
     "kernel_from_entry",
     "load_network_json",
-    "read_json",
     "successor",
     "predecessor",
 ]
@@ -365,16 +363,6 @@ def evaluate_plan(plan: NetworkPlan, x: np.ndarray):
 
 
 _RULE_NAMES = {rule.value: rule for rule in ActivationRule}
-
-
-def read_json(source):
-    """Parse a JSON document given as a path, an open file or an already-parsed dict."""
-    if isinstance(source, dict):
-        return source
-    if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, "r", encoding="utf-8") as handle:
-        return json.load(handle)
 
 
 def kernel_from_entry(entry, where: str) -> KernelSpec:

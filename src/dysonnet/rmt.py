@@ -8,18 +8,23 @@ the random matrix; the normalized trace is the Stieltjes transform of the
 limiting spectral density, recovered on a real grid by inversion at a
 small imaginary offset.
 
-The solver is a damped fixed-point iteration ``M <- (1-g) M - g (z - A +
-S[M])^{-1}`` with geometric continuation in the imaginary part: each grid
-point is solved either warm-started from its neighbor or, failing that,
-by a ladder of decreasing offsets starting at ``Im z = 1``.
+The globally convergent solver is a damped fixed-point iteration
+``M <- (1-g) M - g (z - A + S[M])^{-1}`` with geometric continuation in
+the imaginary part: each grid point is solved either warm-started from
+its neighbor or, failing that, by a ladder of decreasing offsets
+starting at ``Im z = 1``.
 
 The isotropic, Wigner and zero self-energies map functions of ``A`` to
-functions of ``A`` and declare it with ``apply_eigen``.  For them the
-solution is ``M = U diag(m) U^T`` with ``A = U diag(lambda) U^T``, and
-the same iteration runs on the length-n vector ``m`` (the vector Dyson
-equation) after one ``eigh`` of ``A``.  The empirical self-energy keeps
-full n x n matrices.  ``MDESolution.m`` builds the matrices on first
-access only.
+functions of ``A``, acting there as ``S m = (a sum(m) + b m) / n``, and
+declare the pair ``(a, b)`` as ``eigen_weights``.  For them the solution
+is ``M = U diag(m) U^T`` with ``A = U diag(lambda) U^T``, and after one
+``eigh`` of ``A`` the solver works on the length-n vector ``m`` (the
+vector Dyson equation).  There each step first tries a Newton step,
+whose diagonal-plus-rank-one Jacobian Sherman-Morrison solves in O(n),
+and falls back to the damped step when the trial does not lower the
+residual or keep ``Im m`` positive.  The empirical self-energy keeps full
+n x n matrices and the damped iteration.  ``MDESolution.m`` builds the
+matrices on first access only.
 """
 
 from __future__ import annotations
@@ -38,8 +43,8 @@ from .errors import (
     ShapeError,
     StabilityError,
     check_dense_budget,
+    read_json,
 )
-from .poset import read_json
 
 __all__ = [
     "CumulantReport",
@@ -151,9 +156,10 @@ class IsotropicSelfEnergy:
         n = r.shape[0]
         return self.c * (np.trace(r) / n) * np.eye(n, dtype=r.dtype)
 
-    def apply_eigen(self, values: np.ndarray) -> np.ndarray:
-        """Diagonal of ``S[U diag(values) U^T]`` in the basis ``U``."""
-        return np.full_like(values, self.c * values.sum() / values.size)
+    @property
+    def eigen_weights(self) -> tuple[float, float]:
+        """``(a, b)`` with ``S v = (a sum(v) + b v) / n`` in A's eigenbasis."""
+        return self.c, 0.0
 
 
 @dataclass(frozen=True)
@@ -173,13 +179,14 @@ class WignerSelfEnergy:
         n = r.shape[0]
         return (self.sigma2 / n) * (np.trace(r) * np.eye(n, dtype=r.dtype) + r.T)
 
-    def apply_eigen(self, values: np.ndarray) -> np.ndarray:
-        """Diagonal of ``S[U diag(values) U^T]`` in the basis ``U``.
+    @property
+    def eigen_weights(self) -> tuple[float, float]:
+        """``(a, b)`` with ``S v = (a sum(v) + b v) / n`` in A's eigenbasis.
 
-        ``U diag(values) U^T`` is complex symmetric for real orthogonal
-        ``U``, so ``R^T = R`` and the transpose term is ``values`` itself.
+        ``U diag(v) U^T`` is complex symmetric for real orthogonal ``U``,
+        so ``R^T = R`` and the transpose term is ``v`` itself.
         """
-        return (self.sigma2 / values.size) * (values.sum() + values)
+        return self.sigma2, self.sigma2
 
 
 @dataclass(frozen=True)
@@ -189,9 +196,10 @@ class ZeroSelfEnergy:
     def apply(self, r: np.ndarray) -> np.ndarray:
         return np.zeros_like(r)
 
-    def apply_eigen(self, values: np.ndarray) -> np.ndarray:
-        """Diagonal of ``S[U diag(values) U^T]`` in the basis ``U``."""
-        return np.zeros_like(values)
+    @property
+    def eigen_weights(self) -> tuple[float, float]:
+        """``(a, b)`` with ``S v = (a sum(v) + b v) / n`` in A's eigenbasis."""
+        return 0.0, 0.0
 
 
 class EmpiricalSelfEnergy:
@@ -201,7 +209,7 @@ class EmpiricalSelfEnergy:
     ``W_i = sqrt(N) (H_i - mean)`` and the operator is
     ``S[R] = (1 / (m N)) sum_i W_i R W_i``.  It does not act diagonally in
     the eigenbasis of the expectation matrix, so it declares no
-    ``apply_eigen`` and the solver keeps full matrices.
+    ``eigen_weights`` and the solver keeps full matrices.
     """
 
     def __init__(self, fluctuations: np.ndarray):
@@ -332,9 +340,10 @@ class MDESolution:
 
     ``values`` holds, per grid point, either the eigenvalues of ``M`` in
     the orthonormal ``basis`` (rows of shape ``(n,)``) or, when ``basis``
-    is ``None``, the full matrix ``M``.  ``iterations`` counts the damped
-    steps (residual evaluations) spent at each point, warm start and
-    ladder together; ``ladder_levels`` is 0 where the warm start from the
+    is ``None``, the full matrix ``M``.  ``iterations`` counts the
+    residual evaluations spent at each point (one per damped step or
+    Newton trial, a rejected trial included), warm start and ladder
+    together; ``ladder_levels`` is 0 where the warm start from the
     previous point converged and otherwise the number of imaginary
     offsets the continuation ladder solved.
     """
@@ -388,7 +397,10 @@ class _DenseSteps:
     ``shift(z)`` is ``z - A``, formed once per spectral parameter;
     ``residual`` returns the Frobenius norm of ``I + (z - A + S[M]) M``
     and the matrix ``k = z - A + S[M]`` whose inverse is the next target.
+    It offers no Newton step: every step is the damped one.
     """
+
+    newton = None
 
     def __init__(self, a, self_energy):
         self.a = a
@@ -421,23 +433,38 @@ class _EigenSteps:
     """The same operations on the eigenvalues of ``M`` in A's eigenbasis.
 
     Valid when the self-energy maps functions of A to functions of A, so
-    that ``M = U diag(m) U^T`` for A's eigenvectors ``U``.  The residual
-    ``1 + (z - lambda + s) m`` has the Frobenius norm of the dense one
-    because ``U`` is orthogonal, and ``Im M`` has eigenvalues ``Im m``.
+    that ``M = U diag(m) U^T`` for A's eigenvectors ``U``, and acts there
+    as ``S m = (a sum(m) + b m) / n`` for its ``eigen_weights`` ``(a, b)``.
+    The residual ``1 + (z - lambda + S m) m`` has the Frobenius norm of the
+    dense one because ``U`` is orthogonal, and ``Im M`` has eigenvalues
+    ``Im m``.
     """
 
-    def __init__(self, eigenvalues, apply_eigen):
+    def __init__(self, eigenvalues, weights):
         self.eigenvalues = eigenvalues
-        self.apply_eigen = apply_eigen
+        n = eigenvalues.size
+        self.a, self.b = weights[0] / n, weights[1] / n
         self.shape = eigenvalues.shape
 
     def shift(self, z):
         return z - self.eigenvalues
 
     def residual(self, shift, m):
-        k = shift + self.apply_eigen(m)
+        k = shift + self.a * m.sum() + self.b * m
         r = 1.0 + k * m
         return math.sqrt(np.vdot(r, r).real), k
+
+    def newton(self, m, k):
+        """``m`` plus the Newton step on ``F(m) = 1 + k m``, given ``k = z - lambda + S m``.
+
+        With ``a`` and ``b`` the weights over n, the Jacobian
+        ``diag(k + b m) + a m 1^T`` is diagonal plus rank one, so
+        Sherman-Morrison solves it in O(n) without an n x n matrix.
+        """
+        d = k + self.b * m
+        y = (1.0 + k * m) / d
+        x = m / d
+        return m - (y - x * (self.a * y.sum() / (1.0 + self.a * x.sum())))
 
     def target(self, k):
         # Im S[M] >= 0 keeps Im k >= Im z > 0 along the iteration: k has no zero.
@@ -451,21 +478,43 @@ class _EigenSteps:
 
 
 def _iterate(steps, z, m0, tol, max_iter):
-    """Damped fixed point at one spectral parameter.
+    """Newton steps with the damped fixed point as fallback, at one spectral parameter.
 
-    The step size is halved whenever the residual grows and recovers
-    geometrically (capped at the base value) while it shrinks, so slow
-    spiral oscillations near spectral edges do not strand the iteration at
-    a tiny step.  Returns ``(m, residual, converged, residual evaluations)``.
+    Where ``steps`` offers a ``newton`` step (the eigenbasis path), each step
+    first tries a full Newton step.  The trial is kept if its residual is
+    finite and strictly lower and its minimum Im-eigenvalue stays
+    positive.  Otherwise, and always on the dense path, the step is the
+    damped ``M <- (1 - g) M - g (z - A + S[M])^{-1}``.  The damping ``g``
+    is halved whenever the residual grows and recovers geometrically
+    (capped at ``DAMPING``) while it shrinks, so slow spiral oscillations
+    near spectral edges do not strand the iteration at a tiny step.
+
+    Every residual evaluation counts, a rejected trial's included; the
+    first ``max_iter`` are tested against ``tol``.  Returns ``(m,
+    residual, converged, residual evaluations)``.
     """
     shift = steps.shift(z)
+    newton = steps.newton
     m = m0
+    res, k = steps.residual(shift, m)
+    count = 1
     gamma = DAMPING
     res_prev = np.inf
-    for count in range(1, max_iter + 1):
-        res, k = steps.residual(shift, m)
+    while count <= max_iter:
         if res <= tol:
             return m, res, True, count
+        if newton is not None:
+            # A trial may overflow or divide by zero; it is then rejected.
+            with np.errstate(all="ignore"):
+                trial = newton(m, k)
+                trial_res, trial_k = steps.residual(shift, trial)
+                keep = math.isfinite(trial_res) and trial_res < res and steps.min_im(trial) > 0.0
+            count += 1
+            if keep:
+                res_prev, m, res, k = res, trial, trial_res, trial_k
+                continue
+            if count > max_iter:
+                break
         # Sub-5% wobble is normal spiral convergence, not instability.
         if res > 1.05 * res_prev:
             gamma = max(gamma / 2.0, 1.0 / 64.0)
@@ -476,8 +525,9 @@ def _iterate(steps, z, m0, tol, max_iter):
             return m, res, False, count
         m = (1.0 - gamma) * m + gamma * target
         res_prev = res
-    res, _ = steps.residual(shift, m)
-    return m, res, False, max_iter + 1
+        res, k = steps.residual(shift, m)
+        count += 1
+    return m, res, False, count
 
 
 def _ladder_levels(eta_target):
@@ -530,9 +580,14 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
     point cannot reach the tolerance, and :class:`StabilityError` when a
     converged matrix loses its positive imaginary part.
 
-    A self-energy with an ``apply_eigen`` method is solved on the
-    eigenvalues of ``M`` in A's eigenbasis (one ``eigh`` of A, then
-    length-n steps); any other keeps full n x n matrices.
+    A self-energy with ``eigen_weights`` is solved on the eigenvalues of
+    ``M`` in A's eigenbasis: one ``eigh`` of A, then length-n Newton steps
+    solved in O(n) by Sherman-Morrison, each replaced by a damped step
+    when its trial does not strictly lower a finite residual or keep
+    ``Im m`` positive.  Any other self-energy keeps full n x n matrices
+    and the damped fixed point.  Either way a point is accepted when its
+    residual is at most ``tol``, and ``max_iter`` bounds the residual
+    evaluations of each solve.
 
     ``tol`` must be finite and positive and ``max_iter`` at least 1;
     otherwise :class:`DomainError` is raised before any work.
@@ -541,9 +596,9 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
-    apply_eigen = getattr(problem.self_energy, "apply_eigen", None)
+    weights = getattr(problem.self_energy, "eigen_weights", None)
     count = len(problem.z_grid)
-    if apply_eigen is None:
+    if weights is None:
         check_dense_budget(
             2 * count * problem.n * problem.n,
             f"the dense MDE solution of {count} grid points of {problem.n}x{problem.n}"
@@ -556,7 +611,7 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
             eigenvalues, basis = np.linalg.eigh(problem.a_matrix)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition of A failed: {exc}") from exc
-        steps = _EigenSteps(eigenvalues, apply_eigen)
+        steps = _EigenSteps(eigenvalues, weights)
     values = np.empty((count,) + steps.shape, dtype=complex)
     residuals = np.empty(count)
     stieltjes = np.empty(count, dtype=complex)

@@ -519,9 +519,9 @@ def test_cli_import_loads_no_scipy():
         (["landscape", "--network", "net.json", "--data", "data.csv", "--out", "land.json"],
          ["rmt", "infogeo"]),
         (["mde", "solve", "--problem", "wigner.json", "--points", "5", "--out", "rho.csv"],
-         ["hessian", "net", "infogeo"]),
+         ["hessian", "net", "infogeo", "poset"]),
         (["mde", "solve", "--problem", "empirical.json", "--points", "5", "--out", "rho.csv"],
-         ["hessian", "net", "infogeo"]),
+         ["hessian", "net", "infogeo", "poset"]),
     ],
     ids=["decompose", "landscape", "mde-solve-isotropic", "mde-solve-empirical"],
 )
