@@ -35,6 +35,15 @@ subspace of dimension k << P: within group g its range lies in the span
 of ``I ⊗ t_{g-1}`` and ``u_g ⊗ I``.  The landscape report builds each
 sample's k x k core in that basis in closed form from the sample's
 factors, and reads the sample's operator norm off the core.
+
+The relu masks confine the summed Hessian too.  Within group g its range
+lies in the span of ``t_{g-1} e_j^T`` over the units j that a sample with
+nonzero loss derivative keeps active in layer g, and of ``e_k u_g^T`` over
+the active units k of layer g-1.  The landscape report gathers these
+masks and vectors chunk by chunk, takes an orthonormal basis Q_g of each
+group's span (the identity once the span can fill the group), and
+eigensolves the r x r core Q^T H Q, r <= P, in place of the P x P
+matrix; the other P - r eigenvalues are exactly zero.
 """
 
 from __future__ import annotations
@@ -252,6 +261,105 @@ def _sample_core(params: NetworkParams, states, deltas, paths, i: int) -> np.nda
     return core
 
 
+class _RangeSpans:
+    """Spanning sets of each parameter group's part of the risk Hessian's range.
+
+    Block (p, q) of sample i is ``d_i * kron(u_q, kron(P_pq, t_{p-1}^T))``
+    with P_pq = dg(h'_{q-1}) ... dg(h'_p), so over the samples with
+    d_i != 0 group g's part of the range is spanned by two roles:
+    - as the column group (g < L), by vec(t_{g-1} e_j^T) for each unit j
+      with h'_{g,j} = 1, or by the rows of the summed blocks H[q, g], q > g;
+    - as the row group (g > 1), by vec(e_k u_g^T) for each unit k with
+      h'_{g-1,k} = 1 (u_L = 1), or by the columns of H[g, p], p < g.
+    Each role takes the smaller set.  The masks and vectors are gathered
+    chunk by chunk, only while the set can still be the one taken and
+    the group still falls short of its dimension.
+    """
+
+    def __init__(self, params: NetworkParams):
+        widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
+        # (rows, columns) of each group's matrix; the output vector is one column
+        self.shapes = list(zip(widths, widths[1:] + (1,)))
+        self.offsets = np.concatenate([[0], np.cumsum(param_group_dims(params))]).astype(int)
+        size = self.offsets[-1]
+        # the summed blocks' own rows and columns per role: H[q > g, g], H[g, p < g]
+        self.limits = np.array([(size - end, start) for start, end in
+                                zip(self.offsets, self.offsets[1:])])
+        self.counts = np.zeros_like(self.limits)
+        self.found = [([], []) for _ in self.shapes]
+
+    def add(self, states, deltas, kept: np.ndarray) -> None:
+        """Gather one chunk's masks and vectors, from the rows with ``kept`` (d != 0)."""
+        last = len(states)  # the output vector's group, 0-based
+        for g, (n_rows, n_cols) in enumerate(self.shapes):
+            roles = [None, None]
+            if g < last:
+                roles[0] = states[g].h_prime[kept], states[g].t_in[kept]
+            if g > 0:
+                u = deltas[g][kept] if g < last else np.ones((np.count_nonzero(kept), 1))
+                roles[1] = states[g - 1].h_prime[kept], u
+            for role, factors in enumerate(roles):
+                if factors is None:
+                    continue
+                mask, vectors = factors
+                rows, units = np.nonzero(mask)
+                used = np.minimum(self.counts[g], self.limits[g]).sum()
+                if self.counts[g, role] <= self.limits[g, role] and used < n_rows * n_cols:
+                    self.found[g][role].append((vectors[rows], units))
+                self.counts[g, role] += units.size
+
+    def _basis(self, g: int, full: np.ndarray):
+        """Q_g from the reduced QR of group g's sets; None where it is the identity."""
+        start, end = self.offsets[g], self.offsets[g + 1]
+        used = np.minimum(self.counts[g], self.limits[g])
+        if used.sum() >= end - start:
+            return None
+        n_rows, n_cols = self.shapes[g]
+        # one spanning vector a row, as the column-major vec of a group matrix
+        spans = np.zeros((used.sum(), n_cols, n_rows))
+        own = (full[end:, start:end], full[:start, start:end])  # H[q > g, g], H[p < g, g]
+        at = 0
+        for role, count in enumerate(used):
+            part = spans[at:at + count]
+            at += count
+            if self.counts[g, role] > self.limits[g, role]:
+                part.reshape(count, end - start)[...] = own[role]
+            elif count:
+                vectors = np.concatenate([v for v, _ in self.found[g][role]])
+                units = np.concatenate([k for _, k in self.found[g][role]])
+                if role == 0:
+                    part[np.arange(count), units, :] = vectors  # t_{g-1} e_j^T
+                else:
+                    part[np.arange(count), :, units] = vectors  # e_k u_g^T
+        return np.linalg.qr(spans.reshape(at, end - start).T)[0]
+
+    def core(self, full: np.ndarray) -> np.ndarray:
+        """The r x r core Q^T H Q of the summed Hessian ``full``, Q = blockdiag(Q_g).
+
+        Q_g is the identity where the group's sets together reach its
+        dimension, and otherwise the reduced QR of its sets: a basis of a
+        superset of the range, so no rank threshold is needed.  Where every
+        Q_g is the identity the core is ``full`` itself.
+        """
+        bases = [self._basis(g, full) for g in range(len(self.shapes))]
+        if all(basis is None for basis in bases):
+            return full
+        sizes = [end - start if basis is None else basis.shape[1]
+                 for start, end, basis in zip(self.offsets, self.offsets[1:], bases)]
+        at = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        core = np.zeros((at[-1], at[-1]))
+        for p in range(len(bases)):
+            for q in range(p + 1, len(bases)):
+                block = full[self.offsets[q]:self.offsets[q + 1], self.offsets[p]:self.offsets[p + 1]]
+                if bases[q] is not None:
+                    block = bases[q].T @ block
+                if bases[p] is not None:
+                    block = block @ bases[p]
+                core[at[q]:at[q + 1], at[p]:at[p + 1]] = block
+                core[at[p]:at[p + 1], at[q]:at[q + 1]] = block.T
+        return core
+
+
 def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> HessianBlocks:
     """Mean of the per-sample Hessians of a relu chain, as one dense P x P matrix."""
     dims = _checked_dims(params)
@@ -286,6 +394,9 @@ class LandscapeReport:
     k x k range core (see the module docstring); ``sample_ranks`` holds
     each sample's k, the dimension of the subspace its Hessian lives in,
     and ``lambda0_sample`` the first sample attaining ``lambda0``.
+    ``range_dim`` is r, the dimension of the masked range basis the risk
+    Hessian is eigensolved in (see the module docstring): ``eigs`` holds
+    at least P - r exact zeros, a proved lower bound on the null space.
     ``kink_samples`` lists samples with a preactivation within
     ``KINK_TOL`` of an estimation kink or a hinge margin ``1 - y * score``
     or residual ``score - y`` within ``KINK_TOL`` of the loss kink at 0.
@@ -300,6 +411,7 @@ class LandscapeReport:
     kink_samples: tuple[int, ...]
     lambda0_sample: int
     sample_ranks: tuple[int, ...]
+    range_dim: int
 
     @property
     def bound(self) -> float:
@@ -320,8 +432,10 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     kinks = np.empty(m, dtype=bool)
     norms = np.empty(m)
     ranks = np.empty(m, dtype=int)
+    spans = _RangeSpans(params)
     chunks = _summed_factors(params, kind, dataset, full)
     for rows, values, derivs, loss_args, states, deltas, paths in chunks:
+        spans.add(states, deltas, derivs != 0.0)
         losses[rows] = values
         abs_derivs[rows] = np.abs(derivs)
         kinks[rows] = np.abs(loss_args) < KINK_TOL
@@ -331,7 +445,12 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
             core = _sample_core(params, states, deltas, paths, row)
             ranks[i] = core.shape[0]
             norms[i] = np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))
-    eigs = np.sort(_eigvalsh(full, "the risk Hessian"))
+    range_core = spans.core(full)
+    del full  # the r x r eigensolve does not need the P x P matrix beside its core
+    eigs = np.sort(np.concatenate([
+        _eigvalsh(range_core, "the risk Hessian's range core"),
+        np.zeros(sum(dims) - range_core.shape[0]),
+    ]))
     op_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     top = int(np.argmax(norms))
     report = LandscapeReport(
@@ -344,6 +463,7 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
         kink_samples=tuple(int(i) for i in np.flatnonzero(kinks)),
         lambda0_sample=top,
         sample_ranks=tuple(int(k) for k in ranks),
+        range_dim=int(range_core.shape[0]),
     )
     if not report.bound_holds:
         raise NumericError(

@@ -207,31 +207,49 @@ def assert_blocks_match_oracle(params, kind, dataset):
     assert np.all(np.abs(full - _mirrored(dims, oracle)) <= 1e-13 * scales)
 
 
+def assert_eigs_match_dense(params, kind, dataset, report):
+    # the range core's spectrum and its P - r zeros against the dense
+    # eigvalsh of the P x P risk Hessian: bit for bit where the core is
+    # that matrix (r = P), else within 1e-12 of the largest |eigenvalue|
+    full = risk_hessian(params, kind, dataset).assemble()
+    dense = np.sort(np.linalg.eigvalsh(full))
+    scale = max(1.0, float(np.abs(dense).max(initial=0.0)))
+    assert report.eigs.shape == dense.shape
+    assert np.abs(report.eigs - dense).max(initial=0.0) <= 1e-12 * scale
+    assert np.linalg.matrix_rank(full) <= report.range_dim <= dense.size
+    if report.range_dim == dense.size:
+        assert np.array_equal(report.eigs, dense)
+
+
 @st.composite
 def relu_cases(draw):
     """A relu net of 1-4 layers, m of 1-9 samples and a loss.
 
-    Optionally one layer is dead for every sample, sample 0 is the zero
-    input, and the net and inputs are small integers with labels taken
-    from the exact scores where that gives zero loss.
+    Optionally one layer, or one unit of it, is dead for every sample, the
+    last layer has width 1, sample 0 is the zero input, and the net and
+    inputs are small integers with labels taken from the exact scores
+    where that gives zero loss.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     kind = draw(st.sampled_from(list(LossL0)))
     n_layers = draw(st.integers(1, 4))
     m = draw(st.integers(1, 9))
-    dead = draw(st.integers(0, n_layers))  # 0: no dead layer
+    dead = draw(st.integers(0, n_layers))  # 0: none dead
+    dead_units = slice(0, 1) if draw(st.booleans()) else slice(None)
     exact = draw(st.booleans())
     widths = rng.integers(1, 6, size=n_layers + 1)
+    if draw(st.booleans()):
+        widths[-1] = 1
     weights = [rng.standard_normal((widths[i], widths[i + 1])) for i in range(n_layers)]
     alpha = rng.standard_normal(widths[-1])
     xs = rng.standard_normal((m, widths[0]))
     if exact:
         weights, alpha, xs = [np.round(w) for w in weights], np.round(alpha), np.round(xs)
     if dead:
-        # relu outputs are >= 0, so a nonpositive layer above them is dead
+        # relu outputs are >= 0, so nonpositive weights above them are dead
         if dead == 1:
             xs = np.abs(xs)
-        weights[dead - 1] = -np.abs(weights[dead - 1])
+        weights[dead - 1][:, dead_units] = -np.abs(weights[dead - 1][:, dead_units])
     if draw(st.booleans()):
         xs[0] = 0.0
     params = NetworkParams(tuple(weights), alpha)
@@ -481,27 +499,95 @@ class TestLandscape:
     @pytest.mark.parametrize("kind", [LossL0.HINGE, LossL0.ABSOLUTE])
     def test_eigs_match_dense_risk_hessian(self, kind):
         # Gaussian nets, and small-integer nets whose scores are exact, so
-        # that labels equal to a score of +-1 give zero absolute loss
+        # that labels equal to a score of +-1 give zero absolute loss; every
+        # fourth trial has enough samples for the core to be the whole matrix
         rng = np.random.default_rng(21)
-        zero_loss = 0
+        zero_loss = whole = 0
         for trial in range(16):
             params = random_net(rng)
             if trial % 2:
                 params = NetworkParams(
                     tuple(np.round(w) for w in params.weights), np.round(params.alpha)
                 )
-            xs = rng.standard_normal((6, params.input_dim))
+            m = 60 if trial % 4 == 3 else 6
+            xs = rng.standard_normal((m, params.input_dim))
             if trial % 2:
                 xs = np.round(xs)
             scores = np.array([forward(params, x)[0] for x in xs])
             ys = np.where(scores > 0, 1.0, -1.0)
-            ys[3:] = rng.choice([-1.0, 1.0], size=3)
+            ys[3:] = rng.choice([-1.0, 1.0], size=m - 3)
             zero_loss += sum(loss(kind, sc, y)[0] == 0.0 for sc, y in zip(scores, ys))
             dataset = Dataset(xs, ys)
             report = landscape_report(params, kind, dataset)
-            dense = np.sort(np.linalg.eigvalsh(risk_hessian(params, kind, dataset).assemble()))
-            assert np.array_equal(report.eigs, dense)
+            assert_eigs_match_dense(params, kind, dataset, report)
+            whole += report.range_dim == report.eigs.size
         assert zero_loss > 0
+        assert 0 < whole < 16
+
+    @given(case=relu_cases())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_property_eigs_match_dense(self, case):
+        assert_eigs_match_dense(*case, landscape_report(*case))
+
+    def test_own_block_rows_span_a_group(self):
+        # every unit active and d = 1 for both samples: group 1's column
+        # role has 2 * 3 per-sample spans but only the 3 + 1 rows of the
+        # summed H[2, 1] and H[3, 1], so those span it; groups 2 (1 + 6
+        # spans) and 3 (2 spans) reach their dimensions 3 and 1, so
+        # r = 4 + 3 + 1
+        params = NetworkParams(
+            (np.arange(1.0, 13.0).reshape(4, 3), np.array([[1.0], [2.0], [3.0]])),
+            np.array([0.5]),
+        )
+        dataset = Dataset(np.array([[1.0, 2.0, 3.0, 4.0], [4.0, 1.0, 1.0, 2.0]]),
+                          np.array([-1.0, -1.0]))
+        report = landscape_report(params, LossL0.HINGE, dataset)
+        assert report.range_dim == 8
+        assert_eigs_match_dense(params, LossL0.HINGE, dataset, report)
+
+    def test_reduced_core_peak(self):
+        # w=30, m=4: r < P/2, and the peak is the P x P matrix, the r x r
+        # core and at most one block set beside them
+        rng = np.random.default_rng(33)
+        w, m = 30, 4
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(3)),
+            rng.standard_normal(w),
+        )
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        dims = param_group_dims(params)
+        p = sum(dims)
+        one_set = 8 * sum(
+            dims[q] * dims[g] for g in range(len(dims)) for q in range(g + 1, len(dims))
+        )
+        tracemalloc.start()
+        try:
+            report = landscape_report(params, LossL0.ABSOLUTE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r = report.range_dim
+        assert r < p / 2
+        assert peak <= 8 * p * p + 8 * r * r + one_set
+
+    def test_range_core_eigensolver_failure_is_numeric_error(self, monkeypatch):
+        # the m sample cores are solved first, the risk Hessian's core last
+        rng = np.random.default_rng(34)
+        params = NetworkParams((rng.standard_normal((4, 3)),), rng.standard_normal(3))
+        dataset = Dataset(rng.standard_normal((2, 4)), np.array([1.0, -1.0]))
+        assert landscape_report(params, LossL0.ABSOLUTE, dataset).range_dim < 15
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def failing_on_the_last(matrix):
+            calls.append(matrix.shape[0])
+            if len(calls) > len(dataset):
+                raise np.linalg.LinAlgError("did not converge")
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_the_last)
+        with pytest.raises(NumericError, match="the risk Hessian's range core failed"):
+            landscape_report(params, LossL0.ABSOLUTE, dataset)
 
     def test_degeneration_along_training(self):
         # gradient descent to zero risk: the bound caps op_norm throughout
