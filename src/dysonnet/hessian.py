@@ -14,21 +14,23 @@ Kronecker structure used here.
 
 Assembly is exact at points where no preactivation sits on an estimation
 kink and no sample sits on a loss kink; samples violating either are
-flagged rather than silently differentiated.  The dense P x P matrix is
-refused with :class:`CapacityError` beyond ``errors.MAX_DENSE_ENTRIES``
-before anything is allocated.
+flagged rather than silently differentiated.  The dense P x P matrix of
+:func:`risk_hessian` is refused with :class:`CapacityError` beyond
+``errors.MAX_DENSE_ENTRIES`` before anything is allocated; the landscape
+report, which forms no P x P array, is held to the same budget on what it
+does form (see below).
 
 No per-sample block is formed, and no sample is evaluated or copied on
 its own.  The samples are taken in chunks of rows: one stacked forward
 and backward pass gives a chunk's layer inputs t and vectors u as rows,
-and one batched product its w x w path matrices P_pq.  A chunk adds into
-each block (p, q) of the one P x P matrix with one GEMM,
-``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``; the blocks are mirrored across the
-diagonal once, after the last chunk.  The chunk length is set so that
-two chunks' factors fit in one block set.  The peak is therefore a few
-block sets however many samples there are, for every caller: the one
-P x P matrix, the chunk in hand and the one before it, and one block's
-GEMM output.
+and one batched product its w x w path matrices P_pq.  One accumulator
+adds a chunk into each target block (p, q) with one GEMM,
+``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``; :func:`risk_hessian`'s targets are the
+blocks of its one P x P matrix, mirrored across the diagonal once, after
+the last chunk.  The chunk length is set so that two chunks' factors fit
+in one block set.  The peak is therefore the targets and a few block
+sets however many samples there are: the chunk in hand and the one
+before it, and one block's GEMM output.
 
 The same Kronecker structure confines each sample's Hessian to a
 subspace of dimension k << P: within group g its range lies in the span
@@ -39,11 +41,19 @@ factors, and reads the sample's operator norm off the core.
 The relu masks confine the summed Hessian too.  Within group g its range
 lies in the span of ``t_{g-1} e_j^T`` over the units j that a sample with
 nonzero loss derivative keeps active in layer g, and of ``e_k u_g^T`` over
-the active units k of layer g-1.  The landscape report gathers these
-masks and vectors chunk by chunk, takes an orthonormal basis Q_g of each
-group's span (the identity once the span can fill the group), and
-eigensolves the r x r core Q^T H Q, r <= P, in place of the P x P
-matrix; the other P - r eigenvalues are exactly zero.
+the active units k of layer g-1.  The landscape report makes two passes
+over the chunks.  The first gathers these masks and vectors, sums the
+few blocks H[q, g] whose rows span a group more cheaply, and takes an
+orthonormal basis Q_g of each group's span (the identity once the span
+can fill the group; one QR per unit for a group spanned by its
+``t_{g-1} e_j^T`` alone).  The second sums the r x r core Q^T H Q,
+r <= P, from the factors: with B_i = [V_c^T t_{p-1}]_c, V_c being column
+c of Q_p as a d_{p-1} x d_p matrix, H[q, p] Q_p is
+``Σ_i d_i/m u_q ⊗ (P_pq B)_i`` (Pearlmutter's Hessian-vector product in
+closed form), one GEMM per chunk, and Q_q^T takes it into the core.  Its
+eigenvalues and P - r exact zeros are the spectrum.  The budget is
+checked on the core, the bases and those sums once r is known, before
+any of them exists, so its memory grows as r^2, not P^2.
 """
 
 from __future__ import annotations
@@ -107,16 +117,37 @@ class HessianBlocks:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
-def _checked_dims(params: NetworkParams) -> tuple[int, ...]:
-    """The network's group sizes, once the rule and the dense budget admit its Hessian."""
+def _relu_dims(params: NetworkParams) -> tuple[int, ...]:
+    """The network's group sizes, once its rule admits the exact Hessian."""
     if params.rule is not ActivationRule.ARGMAX_MASK_01:
         raise DomainError(
             f"the exact Hessian needs relu layers; the network uses {params.rule.value!r}"
         )
-    dims = param_group_dims(params)
-    n = int(sum(dims))
-    check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
-    return dims
+    return param_group_dims(params)
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Start of each group along an axis of consecutive groups of ``sizes``, then the end."""
+    return np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+
+
+def _lower_blocks(matrix: np.ndarray, offsets) -> dict:
+    """Views of the blocks (p, q), p < q, below the diagonal of ``matrix``.
+
+    Group g spans ``offsets[g-1]:offsets[g]`` along both axes; block (p, q)
+    has group q's rows and group p's columns.
+    """
+    groups = len(offsets) - 1
+    return {
+        (p, q): matrix[offsets[q - 1]:offsets[q], offsets[p - 1]:offsets[p]]
+        for p in range(1, groups) for q in range(p + 1, groups + 1)
+    }
+
+
+def _mirror(matrix: np.ndarray, offsets) -> None:
+    """Copy the blocks below the diagonal of ``matrix`` into those above it."""
+    for (p, q), block in _lower_blocks(matrix, offsets).items():
+        matrix[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
 
 
 def _path_matrices(params: NetworkParams, states) -> dict:
@@ -138,14 +169,27 @@ def _path_matrices(params: NetworkParams, states) -> dict:
 
 
 def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
-    """Add a chunk's part of one cross block into ``target`` with one GEMM.
+    """Add a chunk's part of one cross block, or of its product with Q_p, into ``target``.
 
     Row i of ``u`` (None for the output group, u = 1) and ``t`` and
-    ``paths[i]`` are sample i's u_q, scaled t_{p-1} and P_pq.  The GEMM
-    ``(u ⊗ t)^T @ vec(P)`` sums the samples' blocks in (c, b) x (r, a)
-    order; ``target`` is in the column-major Kronecker order (c, r) x (a, b).
+    ``paths[i]`` belong to sample i.  Where ``t`` holds the scaled t_{p-1}
+    as rows, the GEMM ``(u ⊗ t)^T @ vec(P)`` sums the samples' blocks
+    u_q ⊗ P_pq ⊗ t_{p-1}^T in (c, b) x (r, a) order, and ``target`` is in
+    the column-major Kronecker order (c, r) x (a, b).  Where ``t`` stacks
+    the d_p x r_p matrices B_i = [V_c^T t_{p-1}]_c, V_c being column c of
+    Q_p as a d_{p-1} x d_p matrix, sample i's block times Q_p is
+    ``u_q ⊗ (P_pq B)_i``; one GEMM against ``u`` sums them, rows in the
+    same (c, r) order and one column per column of Q_p.
     """
-    rows, width_r, width_a = paths.shape
+    rows = paths.shape[0]
+    if t.ndim == 3:
+        projected = paths @ t
+        if u is None:
+            target += projected.sum(axis=0)
+        else:
+            target += (u.T @ projected.reshape(rows, -1)).reshape(target.shape)
+        return
+    width_r, width_a = paths.shape[1:]
     x = t if u is None else (u[:, :, None] * t[:, None, :]).reshape(rows, -1)
     summed = x.T @ paths.reshape(rows, -1)
     n_c, width_b = target.shape[0] // width_r, t.shape[1]
@@ -156,38 +200,42 @@ def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
         blocks[c] += part.transpose(1, 2, 0)
 
 
-def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, out: np.ndarray):
+def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
+                    targets: dict, bases):
     """Yield ``(rows, values, derivs, loss_args, states, deltas, paths)`` for each chunk.
 
     A chunk is the slice ``rows`` of the samples, evaluated at once by
     :func:`net._sample_terms`, with its :func:`_path_matrices`; every
     array holds the chunk's samples as rows.  Block (p, q) of a sample's
     Hessian is ``deriv * kron(u_q, kron(P_pq, t_{p-1}^T))``, with
-    u_q = ``deltas[q-1]`` and u_L = 1; ``1/m`` of it is added into that
-    block of ``out``, the zeroed P x P matrix.  A chunk's factors, with
-    the one pair's outer products ``u_q ⊗ t_{p-1}`` formed at a time, fit
-    in half a block set; its samples with a nonzero ``deriv`` add into
-    each block with one GEMM.  After the last chunk the blocks are mirrored
-    into the upper triangle, and ``out`` holds the risk Hessian.
+    u_q = ``deltas[q-1]`` and u_L = 1; ``1/m`` of it, times Q_p where
+    ``bases[p-1]`` holds one (None: the identity), is added into
+    ``targets[(p, q)]``, which must start at zero.  Once the generator is
+    drained each target holds the summed block H[q, p] (times Q_p).
+    A chunk's factors, with the one pair's outer products or products
+    P_pq B formed at a time, fit in half a block set; its samples with a
+    nonzero ``deriv`` add into each target with one GEMM, and B is formed
+    once per group p.
     """
     widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     groups = len(widths)
     pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
-    offsets = np.concatenate([[0], np.cumsum(param_group_dims(params))]).astype(int)
-    targets = {
-        (p, q): out[offsets[q - 1]:offsets[q], offsets[p - 1]:offsets[p]] for p, q in pairs
-    }
 
     def out_width(q):  # length of u_q
         return widths[q] if q < groups else 1
 
+    def temporary(p, q):  # a sample's row of the pair's outer product, or of B and P_pq B
+        if bases[p - 1] is None:
+            return out_width(q) * widths[p - 1]
+        return (widths[p] + widths[q - 1]) * bases[p - 1].shape[1]
+
     block_set = sum(out_width(q) * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
-    # a sample's layer states, deltas and P's, and its row of the largest u ⊗ t formed
+    # a sample's layer states, deltas and P's, and its row of the largest temporary
     factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
-    largest_outer = max((out_width(q) * widths[p - 1] for p, q in pairs), default=0)
+    largest = max((temporary(p, q) for p, q in pairs), default=0)
     m = len(dataset)
     # the caller still holds one chunk while the next is formed: two fit in a block set
-    chunk = max(1, min(m, block_set // max(2 * (factors + largest_outer), 1)))
+    chunk = max(1, min(m, block_set // max(2 * (factors + largest), 1)))
     # at least one chunk, so that _sample_terms refuses an empty dataset
     for start in range(0, max(m, 1), chunk):
         rows = slice(start, min(start + chunk, m))
@@ -196,13 +244,17 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset, out: 
         kept = derivs != 0.0
         if np.any(kept):
             scale = (derivs[kept] / m)[:, None]
-            for p, q in pairs:
-                u = deltas[q - 1][kept] if q < groups else None
-                _add_chunk(targets[(p, q)], u, states[p - 1].t_in[kept] * scale,
-                           paths[(p, q)][kept])
+            for p in sorted({p for p, _ in targets}):
+                t = states[p - 1].t_in[kept] * scale
+                basis = bases[p - 1]
+                if basis is not None:
+                    # B_i[j, c] = (V_c^T t_i)[j]: one GEMM per unit j of layer p
+                    t = np.matmul(t, basis.reshape(widths[p], widths[p - 1], -1)).transpose(1, 0, 2)
+                for q in range(p + 1, groups + 1):
+                    if (p, q) in targets:
+                        u = deltas[q - 1][kept] if q < groups else None
+                        _add_chunk(targets[(p, q)], u, t, paths[(p, q)][kept])
         yield rows, values, derivs, loss_args, states, deltas, paths
-    for (p, q), block in targets.items():
-        out[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
 
 
 def _sample_core(params: NetworkParams, states, deltas, paths, i: int) -> np.ndarray:
@@ -240,7 +292,7 @@ def _sample_core(params: NetworkParams, states, deltas, paths, i: int) -> np.nda
         pieces.append((t_norm, t_hat, scaled_complement))
         sizes.append(size)
     sizes.append(params.alpha.size)
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    offsets = _offsets(sizes)
     core = np.zeros((offsets[-1], offsets[-1]))
     for (p, q), stacked in paths.items():
         if pieces[p - 1] is None or (q <= len(states) and pieces[q - 1] is None):
@@ -273,20 +325,41 @@ class _RangeSpans:
       h'_{g-1,k} = 1 (u_L = 1), or by the columns of H[g, p], p < g.
     Each role takes the smaller set.  The masks and vectors are gathered
     chunk by chunk, only while the set can still be the one taken and
-    the group still falls short of its dimension.
+    the group still falls short of its dimension.  The summed blocks are
+    needed only for a narrow role, one with fewer such rows or columns
+    than the group's dimension; ``targets`` holds them, for
+    :func:`_summed_factors` to sum in the same pass.
     """
 
     def __init__(self, params: NetworkParams):
         widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
         # (rows, columns) of each group's matrix; the output vector is one column
         self.shapes = list(zip(widths, widths[1:] + (1,)))
-        self.offsets = np.concatenate([[0], np.cumsum(param_group_dims(params))]).astype(int)
+        self.offsets = _offsets(param_group_dims(params))
         size = self.offsets[-1]
+        dims = np.diff(self.offsets)
         # the summed blocks' own rows and columns per role: H[q > g, g], H[g, p < g]
         self.limits = np.array([(size - end, start) for start, end in
                                 zip(self.offsets, self.offsets[1:])])
         self.counts = np.zeros_like(self.limits)
         self.found = [([], []) for _ in self.shapes]
+        narrow = (self.limits > 0) & (self.limits < dims[:, None])
+        check_dense_budget(int(np.sum(self.limits * dims[:, None], where=narrow)),
+                           f"the first landscape pass over P={size} parameters,"
+                           " for the narrow roles' summed blocks,")
+        self.own = {}  # (g, role): the summed blocks whose rows span the role
+        self.targets = {}
+        for g, (start, end) in enumerate(zip(self.offsets, self.offsets[1:])):
+            if narrow[g, 0]:
+                block = self.own[g, 0] = np.zeros((size - end, end - start))  # H[q > g, g]
+                for q in range(g + 1, len(dims)):
+                    rows = slice(self.offsets[q] - end, self.offsets[q + 1] - end)
+                    self.targets[g + 1, q + 1] = block[rows]
+            if narrow[g, 1]:
+                block = np.zeros((end - start, start))  # H[g, p < g]
+                self.own[g, 1] = block.T
+                for p in range(g):
+                    self.targets[p + 1, g + 1] = block[:, self.offsets[p]:self.offsets[p + 1]]
 
     def add(self, states, deltas, kept: np.ndarray) -> None:
         """Gather one chunk's masks and vectors, from the rows with ``kept`` (d != 0)."""
@@ -308,22 +381,72 @@ class _RangeSpans:
                     self.found[g][role].append((vectors[rows], units))
                 self.counts[g, role] += units.size
 
-    def _basis(self, g: int, full: np.ndarray):
-        """Q_g from the reduced QR of group g's sets; None where it is the identity."""
+    def _unit_counts(self, g: int):
+        """Vectors per unit j where group g's span is its column role's sets alone, else None.
+
+        That span, of vec(t_{g-1} e_j^T), is block-diagonal by unit, so Q_g
+        is one QR per unit of its t vectors.
+        """
+        if g == len(self.shapes) - 1 or self.counts[g, 1] or self.counts[g, 0] > self.limits[g, 0]:
+            return None
+        units = np.concatenate([k for _, k in self.found[g][0]])
+        return np.bincount(units, minlength=self.shapes[g][1])
+
+    def sizes(self) -> tuple[int, ...]:
+        """Each r_g: the group's dimension where Q_g is the identity, else Q_g's columns."""
+        sizes = []
+        for g, (n_rows, n_cols) in enumerate(self.shapes):
+            used = np.minimum(self.counts[g], self.limits[g]).sum()
+            per_unit = self._unit_counts(g)
+            if used >= n_rows * n_cols:
+                sizes.append(n_rows * n_cols)
+            elif per_unit is not None:
+                sizes.append(int(np.minimum(per_unit, n_rows).sum()))
+            else:
+                sizes.append(int(used))
+        return tuple(sizes)
+
+    def bases(self) -> list:
+        """Each Q_g, None where it is the identity; the sets and blocks are released.
+
+        Q_g is the identity where the group's sets together reach its
+        dimension, and otherwise the reduced QR of its sets (one per unit
+        where :meth:`_unit_counts` allows): a basis of a superset of the
+        range, so no rank threshold is needed.
+        """
+        bases = [self._basis(g) for g in range(len(self.shapes))]
+        self.found, self.own, self.targets = [], {}, {}
+        return bases
+
+    def _basis(self, g: int):
         start, end = self.offsets[g], self.offsets[g + 1]
         used = np.minimum(self.counts[g], self.limits[g])
         if used.sum() >= end - start:
             return None
         n_rows, n_cols = self.shapes[g]
+        per_unit = self._unit_counts(g)
+        if per_unit is not None:
+            vectors = np.concatenate([v for v, _ in self.found[g][0]])
+            units = np.concatenate([k for _, k in self.found[g][0]])
+            # each unit's t vectors, unit after unit: the rows its QR factorizes
+            by_unit = vectors[np.argsort(units, kind="stable")]
+            basis = np.zeros((end - start, int(np.minimum(per_unit, n_rows).sum())))
+            at = column = 0
+            for j, count in enumerate(per_unit):
+                if count:
+                    q = np.linalg.qr(by_unit[at:at + count].T)[0]
+                    basis[j * n_rows:(j + 1) * n_rows, column:column + q.shape[1]] = q
+                    at += count
+                    column += q.shape[1]
+            return basis
         # one spanning vector a row, as the column-major vec of a group matrix
         spans = np.zeros((used.sum(), n_cols, n_rows))
-        own = (full[end:, start:end], full[:start, start:end])  # H[q > g, g], H[p < g, g]
         at = 0
         for role, count in enumerate(used):
             part = spans[at:at + count]
             at += count
             if self.counts[g, role] > self.limits[g, role]:
-                part.reshape(count, end - start)[...] = own[role]
+                part.reshape(count, end - start)[...] = self.own[g, role]
             elif count:
                 vectors = np.concatenate([v for v, _ in self.found[g][role]])
                 units = np.concatenate([k for _, k in self.found[g][role]])
@@ -333,40 +456,38 @@ class _RangeSpans:
                     part[np.arange(count), :, units] = vectors  # e_k u_g^T
         return np.linalg.qr(spans.reshape(at, end - start).T)[0]
 
-    def core(self, full: np.ndarray) -> np.ndarray:
-        """The r x r core Q^T H Q of the summed Hessian ``full``, Q = blockdiag(Q_g).
 
-        Q_g is the identity where the group's sets together reach its
-        dimension, and otherwise the reduced QR of its sets: a basis of a
-        superset of the range, so no rank threshold is needed.  Where every
-        Q_g is the identity the core is ``full`` itself.
-        """
-        bases = [self._basis(g, full) for g in range(len(self.shapes))]
-        if all(basis is None for basis in bases):
-            return full
-        sizes = [end - start if basis is None else basis.shape[1]
-                 for start, end, basis in zip(self.offsets, self.offsets[1:], bases)]
-        at = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        core = np.zeros((at[-1], at[-1]))
-        for p in range(len(bases)):
-            for q in range(p + 1, len(bases)):
-                block = full[self.offsets[q]:self.offsets[q + 1], self.offsets[p]:self.offsets[p + 1]]
-                if bases[q] is not None:
-                    block = bases[q].T @ block
-                if bases[p] is not None:
-                    block = block @ bases[p]
-                core[at[q]:at[q + 1], at[p]:at[p + 1]] = block
-                core[at[p]:at[p + 1], at[q]:at[q + 1]] = block.T
-        return core
+def _summed_core(params: NetworkParams, kind: LossL0, dataset: Dataset, bases) -> np.ndarray:
+    """The core Q^T H Q of the risk Hessian H, Q = blockdiag(Q_g), summed from the factors.
+
+    ``bases`` holds each Q_g, None for the identity.  Core block (q, p) is
+    Q_q^T H[q, p] Q_p: :func:`_summed_factors` sums H[q, p] Q_p straight
+    into the core where Q_q is the identity, and otherwise into a
+    dim_q x r_p sum that Q_q^T takes into the core after the last chunk.
+    Where every Q_g is the identity the core is the P x P matrix H.
+    """
+    dims = param_group_dims(params)
+    sizes = [d if basis is None else basis.shape[1] for d, basis in zip(dims, bases)]
+    at = _offsets(sizes)
+    core = np.zeros((at[-1], at[-1]))
+    targets = _lower_blocks(core, at)
+    sums = {(p, q): np.zeros((dims[q - 1], sizes[p - 1]))
+            for p, q in targets if bases[q - 1] is not None}
+    targets.update(sums)
+    for _ in _summed_factors(params, kind, dataset, targets, bases):
+        pass
+    for (p, q), summed in sums.items():
+        core[at[q - 1]:at[q], at[p - 1]:at[p]] = bases[q - 1].T @ summed
+    _mirror(core, at)
+    return core
 
 
 def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> HessianBlocks:
     """Mean of the per-sample Hessians of a relu chain, as one dense P x P matrix."""
-    dims = _checked_dims(params)
-    matrix = np.zeros((sum(dims), sum(dims)))
-    for _ in _summed_factors(params, kind, dataset, matrix):
-        pass
-    return HessianBlocks(dims, matrix)
+    dims = _relu_dims(params)
+    n = int(sum(dims))
+    check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
+    return HessianBlocks(dims, _summed_core(params, kind, dataset, [None] * len(dims)))
 
 
 def sample_hessian(params: NetworkParams, kind: LossL0, x: np.ndarray, y: float) -> HessianBlocks:
@@ -397,6 +518,8 @@ class LandscapeReport:
     ``range_dim`` is r, the dimension of the masked range basis the risk
     Hessian is eigensolved in (see the module docstring): ``eigs`` holds
     at least P - r exact zeros, a proved lower bound on the null space.
+    ``range_dims`` holds each group's part r_g of it, in the order
+    W_1, ..., W_{L-1}, alpha, with ``range_dim == sum(range_dims)``.
     ``kink_samples`` lists samples with a preactivation within
     ``KINK_TOL`` of an estimation kink or a hinge margin ``1 - y * score``
     or residual ``score - y`` within ``KINK_TOL`` of the loss kink at 0.
@@ -412,6 +535,7 @@ class LandscapeReport:
     lambda0_sample: int
     sample_ranks: tuple[int, ...]
     range_dim: int
+    range_dims: tuple[int, ...]
 
     @property
     def bound(self) -> float:
@@ -422,19 +546,19 @@ class LandscapeReport:
         return self.op_norm <= self.bound + 1e-9
 
 
-def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> LandscapeReport:
-    """Assemble the risk Hessian of a relu chain, its spectrum and the operator-norm bound."""
-    dims = _checked_dims(params)
-    full = np.zeros((sum(dims), sum(dims)))
+def _sample_pass(params: NetworkParams, kind: LossL0, dataset: Dataset, spans: _RangeSpans):
+    """The first pass: each sample's loss, |deriv|, kink flag, range-core norm and k.
+
+    It gathers ``spans`` and sums their narrow roles' blocks on the way.
+    """
     m = len(dataset)
     losses = np.empty(m)
     abs_derivs = np.empty(m)
     kinks = np.empty(m, dtype=bool)
     norms = np.empty(m)
     ranks = np.empty(m, dtype=int)
-    spans = _RangeSpans(params)
-    chunks = _summed_factors(params, kind, dataset, full)
-    for rows, values, derivs, loss_args, states, deltas, paths in chunks:
+    for rows, values, derivs, loss_args, states, deltas, paths in _summed_factors(
+            params, kind, dataset, spans.targets, [None] * len(spans.shapes)):
         spans.add(states, deltas, derivs != 0.0)
         losses[rows] = values
         abs_derivs[rows] = np.abs(derivs)
@@ -445,8 +569,33 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
             core = _sample_core(params, states, deltas, paths, row)
             ranks[i] = core.shape[0]
             norms[i] = np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))
-    range_core = spans.core(full)
-    del full  # the r x r eigensolve does not need the P x P matrix beside its core
+    return losses, abs_derivs, kinks, norms, ranks
+
+
+def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> LandscapeReport:
+    """The risk Hessian's spectrum from its range core, and the operator-norm bound.
+
+    Two passes over the samples: the first takes the risk, the kinks, each
+    sample's range core and the spans of the range; the second sums the
+    r x r core of the risk Hessian in the bases Q_g (:func:`_summed_core`),
+    with no P x P array.  The core, and the bases and sums it needs, are
+    held to the dense budget once r is known, before any of them exists.
+    """
+    dims = _relu_dims(params)
+    m = len(dataset)
+    spans = _RangeSpans(params)
+    losses, abs_derivs, kinks, norms, ranks = _sample_pass(params, kind, dataset, spans)
+    range_dims = spans.sizes()
+    r = sum(range_dims)
+    reduced = [k < d for d, k in zip(dims, range_dims)]
+    # the core, and the bases and sums of the groups whose Q_g is not the identity
+    held = r * r + sum(d * k for d, k, cut in zip(dims, range_dims, reduced) if cut) + sum(
+        dims[q] * range_dims[p]
+        for p in range(len(dims)) for q in range(p + 1, len(dims)) if reduced[q]
+    )
+    check_dense_budget(held, f"the range core of r={r} of P={sum(dims)} parameters,"
+                             " with its bases and sums,")
+    range_core = _summed_core(params, kind, dataset, spans.bases())
     eigs = np.sort(np.concatenate([
         _eigvalsh(range_core, "the risk Hessian's range core"),
         np.zeros(sum(dims) - range_core.shape[0]),
@@ -464,6 +613,7 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
         lambda0_sample=top,
         sample_ranks=tuple(int(k) for k in ranks),
         range_dim=int(range_core.shape[0]),
+        range_dims=range_dims,
     )
     if not report.bound_holds:
         raise NumericError(

@@ -84,6 +84,7 @@ MAX_CUMULANT_ENTRIES = 4096  # largest N*N for the N^2 x N^2 cumulant matrix
 NORM_TOL = 1e-10  # relative settling tolerance of the self-energy power iteration
 NORM_MAX_ITER = 1000
 DAMPING = 0.5  # base step of the damped fixed point
+BACKTRACK = (0.5, 0.25, 0.125)  # shortened Newton steps tried before the damped one
 
 
 def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -> np.ndarray:
@@ -481,17 +482,20 @@ def _iterate(steps, z, m0, tol, max_iter):
     """Newton steps with the damped fixed point as fallback, at one spectral parameter.
 
     Where ``steps`` offers a ``newton`` step (the eigenbasis path), each step
-    first tries a full Newton step.  The trial is kept if its residual is
-    finite and strictly lower and its minimum Im-eigenvalue stays
-    positive.  Otherwise, and always on the dense path, the step is the
-    damped ``M <- (1 - g) M - g (z - A + S[M])^{-1}``.  The damping ``g``
+    first tries a full Newton step, then, while it is rejected, the steps
+    shortened by the factors ``BACKTRACK`` along the same direction.  A
+    trial is kept if its residual is finite and strictly lower and its
+    minimum Im-eigenvalue stays positive.  If none is, and always on the
+    dense path, the step is the damped
+    ``M <- (1 - g) M - g (z - A + S[M])^{-1}``.  The damping ``g``
     is halved whenever the residual grows and recovers geometrically
     (capped at ``DAMPING``) while it shrinks, so slow spiral oscillations
     near spectral edges do not strand the iteration at a tiny step.
 
     Every residual evaluation counts, a rejected trial's included; the
-    first ``max_iter`` are tested against ``tol``.  Returns ``(m,
-    residual, converged, residual evaluations)``.
+    first ``max_iter`` are tested against ``tol``, and no shortened trial
+    is tried past the ``max_iter``-th.  Returns ``(m, residual, converged,
+    residual evaluations)``.
     """
     shift = steps.shift(z)
     newton = steps.newton
@@ -506,10 +510,15 @@ def _iterate(steps, z, m0, tol, max_iter):
         if newton is not None:
             # A trial may overflow or divide by zero; it is then rejected.
             with np.errstate(all="ignore"):
-                trial = newton(m, k)
-                trial_res, trial_k = steps.residual(shift, trial)
-                keep = math.isfinite(trial_res) and trial_res < res and steps.min_im(trial) > 0.0
-            count += 1
+                full = newton(m, k)
+                for s in (1.0,) + BACKTRACK:
+                    trial = full if s == 1.0 else m + s * (full - m)
+                    trial_res, trial_k = steps.residual(shift, trial)
+                    count += 1
+                    keep = (math.isfinite(trial_res) and trial_res < res
+                            and steps.min_im(trial) > 0.0)
+                    if keep or count >= max_iter:
+                        break
             if keep:
                 res_prev, m, res, k = res, trial, trial_res, trial_k
                 continue

@@ -305,7 +305,7 @@ class TestExitCodes:
         assert f"malformed {entry}: {named}" in err
         assert not (workdir / "out").exists()
 
-    @pytest.mark.parametrize("command", ["landscape", "hessian"])
+    @pytest.mark.parametrize("command", ["hessian"])
     def test_dense_hessian_over_budget(self, workdir, capsys, command):
         # P = 50*50 + 50*50 + 50 = 5050 > 5000: refused before any block is built
         params = NetworkParams((np.zeros((50, 50)), np.zeros((50, 50))), np.zeros(50))
@@ -317,6 +317,33 @@ class TestExitCodes:
         assert "a dense Hessian of P=5050 parameters needs 25502500 entries" in (
             capsys.readouterr().err)
         assert not (workdir / "out").exists()
+
+    def test_landscape_range_core_over_budget(self, workdir, capsys):
+        # w=72 (P = 10440) and 200 live samples: every group's sets reach
+        # its dimension, so r = P and the r x r core is over the budget; it
+        # is refused after the first pass, before the core is allocated
+        rng = np.random.default_rng(38)
+        w, m = 72, 200
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(2)),
+            rng.standard_normal(w) / np.sqrt(w),
+        )
+        (workdir / "wide.json").write_text(json.dumps(network_to_chain_json(params)))
+        save_dataset_csv(workdir / "wide.csv",
+                         Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m)))
+        r = 2 * w * w + w
+        tracemalloc.start()
+        try:
+            rc = run_cli("landscape", "--network", workdir / "wide.json",
+                         "--data", workdir / "wide.csv", "--out", workdir / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert (f"the range core of r={r} of P={r} parameters, with its bases and sums,"
+                f" needs {r * r} entries") in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+        assert peak < 8 * r * r / 20
 
     @pytest.mark.parametrize("command", ["landscape", "hessian"])
     def test_smooth_rule_chain_refused(self, workdir, capsys, command):

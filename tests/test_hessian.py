@@ -17,7 +17,9 @@ from dysonnet.errors import (
 from dysonnet.hessian import (
     HessianBlocks,
     _path_matrices,
+    _RangeSpans,
     _sample_core,
+    _sample_pass,
     landscape_report,
     negative_fraction,
     risk_hessian,
@@ -258,6 +260,44 @@ def relu_cases(draw):
         scores = np.array([forward(params, x)[0] for x in xs])
         hit = np.abs(scores) == 1.0 if kind is LossL0.ABSOLUTE else np.abs(scores) >= 1.0
         ys = np.where(hit, np.sign(scores), ys)
+    return params, kind, Dataset(xs, ys)
+
+
+@st.composite
+def live_relu_cases(draw):
+    """A relu net of 1-4 layers, m of 1-9 samples and a loss, whose risk Hessian is nonzero.
+
+    Unit 0 of every layer has nonnegative incoming weights and sample 0 a
+    positive input, so unit 0 is active through the whole chain for sample
+    0, and every label puts its sample's loss derivative off zero.
+    Optionally the other units of one layer are dead for every sample, the
+    last layer has width 1, and the last sample is the zero input.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(list(LossL0)))
+    n_layers = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 9))
+    dead = draw(st.integers(0, n_layers))  # 0: none dead
+    widths = rng.integers(1, 6, size=n_layers + 1)
+    if draw(st.booleans()):
+        widths[-1] = 1
+    weights = [rng.standard_normal((widths[i], widths[i + 1])) for i in range(n_layers)]
+    alpha = rng.standard_normal(widths[-1])
+    xs = rng.standard_normal((m, widths[0]))
+    xs[0] = np.abs(xs[0])
+    for w in weights:
+        w[:, 0] = np.abs(w[:, 0])
+    if dead:
+        # relu outputs are >= 0, so nonpositive weights above them are dead
+        if dead == 1:
+            xs = np.abs(xs)
+        weights[dead - 1][:, 1:] = -np.abs(weights[dead - 1][:, 1:])
+    if m > 1 and draw(st.booleans()):
+        xs[-1] = 0.0
+    params = NetworkParams(tuple(weights), alpha)
+    scores = np.array([forward(params, x)[0] for x in xs])
+    # the hinge's active side, and almost surely no exact absolute-loss fit
+    ys = np.where(scores > 0, -1.0, 1.0)
     return params, kind, Dataset(xs, ys)
 
 
@@ -529,6 +569,91 @@ class TestLandscape:
     def test_property_eigs_match_dense(self, case):
         assert_eigs_match_dense(*case, landscape_report(*case))
 
+    def test_property_factor_core_matches_dense(self):
+        # the core summed from the sample factors against the dense oracle,
+        # on nets whose risk Hessian is nonzero
+        live = []
+
+        @given(case=live_relu_cases())
+        @settings(max_examples=100, derandomize=True, deadline=None)
+        def check(case):
+            report = landscape_report(*case)
+            assert_eigs_match_dense(*case, report)
+            assert report.range_dim == sum(report.range_dims)
+            assert len(report.range_dims) == len(param_group_dims(case[0]))
+            live.append(report.range_dim > 0)
+
+        check()
+        assert 4 * sum(live) >= 3 * len(live)
+
+    def test_per_unit_basis_projects_as_one_qr(self):
+        # group 1 spans vec(t_0 e_j^T) alone, so its basis is one QR per unit
+        # j; with no more samples than inputs each unit's t vectors are
+        # independent and Q_1 Q_1^T is the projector of one QR of them all
+        rng = np.random.default_rng(35)
+        compared = 0
+        for trial in range(20):
+            params = random_net(rng, max_width=7)
+            d0, d1 = params.weights[0].shape
+            m = int(rng.integers(1, d0 + 1))
+            dataset = Dataset(rng.standard_normal((m, d0)), rng.choice([-1.0, 1.0], size=m))
+            spans = _RangeSpans(params)
+            _sample_pass(params, LossL0.ABSOLUTE, dataset, spans)
+            if spans._unit_counts(0) is None or spans.counts[0, 0] >= d0 * d1:
+                continue  # the summed blocks' rows, or the identity, span group 1
+            vectors = np.concatenate([v for v, _ in spans.found[0][0]])
+            units = np.concatenate([k for _, k in spans.found[0][0]])
+            sets = np.zeros((units.size, d1, d0))
+            sets[np.arange(units.size), units, :] = vectors
+            one = np.linalg.qr(sets.reshape(units.size, -1).T)[0]
+            basis = spans.bases()[0]
+            assert basis.shape == one.shape
+            assert np.abs(basis @ basis.T - one @ one.T).max(initial=0.0) <= 1e-12
+            compared += 1
+        assert compared >= 10
+
+    def test_runs_beyond_the_dense_budget(self):
+        # w=60, m=8: P = 10860, whose P x P matrix the dense budget refuses;
+        # the range core is far smaller, and the other P - r eigenvalues
+        # are exact zeros
+        rng = np.random.default_rng(36)
+        w, m = 60, 8
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(3)),
+            rng.standard_normal(w) / np.sqrt(w),
+        )
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        p = sum(param_group_dims(params))
+        assert p == 10860 and p * p > MAX_DENSE_ENTRIES
+        report = landscape_report(params, LossL0.HINGE, dataset)
+        r = report.range_dim
+        assert r == sum(report.range_dims) and 0 < r * r <= MAX_DENSE_ENTRIES
+        assert report.range_dims[-1] == w
+        assert np.count_nonzero(report.eigs == 0.0) >= p - r
+        assert report.op_norm > 0.0 and report.op_norm <= report.bound
+        # the Hessian's diagonal blocks are zero, so its trace is
+        assert abs(report.eigs.sum()) <= 1e-10 * report.op_norm * r
+
+    def test_wide_report_peak(self):
+        # w=40, m=10: P = 4840 and r < P / 4; no P x P array is formed,
+        # and the peak stays below a quarter of one
+        rng = np.random.default_rng(37)
+        w, m = 40, 10
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(3)),
+            rng.standard_normal(w) / np.sqrt(w),
+        )
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        p = sum(param_group_dims(params))
+        tracemalloc.start()
+        try:
+            report = landscape_report(params, LossL0.HINGE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p == 4840 and report.range_dim < p / 4
+        assert peak < 8 * p * p / 4
+
     def test_own_block_rows_span_a_group(self):
         # every unit active and d = 1 for both samples: group 1's column
         # role has 2 * 3 per-sample spans but only the 3 + 1 rows of the
@@ -546,8 +671,8 @@ class TestLandscape:
         assert_eigs_match_dense(params, LossL0.HINGE, dataset, report)
 
     def test_reduced_core_peak(self):
-        # w=30, m=4: r < P/2, and the peak is the P x P matrix, the r x r
-        # core and at most one block set beside them
+        # w=30, m=4: r < P/2, and no P x P matrix is formed: the peak is
+        # the r x r core and at most one block set beside it
         rng = np.random.default_rng(33)
         w, m = 30, 4
         params = NetworkParams(
@@ -568,7 +693,7 @@ class TestLandscape:
             tracemalloc.stop()
         r = report.range_dim
         assert r < p / 2
-        assert peak <= 8 * p * p + 8 * r * r + one_set
+        assert peak <= 8 * r * r + one_set < 8 * p * p
 
     def test_range_core_eigensolver_failure_is_numeric_error(self, monkeypatch):
         # the m sample cores are solved first, the risk Hessian's core last
@@ -818,6 +943,24 @@ class TestDenseBudget:
         try:
             with pytest.raises(CapacityError, match=r"P=162750 .*\(211900500000 bytes\)"):
                 risk_hessian(params, LossL0.HINGE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_landscape_first_pass_refused_before_allocation(self):
+        # narrow column roles: the 6060 rows of H[q > 1, 1] for W_1 (100 x 100)
+        # and the 60 of H[3, 2] for W_2 (100 x 60), 60600000 + 360000
+        # entries, refused before the first pass
+        params = NetworkParams((np.ones((100, 100)), np.ones((100, 60))), np.ones(60))
+        dataset = Dataset(np.ones((1, 100)), np.array([1.0]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=(
+                r"first landscape pass over P=16060 parameters, for the narrow roles'"
+                r" summed blocks, needs 60960000 entries"
+            )):
+                landscape_report(params, LossL0.HINGE, dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,6 +17,7 @@ from dysonnet.errors import (
     ShapeError,
 )
 from dysonnet.rmt import (
+    BACKTRACK,
     EmpiricalSelfEnergy,
     IsotropicSelfEnergy,
     MDEProblem,
@@ -249,6 +250,40 @@ class TestEigenbasisPath:
         solution = solve_mde(MDEProblem(a, IsotropicSelfEnergy(1.0), z_grid))
         assert solution.iterations.mean() <= 8
         assert solution.residuals.max() <= 1e-10
+
+    def test_no_point_of_the_bench_spectrum_takes_over_20_evaluations(self):
+        # the shortened Newton steps: the edge points E = -2.8 and 2.85 took
+        # 51 and 23 residual evaluations when a rejected full step fell back
+        # to the damped step at once
+        grid = np.linspace(-2.0, 2.0, 20001)
+        a = np.diag(np.interp((np.arange(64) + 0.5) / 64, semicircle_cdf(grid), grid))
+        z_grid = np.linspace(-3.0, 3.0, 121) + 1e-3j
+        solution = solve_mde(MDEProblem(a, IsotropicSelfEnergy(1.0), z_grid))
+        assert solution.iterations.max() <= 20
+        assert solution.residuals.max() <= 1e-10
+
+    def test_rejected_trial_backtracks_along_its_direction(self, monkeypatch):
+        # a trial eight times the Newton step overshoots, and so do its half
+        # and quarter; the eighth, the Newton step, is kept after five
+        # residual evaluations
+        newton = _EigenSteps.newton
+        monkeypatch.setattr(_EigenSteps, "newton",
+                            lambda self, m, k: m + 8.0 * (newton(self, m, k) - m))
+        steps = _EigenSteps(np.array([-1.0, 0.5, 2.0]), IsotropicSelfEnergy(1.0).eigen_weights)
+        z = 0.3 + 0.1j
+        m0 = steps.target(steps.shift(z))
+        _, k0 = steps.residual(steps.shift(z), m0)
+        full = m0 + 8.0 * (newton(steps, m0, k0) - m0)
+        want = [m0, full] + [m0 + s * (full - m0) for s in BACKTRACK]
+        evaluated = []
+        residual = steps.residual
+        monkeypatch.setattr(steps, "residual",
+                            lambda shift, m: (evaluated.append(m), residual(shift, m))[1])
+        m, res, ok, count = _iterate(steps, z, m0, 1e-10, 5)
+        assert all(np.array_equal(got, w) for got, w in zip(evaluated, want))
+        assert not ok and count == 6
+        assert np.array_equal(m, want[-1])
+        assert res == residual(steps.shift(z), m)[0] < residual(steps.shift(z), m0)[0]
 
     def test_rejected_trial_counts_and_falls_back_to_a_damped_step(self, monkeypatch):
         # a trial with Im m < 0 is refused; the step from m0 is the damped
