@@ -52,8 +52,9 @@ c of Q_p as a d_{p-1} x d_p matrix, H[q, p] Q_p is
 ``Σ_i d_i/m u_q ⊗ (P_pq B)_i`` (Pearlmutter's Hessian-vector product in
 closed form), one GEMM per chunk, and Q_q^T takes it into the core.  Its
 eigenvalues and P - r exact zeros are the spectrum.  The budget is
-checked on the core, the bases and those sums once r is known, before
-any of them exists, so its memory grows as r^2, not P^2.
+checked on the core, the bases, those sums and the second pass's largest
+temporaries (B, P_pq B and one GEMM output) once r is known, before any
+of them exists, so its memory grows as r^2, not P^2.
 """
 
 from __future__ import annotations
@@ -200,6 +201,33 @@ def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
         blocks[c] += part.transpose(1, 2, 0)
 
 
+def _chunk_rows(widths, m: int, columns) -> int:
+    """Samples per chunk of :func:`_summed_factors`, for ``m`` samples.
+
+    ``widths`` are the layer widths d_0, ..., d_{L-1}, and ``columns[g]``
+    is Q_{g+1}'s column count, None for the identity.  A chunk's factors,
+    with the one pair's outer products or products P_pq B formed at a
+    time, fit in half a block set.
+    """
+    groups = len(widths)
+    pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
+
+    def out_width(q):  # length of u_q
+        return widths[q] if q < groups else 1
+
+    def temporary(p, q):  # a sample's row of the pair's outer product, or of B and P_pq B
+        if columns[p - 1] is None:
+            return out_width(q) * widths[p - 1]
+        return (widths[p] + widths[q - 1]) * columns[p - 1]
+
+    block_set = sum(out_width(q) * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
+    # a sample's layer states, deltas and P's, and its row of the largest temporary
+    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
+    largest = max((temporary(p, q) for p, q in pairs), default=0)
+    # the caller still holds one chunk while the next is formed: two fit in a block set
+    return max(1, min(m, block_set // max(2 * (factors + largest), 1)))
+
+
 def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
                     targets: dict, bases):
     """Yield ``(rows, values, derivs, loss_args, states, deltas, paths)`` for each chunk.
@@ -212,30 +240,14 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
     ``bases[p-1]`` holds one (None: the identity), is added into
     ``targets[(p, q)]``, which must start at zero.  Once the generator is
     drained each target holds the summed block H[q, p] (times Q_p).
-    A chunk's factors, with the one pair's outer products or products
-    P_pq B formed at a time, fit in half a block set; its samples with a
-    nonzero ``deriv`` add into each target with one GEMM, and B is formed
-    once per group p.
+    A chunk holds :func:`_chunk_rows` samples; those with a nonzero
+    ``deriv`` add into each target with one GEMM, and B is formed once per
+    group p.
     """
     widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     groups = len(widths)
-    pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
-
-    def out_width(q):  # length of u_q
-        return widths[q] if q < groups else 1
-
-    def temporary(p, q):  # a sample's row of the pair's outer product, or of B and P_pq B
-        if bases[p - 1] is None:
-            return out_width(q) * widths[p - 1]
-        return (widths[p] + widths[q - 1]) * bases[p - 1].shape[1]
-
-    block_set = sum(out_width(q) * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
-    # a sample's layer states, deltas and P's, and its row of the largest temporary
-    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
-    largest = max((temporary(p, q) for p, q in pairs), default=0)
     m = len(dataset)
-    # the caller still holds one chunk while the next is formed: two fit in a block set
-    chunk = max(1, min(m, block_set // max(2 * (factors + largest), 1)))
+    chunk = _chunk_rows(widths, m, [None if b is None else b.shape[1] for b in bases])
     # at least one chunk, so that _sample_terms refuses an empty dataset
     for start in range(0, max(m, 1), chunk):
         rows = slice(start, min(start + chunk, m))
@@ -578,8 +590,9 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     Two passes over the samples: the first takes the risk, the kinks, each
     sample's range core and the spans of the range; the second sums the
     r x r core of the risk Hessian in the bases Q_g (:func:`_summed_core`),
-    with no P x P array.  The core, and the bases and sums it needs, are
-    held to the dense budget once r is known, before any of them exists.
+    with no P x P array.  The core, and the bases, sums and temporaries it
+    needs, are held to the dense budget once r is known, before any of
+    them exists.
     """
     dims = _relu_dims(params)
     m = len(dataset)
@@ -588,11 +601,17 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     range_dims = spans.sizes()
     r = sum(range_dims)
     reduced = [k < d for d, k in zip(dims, range_dims)]
+    pairs = [(p, q) for p in range(len(dims)) for q in range(p + 1, len(dims))]
     # the core, and the bases and sums of the groups whose Q_g is not the identity
     held = r * r + sum(d * k for d, k, cut in zip(dims, range_dims, reduced) if cut) + sum(
-        dims[q] * range_dims[p]
-        for p in range(len(dims)) for q in range(p + 1, len(dims)) if reduced[q]
+        dims[q] * range_dims[p] for p, q in pairs if reduced[q]
     )
+    # and the second pass's largest temporaries where Q_p is not the identity:
+    # a chunk's stacks B and P_pq B, and the dim_q x r_p GEMM output
+    widths = [rows for rows, _ in spans.shapes]
+    chunk = _chunk_rows(widths, m, [k if cut else None for k, cut in zip(range_dims, reduced)])
+    held += max((range_dims[p] * (chunk * (widths[p + 1] + widths[q]) + dims[q])
+                 for p, q in pairs if reduced[p]), default=0)
     check_dense_budget(held, f"the range core of r={r} of P={sum(dims)} parameters,"
                              " with its bases and sums,")
     range_core = _summed_core(params, kind, dataset, spans.bases())

@@ -2,26 +2,23 @@
 
 Finite-support exponential families supply the log-partition, its
 gradient (the mean coordinates) and a numerically evaluated Legendre
-dual.  On top of these the module provides dual Bregman divergences with
-which layer outputs can be compared, the data-processing contraction of
-KL divergence through stochastic kernels, and the exact decomposition of
-the log likelihood of enumerable layered discrete models into the
-expected-data term plus one KL divergence per scale.
+dual.  On top of these the module provides dual Bregman divergences, the
+data-processing contraction of KL divergence through stochastic kernels,
+and the exact decomposition of the log likelihood of enumerable layered
+discrete models into the expected-data term plus one KL divergence per
+scale.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, NumericError, ShapeError
 from .poset import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
-
-if TYPE_CHECKING:
-    from .net import NetworkParams
 
 __all__ = [
     "ConvexFunction",
@@ -34,12 +31,16 @@ __all__ = [
     "bregman_divergence",
     "contraction_check",
     "decompose_likelihood",
-    "deformation_scenario",
     "dual_of",
     "fp_bp_semantics_check",
     "kl_divergence",
+    "log_partition_of",
+    "logsumexp",
     "neuron_coordinates",
+    "posterior_assignments",
     "quadratic_potential",
+    "top_kl_gradient",
+    "top_scale_kl",
 ]
 
 # Settings that no caller varies.
@@ -130,8 +131,10 @@ class ExpFamilyModel:
         Stops once the gradient residual is within ``DUAL_TOL`` of
         ``max(1, |eta|)``, after at most ``DUAL_MAX_ITER`` steps.  Raises
         :class:`DomainError` when ``eta`` is not strictly inside the convex
-        hull of the sufficient statistics (the maximizer then runs away to
-        infinity).
+        hull of the sufficient statistics: outside their bounding box, or
+        where the solution runs away to infinity or leaves some support
+        point x a mass whose pull on the mean, ``p_x |g(x) - eta|``, is
+        within the residual tolerance, as it does on the hull's boundary.
         """
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
         if eta.shape != (self.dim,):
@@ -148,14 +151,17 @@ class ExpFamilyModel:
             try:
                 step = np.linalg.solve(self.covariance(t) + 1e-14 * np.eye(self.dim), grad)
             except np.linalg.LinAlgError:
-                if converged:
-                    return t
-                step = grad
+                step = 0.0 if converged else grad
             if converged:
                 # one polishing Newton step: near saturation the inverse
                 # curvature amplifies the gradient residual into the natural
                 # parameter, and quadratic convergence squares it away
-                return t + step
+                t = t + step
+                offsets = np.abs(self._stats - eta).max(axis=1)
+                pull = self.probabilities(t)[offsets > 0] * offsets[offsets > 0]
+                if np.any(pull <= DUAL_TOL * scale):
+                    raise DomainError(f"mean coordinate {eta} on or outside the hull boundary")
+                return t
             # backtracking on the concave objective <t, eta> - psi(t); ties at
             # float resolution accept the full step so the search cannot stall
             base = t @ eta - self.log_partition(t)
@@ -330,32 +336,6 @@ def contraction_check(p, q, kernels) -> np.ndarray:
         q = k.T @ q
         stages.append(kl_divergence(p, q))
     return np.asarray(stages)
-
-
-def deformation_scenario(base, shift: int, net: NetworkParams) -> np.ndarray:
-    """Per-layer divergence between a signal and its cyclic translation.
-
-    Both inputs are pushed through the network's layers; each layer's
-    logistic outputs are read as per-coordinate Bernoulli means and
-    compared with the dual Bregman divergence.  The sequence is emitted
-    for inspection; monotonicity is a property of exact kernels and is
-    not asserted here.
-    """
-    from .net import forward
-
-    base = np.asarray(base, dtype=float)
-    if net.rule is not ActivationRule.PARTIAL_EXPECTATION_01:
-        raise DomainError("deformation comparison needs logistic-mean layers")
-    if not -base.size < shift < base.size:
-        raise DomainError(f"shift {shift} outside the signal length {base.size}")
-    shifted = np.roll(base, shift)
-    potential = bernoulli_entropy()
-    _, states = forward(net, base)
-    _, states_shifted = forward(net, shifted)
-    return np.asarray([
-        bregman_divergence(potential, s.h_tilde, s2.h_tilde)
-        for s, s2 in zip(states, states_shifted)
-    ])
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,10 @@ __all__ = [
     "load_dataset_csv",
     "loss",
     "network_from_chain_json",
+    "network_to_chain_json",
     "param_group_dims",
     "risk_gradient",
+    "save_dataset_csv",
     "unflatten_params",
 ]
 

@@ -32,8 +32,6 @@ __all__ = [
     "evaluate_plan",
     "kernel_from_entry",
     "load_network_json",
-    "successor",
-    "predecessor",
 ]
 
 
@@ -172,20 +170,12 @@ class ScalePoset:
         return self._index[s]
 
     def successors(self, s: str) -> set[str]:
+        """Immediate successors of ``s``: the minimal elements strictly above it."""
         return {self.node_ids[j] for j in np.flatnonzero(self._covers[self._node(s)])}
 
     def predecessors(self, s: str) -> set[str]:
+        """Immediate predecessors of ``s``: the maximal elements strictly below it."""
         return {self.node_ids[i] for i in np.flatnonzero(self._covers[:, self._node(s)])}
-
-
-def successor(poset: ScalePoset, s: str) -> set[str]:
-    """Immediate successors of ``s``: the minimal elements strictly above it."""
-    return poset.successors(s)
-
-
-def predecessor(poset: ScalePoset, s: str) -> set[str]:
-    """Immediate predecessors of ``s``: the maximal elements strictly below it."""
-    return poset.predecessors(s)
 
 
 def _sigmoid(x):

@@ -30,7 +30,7 @@ matrices on first access only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,12 +58,10 @@ __all__ = [
     "ZeroSelfEnergy",
     "cumulant_diagnostics",
     "density_cdf",
-    "empirical_esd",
     "ks_distance",
     "load_problem_json",
     "sample_centered_hessians",
     "sample_wigner",
-    "self_energy_apply",
     "self_energy_norm",
     "semicircle_cdf",
     "semicircle_density",
@@ -243,15 +241,6 @@ class EmpiricalSelfEnergy:
         return out / (m * n)
 
 
-def self_energy_apply(problem: "MDEProblem", r: np.ndarray) -> np.ndarray:
-    """Apply the problem's self-energy operator with shape validation."""
-    r = np.asarray(r)
-    n = problem.a_matrix.shape[0]
-    if r.shape != (n, n):
-        raise ShapeError(f"matrix has shape {r.shape}, expected ({n}, {n})")
-    return problem.self_energy.apply(r)
-
-
 def self_energy_norm(self_energy, n: int) -> float:
     """Operator norm of the self-energy via power iteration on matrices.
 
@@ -272,29 +261,6 @@ def self_energy_norm(self_energy, n: int) -> float:
             return lam_new
         lam = lam_new
     raise NumericError(f"self-energy power iteration did not settle within {NORM_MAX_ITER} steps")
-
-
-def check_self_energy(self_energy, n: int, rng, n_probes: int = 100):
-    """Probe positivity preservation and linearity of a self-energy.
-
-    Returns ``(min_probe_eig, linearity_defect)``: the smallest eigenvalue
-    of ``S[R]`` over random positive-semidefinite probes ``R`` and the
-    largest deviation from additivity/homogeneity over random pairs.
-    """
-    min_eig = np.inf
-    defect = 0.0
-    for _ in range(n_probes):
-        g = rng.standard_normal((n, n))
-        psd = g @ g.T
-        out = self_energy.apply(psd)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh((out + out.T) / 2).min()))
-        a, b = rng.standard_normal(2)
-        r = rng.standard_normal((n, n))
-        q = rng.standard_normal((n, n))
-        lhs = self_energy.apply(a * r + b * q)
-        rhs = a * self_energy.apply(r) + b * self_energy.apply(q)
-        defect = max(defect, float(np.abs(lhs - rhs).max()))
-    return min_eig, defect
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +353,6 @@ class MDESolution:
         if missing.size:
             raise DomainError(f"spectral parameter {zs[missing[0]]} not in the solved grid")
         return out
-
-    def m_at(self, z: complex) -> np.ndarray:
-        return self.m[self.indices_of(z)[0]]
 
 
 class _DenseSteps:
@@ -644,12 +607,11 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Sampled density on a real grid, from inversion or from eigenvalues."""
+    """Sampled density on a real grid, from inversion."""
 
     grid: np.ndarray
     density: np.ndarray
     eta: float
-    bin_widths: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -664,8 +626,6 @@ class SpectralDensity:
         object.__setattr__(self, "density", density)
 
     def mass(self) -> float:
-        if self.bin_widths is not None:
-            return float(np.sum(self.density * self.bin_widths))
         return float(np.trapezoid(self.density, self.grid))
 
 
@@ -682,18 +642,6 @@ def stieltjes_invert(solution: MDESolution, grid: np.ndarray, eta: float) -> Spe
     if worst < -NEG_TOL:
         raise NumericError(f"density dipped to {worst:.3e}, below the -{NEG_TOL:g} allowance")
     return SpectralDensity(grid, np.clip(rho, 0.0, None), eta)
-
-
-def empirical_esd(matrix: np.ndarray, bins: int) -> SpectralDensity:
-    """Normalized eigenvalue histogram of a symmetric matrix."""
-    m = _checked_matrix(matrix, "matrix")
-    try:
-        eigs = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    density, edges = np.histogram(eigs, bins=bins, density=True)
-    centers = (edges[:-1] + edges[1:]) / 2.0
-    return SpectralDensity(centers, density, eta=0.0, bin_widths=np.diff(edges))
 
 
 def symmetry_check(density: SpectralDensity) -> float:

@@ -149,24 +149,41 @@ def test_criterion_05_ks_empirical_vs_mde(wigner_run):
     report(5, ok, f"mean KS over 20 trials={mean_ks:.4f} (<=0.05), worst={max(distances):.4f}")
 
 
+def _stacked_losses(params, kind, x, y, thetas):
+    """The loss at each row of ``thetas``, computed as ``net.forward`` and ``loss`` do.
+
+    Each weight group's slice of a row is the column-major vec of W, so it
+    reads as a C-ordered (d_out, d_in) W^T; every row is then one
+    matrix-vector product per layer, as a lone ``forward`` makes it.
+    """
+    t = np.broadcast_to(x, (thetas.shape[0], x.size))
+    offset = 0
+    for w in params.weights:
+        d_in, d_out = w.shape
+        w_t = thetas[:, offset:offset + w.size].reshape(-1, d_out, d_in)
+        t, _ = estimate_indicator(params.rule, (w_t @ t[..., None])[..., 0])
+        offset += w.size
+    score = (t[:, None, :] @ thetas[:, offset:, None])[:, 0, 0]
+    return loss(kind, score, y)[0]
+
+
 def _fd_hessian(params, kind, x, y, step=1e-4):
     theta = flatten_params(params)
-
-    def value(vec):
-        score, _ = forward(unflatten_params(vec, params), x)
-        return loss(kind, score, y)[0]
+    lone = loss(kind, forward(unflatten_params(theta, params), x)[0], y)[0]
+    assert _stacked_losses(params, kind, x, y, theta[None])[0] == lone
 
     n = theta.size
     out = np.zeros((n, n))
     for i in range(n):
-        for j in range(i, n):
-            pp = theta.copy(); pp[i] += step; pp[j] += step
-            pm = theta.copy(); pm[i] += step; pm[j] -= step
-            mp = theta.copy(); mp[i] -= step; mp[j] += step
-            mm = theta.copy(); mm[i] -= step; mm[j] -= step
-            out[i, j] = out[j, i] = (
-                value(pp) - value(pm) - value(mp) + value(mm)
-            ) / (4 * step * step)
+        # rows pp, pm, mp, mm for every j >= i, each shifted at i then at j
+        js = np.arange(i, n)
+        stack = np.tile(theta, (4 * js.size, 1))
+        half = 2 * js.size
+        stack[:half, i] += step
+        stack[half:, i] -= step
+        stack[np.arange(4 * js.size), np.tile(js, 4)] += np.repeat([step, -step, step, -step], js.size)
+        pp, pm, mp, mm = _stacked_losses(params, kind, x, y, stack).reshape(4, js.size)
+        out[i, i:] = out[i:, i] = (pp - pm - mp + mm) / (4 * step * step)
     return out
 
 

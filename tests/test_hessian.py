@@ -695,6 +695,38 @@ class TestLandscape:
         assert r < p / 2
         assert peak <= 8 * r * r + one_set < 8 * p * p
 
+    def test_budget_counts_the_second_pass_temporaries(self, monkeypatch):
+        # w=40, m=10: groups W_1 and W_2 are reduced, so the second pass
+        # forms B, P_pq B and a dim_q x r_p GEMM output beside the core,
+        # the bases and the sums; the peak exceeds those three alone, but
+        # stays within the budgeted count, give or take the 1 MiB slack
+        # that holds the chunk's layer states and path matrices (0.4 MB)
+        rng = np.random.default_rng(39)
+        w, m = 40, 10
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(2)),
+            rng.standard_normal(w) / np.sqrt(w),
+        )
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        counted = {}
+
+        def recording(entries, what):
+            counted[what.split(" of ")[0]] = entries
+
+        monkeypatch.setattr("dysonnet.hessian.check_dense_budget", recording)
+        tracemalloc.start()
+        try:
+            report = landscape_report(params, LossL0.HINGE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dims = param_group_dims(params)
+        ks = report.range_dims
+        assert ks[0] < dims[0] and ks[1] < dims[1] and ks[2] == dims[2]
+        stored = report.range_dim ** 2 + dims[0] * ks[0] + dims[1] * ks[1] + dims[1] * ks[0]
+        slack = 2 ** 20
+        assert 8 * stored + slack < peak <= 8 * counted["the range core"] + slack
+
     def test_range_core_eigensolver_failure_is_numeric_error(self, monkeypatch):
         # the m sample cores are solved first, the risk Hessian's core last
         rng = np.random.default_rng(34)

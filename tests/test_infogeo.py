@@ -19,7 +19,6 @@ from dysonnet.infogeo import (
     bregman_divergence,
     contraction_check,
     decompose_likelihood,
-    deformation_scenario,
     dual_of,
     fp_bp_semantics_check,
     kl_divergence,
@@ -30,7 +29,6 @@ from dysonnet.infogeo import (
     top_kl_gradient,
     top_scale_kl,
 )
-from dysonnet.net import NetworkParams, forward
 from dysonnet.poset import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
 
 
@@ -144,6 +142,38 @@ class TestBregman:
             assert model.psi_star([eta]) == pytest.approx(closed.value([eta]), abs=1e-10)
 
 
+class TestMeanToNatural:
+    # statistics (x, x^2) on {0, 1, 2}: the hull is the triangle with
+    # vertices (0, 0), (1, 1) and (2, 4), inside the box [0, 2] x [0, 4]
+    @staticmethod
+    def model():
+        return ExpFamilyModel([0.0, 1.0, 2.0], lambda x: np.concatenate([x, x * x]))
+
+    def test_inverts_the_mean_map(self):
+        model = self.model()
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            eta = model.mean(rng.standard_normal(2) * 2)
+            back = model.mean(model.mean_to_natural(eta))
+            assert np.abs(back - eta).max() <= infogeo.DUAL_TOL * max(1.0, np.abs(eta).max())
+
+    @pytest.mark.parametrize("eta", [[0.5], [0.5, 1.0, 1.0], [[0.5, 1.0]]])
+    def test_wrong_shape_refused(self, eta):
+        with pytest.raises(ShapeError):
+            self.model().mean_to_natural(eta)
+
+    @pytest.mark.parametrize("eta", [
+        (3.0, 1.0),  # outside the box
+        (1.0, 3.0),  # inside the box, above the edge from (0, 0) to (2, 4)
+        (1.0, 1.0),  # a vertex
+        (0.5, 1.0),  # on the edge from (0, 0) to (2, 4)
+        (1.5, 2.5),  # on the edge from (1, 1) to (2, 4)
+    ])
+    def test_outside_or_on_the_boundary_refused(self, eta):
+        with pytest.raises(DomainError, match="hull"):
+            self.model().mean_to_natural(eta)
+
+
 class TestContraction:
     def test_identity_kernels_preserve(self):
         p = np.array([0.3, 0.2, 0.5])
@@ -177,52 +207,6 @@ class TestContraction:
             contraction_check([0.5, 0.5], [0.5, 0.5], [np.array([[0.5, 0.4], [0.5, 0.5]])])
         with pytest.raises(DomainError):
             contraction_check([0.5, 0.5], [0.5, 0.5], [np.array([[np.nan, 1.0], [0.5, 0.5]])])
-
-
-class TestDeformation:
-    def net(self, rng):
-        return NetworkParams(
-            (rng.standard_normal((8, 5)), rng.standard_normal((5, 4))),
-            rng.standard_normal(4),
-            ActivationRule.PARTIAL_EXPECTATION_01,
-        )
-
-    def test_zero_shift_is_zero(self):
-        rng = np.random.default_rng(37)
-        seq = deformation_scenario(rng.standard_normal(8), 0, self.net(rng))
-        assert np.array_equal(seq, np.zeros(2))
-
-    def test_collapsing_layer_kills_divergence(self):
-        rng = np.random.default_rng(38)
-        params = NetworkParams(
-            (np.zeros((8, 5)), rng.standard_normal((5, 4))),
-            rng.standard_normal(4),
-            ActivationRule.PARTIAL_EXPECTATION_01,
-        )
-        seq = deformation_scenario(rng.standard_normal(8), 2, params)
-        assert np.array_equal(seq, np.zeros(2))
-
-    def test_matches_naive_recomputation(self):
-        rng = np.random.default_rng(39)
-        params = self.net(rng)
-        base = rng.standard_normal(8)
-        seq = deformation_scenario(base, 1, params)
-        assert np.all(seq >= 0.0)
-        # naive recomputation: explicit per-coordinate Bernoulli KL sums
-        _, s_base = forward(params, base)
-        _, s_shift = forward(params, np.roll(base, 1))
-        for d, sb, ss in zip(seq, s_base, s_shift):
-            naive = sum(
-                b * np.log(b / a) + (1 - b) * np.log((1 - b) / (1 - a))
-                for a, b in zip(sb.h_tilde, ss.h_tilde)
-            )
-            assert d == pytest.approx(naive, rel=1e-10)
-
-    def test_requires_logistic_rule(self):
-        rng = np.random.default_rng(40)
-        params = NetworkParams((np.ones((4, 2)),), np.ones(2), ActivationRule.ARGMAX_MASK_01)
-        with pytest.raises(DomainError):
-            deformation_scenario(rng.standard_normal(4), 1, params)
 
 
 def binary_scale_model(p1=0.2):

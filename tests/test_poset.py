@@ -18,8 +18,6 @@ from dysonnet.poset import (
     estimate_indicator,
     evaluate_plan,
     load_network_json,
-    predecessor,
-    successor,
 )
 
 
@@ -35,13 +33,13 @@ def diamond():
 class TestNeighbors:
     def test_chain_successor(self):
         p = chain(3)
-        assert successor(p, "0") == {"1"}
-        assert successor(p, "2") == set()
+        assert p.successors("0") == {"1"}
+        assert p.successors("2") == set()
 
     def test_chain_predecessor(self):
         p = chain(3)
-        assert predecessor(p, "2") == {"1"}
-        assert predecessor(p, "0") == set()
+        assert p.predecessors("2") == {"1"}
+        assert p.predecessors("0") == set()
 
     def test_diamond_by_exhaustive_comparison(self):
         # oracle: minimal strict upper bounds / maximal strict lower bounds
@@ -57,16 +55,16 @@ class TestNeighbors:
             return {t for t in below if not any(p.less(t, u) for u in below)}
 
         for s in nodes:
-            assert successor(p, s) == oracle_succ(s)
-            assert predecessor(p, s) == oracle_pred(s)
-        assert successor(p, "0") == {"a", "b"}
-        assert predecessor(p, "2") == {"a", "b"}
+            assert p.successors(s) == oracle_succ(s)
+            assert p.predecessors(s) == oracle_pred(s)
+        assert p.successors("0") == {"a", "b"}
+        assert p.predecessors("2") == {"a", "b"}
 
     def test_unknown_id(self):
         with pytest.raises(DomainError):
-            successor(chain(3), "zz")
+            chain(3).successors("zz")
         with pytest.raises(DomainError):
-            predecessor(chain(3), "zz")
+            chain(3).predecessors("zz")
 
 
 class TestValidation:

@@ -1,0 +1,30 @@
+"""Each module's ``__all__`` names exactly what it defines for public use."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import dysonnet
+
+MODULES = [dysonnet] + [
+    importlib.import_module(f"dysonnet.{info.name}") for info in pkgutil.iter_modules(dysonnet.__path__)
+]
+LISTED = [module for module in MODULES if hasattr(module, "__all__")]
+
+
+@pytest.mark.parametrize("module", LISTED, ids=lambda module: module.__name__)
+def test_listed_names_exist(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", LISTED, ids=lambda module: module.__name__)
+def test_public_definitions_are_listed(module):
+    defined = {
+        name for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+    assert sorted(defined - set(module.__all__)) == []
