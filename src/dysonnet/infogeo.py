@@ -72,6 +72,14 @@ def logsumexp(a) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _affine_directions(points) -> np.ndarray:
+    """Orthonormal rows spanning the directions of the points' affine hull."""
+    if len(points) < 2:
+        return np.zeros((0, points.shape[1]))
+    _, sing, vt = np.linalg.svd(points - points[0], full_matrices=False)
+    return vt[sing > sing.max() * max(points.shape) * np.finfo(float).eps]
+
+
 class ExpFamilyModel:
     """Exponential family over a finite support.
 
@@ -128,13 +136,15 @@ class ExpFamilyModel:
     def mean_to_natural(self, eta) -> np.ndarray:
         """Solve grad log_partition(t) = eta by safeguarded Newton ascent.
 
-        Stops once the gradient residual is within ``DUAL_TOL`` of
-        ``max(1, |eta|)``, after at most ``DUAL_MAX_ITER`` steps.  Raises
-        :class:`DomainError` when ``eta`` is not strictly inside the convex
-        hull of the sufficient statistics: outside their bounding box, or
-        where the solution runs away to infinity or leaves some support
-        point x a mass whose pull on the mean, ``p_x |g(x) - eta|``, is
-        within the residual tolerance, as it does on the hull's boundary.
+        Steps until the gradient residual is within ``DUAL_TOL`` of
+        ``max(1, |eta|)`` and stops falling, at most ``DUAL_MAX_ITER`` times.
+        Raises :class:`DomainError` when ``eta`` is not strictly inside the
+        convex hull of the sufficient statistics: outside their bounding
+        box, or when every support point lies within that tolerance behind
+        a hyperplane through ``eta`` whose normal is the solution's part
+        orthogonal to the points that pull on the mean,
+        ``p_x |g(x) - eta|`` above the tolerance (the solution runs off
+        along that normal on the boundary; none exists strictly inside).
         """
         eta = np.atleast_1d(np.asarray(eta, dtype=float))
         if eta.shape != (self.dim,):
@@ -144,24 +154,21 @@ class ExpFamilyModel:
         if np.any(eta <= lo - 1e-12) or np.any(eta >= hi + 1e-12):
             raise DomainError(f"mean coordinate {eta} outside the statistic hull")
         t = np.zeros(self.dim)
-        scale = max(1.0, float(np.abs(eta).max()))
+        tol = DUAL_TOL * max(1.0, float(np.abs(eta).max()))
+        last = np.inf
         for _ in range(DUAL_MAX_ITER):
             grad = eta - self.mean(t)
-            converged = np.abs(grad).max() <= DUAL_TOL * scale
+            residual = np.abs(grad).max()
+            # polishing past the tolerance: near saturation the inverse
+            # curvature amplifies the residual into the natural parameter,
+            # and on the boundary the off-face mass keeps falling
+            if residual <= tol and residual >= last:
+                break
+            last = residual
             try:
                 step = np.linalg.solve(self.covariance(t) + 1e-14 * np.eye(self.dim), grad)
             except np.linalg.LinAlgError:
-                step = 0.0 if converged else grad
-            if converged:
-                # one polishing Newton step: near saturation the inverse
-                # curvature amplifies the gradient residual into the natural
-                # parameter, and quadratic convergence squares it away
-                t = t + step
-                offsets = np.abs(self._stats - eta).max(axis=1)
-                pull = self.probabilities(t)[offsets > 0] * offsets[offsets > 0]
-                if np.any(pull <= DUAL_TOL * scale):
-                    raise DomainError(f"mean coordinate {eta} on or outside the hull boundary")
-                return t
+                step = grad
             # backtracking on the concave objective <t, eta> - psi(t); ties at
             # float resolution accept the full step so the search cannot stall
             base = t @ eta - self.log_partition(t)
@@ -173,8 +180,15 @@ class ExpFamilyModel:
                     break
                 alpha /= 2.0
             t = t + alpha * step
-            if np.abs(t).max() > 500.0:
+        offsets = self._stats - eta
+        pull = self.probabilities(t) * np.abs(offsets).max(axis=1)
+        span = _affine_directions(self._stats[pull > tol])
+        if len(span) < len(_affine_directions(np.vstack([self._stats, eta]))):
+            normal = t - span.T @ (span @ t)
+            if (offsets @ normal).max() <= tol * np.linalg.norm(normal):
                 raise DomainError(f"mean coordinate {eta} on or outside the hull boundary")
+        if np.abs(eta - self.mean(t)).max() <= tol:
+            return t
         raise NumericError("dual coordinate solve did not converge")
 
     def psi_star(self, eta) -> float:

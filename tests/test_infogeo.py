@@ -1,5 +1,6 @@
 """Exponential-family coordinates, divergences and the likelihood identity."""
 
+import itertools
 import re
 from functools import reduce
 
@@ -172,6 +173,28 @@ class TestMeanToNatural:
     def test_outside_or_on_the_boundary_refused(self, eta):
         with pytest.raises(DomainError, match="hull"):
             self.model().mean_to_natural(eta)
+
+    @pytest.mark.parametrize("support, stat, eta", [
+        # product Bernoulli on {0, 1}^5, 0.01 from every face: p(1, ..., 1) = 1e-10
+        (list(itertools.product([0.0, 1.0], repeat=5)), lambda x: x, np.full(5, 0.01)),
+        # the statistic x on {0, ..., 4} at 1e-3: p_4 is about 1e-12
+        (np.arange(5.0), lambda x: x, np.array([1e-3])),
+        # (x, x^2) on {0, 0.01, 0.02} at natural parameter (300, -20000)
+        ([0.0, 0.01, 0.02], lambda x: np.concatenate([x, x * x]), None),
+    ], ids=["product-bernoulli", "line", "fine-spacing"])
+    def test_near_the_boundary_round_trips(self, support, stat, eta):
+        model = ExpFamilyModel(np.asarray(support), stat)
+        if eta is None:
+            eta = model.mean([300.0, -20000.0])
+        back = model.mean(model.mean_to_natural(eta))
+        assert np.abs(back - eta).max() <= infogeo.DUAL_TOL * max(1.0, np.abs(eta).max())
+
+    def test_off_the_affine_hull_refused(self):
+        # statistics (x, 2x) on {0, 1, 2} lie on a line; means on it invert
+        model = ExpFamilyModel([0.0, 1.0, 2.0], lambda x: np.concatenate([x, 2 * x]))
+        assert np.abs(model.mean(model.mean_to_natural([1.0, 2.0])) - [1.0, 2.0]).max() <= 1e-10
+        with pytest.raises(DomainError, match="hull"):
+            model.mean_to_natural([1.0, 1.5])
 
 
 class TestContraction:
