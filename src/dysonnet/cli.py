@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 validation failure, 3 numeric non-convergence
 (the message carries the final residual).
 
 Each subcommand imports the modules it runs when it runs, so an
-invocation loads and compiles only those: ``decompose`` never loads
-``rmt`` or ``hessian``, and ``mde solve``, isotropic or empirical, never
-loads ``hessian``, ``net`` or ``infogeo``.
+invocation loads and compiles only those: ``decompose`` loads ``kernels``
+and ``infogeo``; ``mde solve``, isotropic or empirical, loads ``rmt``
+alone; ``landscape`` and ``hessian`` load ``kernels``, ``poset``, ``net``
+and ``hessian``; ``esd sample --ensemble wigner`` loads ``esd`` alone.
 """
 
 from __future__ import annotations
@@ -31,11 +32,22 @@ from .errors import DomainError, DysonnetError, NumericError, check_dense_budget
 
 
 def _write_csv(path, seed, header, rows):
+    """Write the seed comment, ``header`` and ``rows``, one line a row.
+
+    ``rows`` is a 2-D float array, or any iterable of rows of cells: an
+    integer cell, Python or numpy, is written as an integer and any other
+    as a float with 17 significant digits.  An array is formatted a row at
+    a time from its Python floats, with no per-cell type test.
+    """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"# seed={seed} tool-version={__version__}\n")
         handle.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            for row in rows:
+                handle.write(",".join([format(v, ".17g") for v in row.tolist()]) + "\n")
+            return
         for row in rows:
-            handle.write(",".join(_format_cell(v) for v in row) + "\n")
+            handle.write(",".join([_format_cell(v) for v in row]) + "\n")
 
 
 def _format_cell(value):
@@ -98,7 +110,7 @@ def _hessian_widths(n_target: int) -> tuple[int, ...]:
 def _cmd_esd_sample(args):
     from concurrent.futures import ThreadPoolExecutor
 
-    from .rmt import sample_centered_hessians, sample_wigner
+    from .esd import sample_centered_hessians, sample_wigner
 
     # what one trial holds at once, refused before the pool starts
     if args.ensemble == "wigner":
@@ -197,7 +209,7 @@ def _cmd_contract(args):
 def _cmd_decompose(args):
     _refuse_shared_output("--out", args.out, "--csv", args.csv)
     from .infogeo import LayeredDiscreteModel, decompose_likelihood
-    from .poset import kernel_from_entry
+    from .kernels import kernel_from_entry
 
     doc = read_json(args.model)
     try:

@@ -52,7 +52,7 @@ class StabilityError(NumericError):
     """An iterate left the admissible region (e.g. lost positive imaginary part)."""
 
 
-MAX_DENSE_ENTRIES = 25_000_000  # largest dense float array: a P x P Hessian of P <= 5000, 200 MB
+MAX_DENSE_ENTRIES = 25_000_000  # floats held at once: a P x P matrix of P = 5000 alone, 200 MB
 
 
 def check_dense_budget(entries: int, what: str) -> None:

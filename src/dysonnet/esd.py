@@ -1,0 +1,237 @@
+"""Empirical spectral distributions and the checks made on them.
+
+Sampling: Wigner matrices and centered per-sample Hessians of random
+relu networks, the ensembles whose eigenvalues ``esd sample`` writes.
+Checks: the Kolmogorov-Smirnov distance of samples to a tabulated CDF,
+the CDF of a sampled density, its reflection symmetry, the Minkowski-sum
+support bound with the operator norm of the self-energy it uses, and the
+pairwise-cumulant diagnostics of an ensemble.  The Dyson equation, its
+solver and the semicircle reference live in :mod:`dysonnet.rmt`, which
+the checks import when they run, so sampling loads no ``rmt``.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .errors import CapacityError, DomainError, NumericError
+
+__all__ = [
+    "CumulantReport",
+    "SupportBoundReport",
+    "cumulant_diagnostics",
+    "density_cdf",
+    "ks_distance",
+    "sample_centered_hessians",
+    "sample_wigner",
+    "self_energy_norm",
+    "support_bound_check",
+    "symmetry_check",
+]
+
+# Settings that no caller varies.
+DENSITY_THRESHOLD = 1e-3  # density above which a grid energy counts as support
+CUMULANT_MU = 0.1  # cumulant_diagnostics keeps floor(N**(1/2 - mu)) partners
+MAX_CUMULANT_ENTRIES = 4096  # largest N*N for the N^2 x N^2 cumulant matrix
+NORM_TOL = 1e-10  # relative settling tolerance of the self-energy power iteration
+NORM_MAX_ITER = 1000
+
+
+# ---------------------------------------------------------------------------
+# sampling
+# ---------------------------------------------------------------------------
+
+
+def sample_wigner(n: int, rng, sigma: float = 1.0) -> np.ndarray:
+    """Symmetric Gaussian matrix whose spectrum fills [-2 sigma, 2 sigma]."""
+    a = rng.standard_normal((n, n))
+    return sigma * (a + a.T) / np.sqrt(2.0 * n)
+
+
+def sample_centered_hessians(widths, n_samples: int, rng) -> list[np.ndarray]:
+    """Centered per-sample risk Hessians of a random relu network.
+
+    Draws a network with the given layer widths (input width first), then
+    ``n_samples`` hinge-loss sample Hessians at standard-normal inputs and
+    symmetric random labels, and subtracts the ensemble mean so the
+    returned matrices average to zero exactly.
+    """
+    from .hessian import sample_hessian
+    from .net import LossL0, NetworkParams, param_group_dims
+
+    widths = [int(w) for w in widths]
+    if len(widths) < 2:
+        raise DomainError("need at least an input width and one layer width")
+    weights = tuple(
+        rng.standard_normal((widths[i], widths[i + 1])) / np.sqrt(widths[i])
+        for i in range(len(widths) - 1)
+    )
+    alpha = rng.standard_normal(widths[-1]) / np.sqrt(widths[-1])
+    params = NetworkParams(weights, alpha)
+    n = sum(param_group_dims(params))
+    stack = np.empty((n_samples, n, n))
+    for i in range(n_samples):
+        x = rng.standard_normal(widths[0])
+        y = float(rng.choice([-1.0, 1.0]))
+        stack[i] = sample_hessian(params, LossL0.HINGE, x, y).assemble()
+    stack -= stack.mean(axis=0)
+    return list(stack)
+
+
+# ---------------------------------------------------------------------------
+# distances and checks
+# ---------------------------------------------------------------------------
+
+
+def self_energy_norm(self_energy, n: int) -> float:
+    """Operator norm of the self-energy via power iteration on matrices.
+
+    The sandwich map is self-adjoint for the Frobenius inner product and
+    positivity preserving, so iteration from the identity converges to the
+    norm-attaining positive-semidefinite eigenmatrix.
+    """
+    r = np.eye(n) / np.sqrt(n)
+    lam = 0.0
+    for _ in range(NORM_MAX_ITER):
+        t = self_energy.apply(r)
+        nrm = float(np.linalg.norm(t))
+        if nrm == 0.0:
+            return 0.0
+        lam_new = abs(float(np.tensordot(r, t)))
+        r = t / nrm
+        if abs(lam_new - lam) <= NORM_TOL * max(1.0, lam_new):
+            return lam_new
+        lam = lam_new
+    raise NumericError(f"self-energy power iteration did not settle within {NORM_MAX_ITER} steps")
+
+
+def symmetry_check(density: SpectralDensity) -> float:
+    """Largest pointwise defect between the density and its reflection.
+
+    The grid must be symmetric about zero; the defect is
+    ``max_E |rho(E) - rho(-E)|``.
+    """
+    order = np.argsort(density.grid)
+    grid = density.grid[order]
+    rho = density.density[order]
+    if np.max(np.abs(grid + grid[::-1])) > 1e-12 * max(1.0, float(np.abs(grid).max())):
+        raise DomainError("grid is not symmetric about zero")
+    return float(np.max(np.abs(rho - rho[::-1])))
+
+
+class SupportBoundReport(NamedTuple):
+    """Outcome of the Minkowski-sum support check."""
+
+    ok: bool
+    halfwidth: float
+    spec_a: np.ndarray
+    margins: np.ndarray
+
+    @property
+    def worst_margin(self) -> float:
+        return float(self.margins.min()) if self.margins.size else np.inf
+
+
+def support_bound_check(
+    density_or_eigs,
+    a_matrix: np.ndarray,
+    self_energy,
+    eps: float = 1e-6,
+) -> SupportBoundReport:
+    """Check that spectrum points lie in Spec A widened by twice sqrt(norm S).
+
+    Accepts either raw eigenvalues or a :class:`~dysonnet.rmt.SpectralDensity`; for the
+    latter the support points are the grid energies with density above
+    ``DENSITY_THRESHOLD`` and the interval is additionally inflated by
+    ``3 eta^(2/3)`` to absorb the inversion smearing.  ``margins`` holds,
+    per point, the slack before the bound is violated; the check passes
+    when every margin is nonnegative.
+    """
+    from .rmt import SpectralDensity, _checked_matrix
+
+    a = _checked_matrix(a_matrix, "expectation matrix A")
+    spec_a = np.linalg.eigvalsh(a)
+    norm_s = self_energy_norm(self_energy, a.shape[0])
+    halfwidth = 2.0 * np.sqrt(norm_s) + eps
+    if isinstance(density_or_eigs, SpectralDensity):
+        points = density_or_eigs.grid[density_or_eigs.density > DENSITY_THRESHOLD]
+        halfwidth += 3.0 * density_or_eigs.eta ** (2.0 / 3.0)
+    else:
+        points = np.asarray(density_or_eigs, dtype=float).ravel()
+    if points.size == 0:
+        return SupportBoundReport(True, halfwidth, spec_a, np.empty(0))
+    dist = np.min(np.abs(points[:, None] - spec_a[None, :]), axis=1)
+    margins = halfwidth - dist
+    return SupportBoundReport(bool(np.all(margins >= 0.0)), halfwidth, spec_a, margins)
+
+
+class CumulantReport(NamedTuple):
+    """Entrywise second-cumulant summaries of a matrix ensemble."""
+
+    av2_norm: float
+    iso2_upper: float
+    offdiag_decay: float
+
+
+def cumulant_diagnostics(samples) -> CumulantReport:
+    """Pairwise-cumulant diagnostics over an ensemble of symmetric matrices.
+
+    ``samples`` is a sequence of finite square matrices (symmetric or
+    not), each anything ``np.asarray`` reads as one, a
+    :class:`~dysonnet.hessian.HessianBlocks` included; two suffice to form
+    the estimate but 30 or more are needed for it to mean much.  The
+    pairwise cumulant kappa(alpha, beta) is the sample covariance of
+    entries alpha, beta across the ensemble.  ``av2_norm`` is the operator
+    norm of the absolute-cumulant matrix; ``iso2_upper`` bounds the
+    isotropic norm via the trivial decomposition (diagonal part equal to
+    the full cumulant) combined with a Cauchy-Schwarz majorant of the
+    supremum over unit vectors; ``offdiag_decay`` is the largest absolute
+    cumulant left after excluding, for each entry, its
+    ``floor(N**(1/2 - CUMULANT_MU))`` strongest partners.
+    """
+    from .rmt import _sample_stack
+
+    stack = _sample_stack(samples, "cumulant sample", symmetric=False)
+    if stack.shape[0] < 2:
+        raise DomainError("need at least 2 samples for covariance estimation")
+    n = stack.shape[1]
+    if n * n > MAX_CUMULANT_ENTRIES:
+        raise CapacityError(f"cumulant matrix would be {n * n} x {n * n}")
+    flat = stack.reshape(stack.shape[0], n * n)
+    cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
+    abs_cov = np.abs(cov)
+    av2 = float(np.max(np.abs(np.linalg.eigvalsh((abs_cov + abs_cov.T) / 2))))
+    four = cov.reshape(n, n, n, n)
+    majorant = np.sqrt(np.einsum("abcd,abcd->bd", four, four))
+    iso2 = float(np.max(np.abs(np.linalg.eigvalsh((majorant + majorant.T) / 2))))
+    k = max(1, int(np.floor(n ** (0.5 - CUMULANT_MU))))
+    if abs_cov.shape[1] <= k:
+        offdiag = 0.0
+    else:
+        trimmed = np.partition(abs_cov, abs_cov.shape[1] - k - 1, axis=1)
+        offdiag = float(trimmed[:, : abs_cov.shape[1] - k].max())
+    return CumulantReport(av2, iso2, offdiag)
+
+
+def ks_distance(values: np.ndarray, cdf_grid: np.ndarray, cdf_values: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance between samples and a tabulated CDF."""
+    v = np.sort(np.asarray(values, dtype=float).ravel())
+    f = np.interp(v, cdf_grid, cdf_values, left=0.0, right=1.0)
+    n = v.size
+    upper = np.abs(np.arange(1, n + 1) / n - f)
+    lower = np.abs(np.arange(0, n) / n - f)
+    return float(max(upper.max(), lower.max()))
+
+
+def density_cdf(density: SpectralDensity) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized cumulative distribution of a sampled density."""
+    order = np.argsort(density.grid)
+    grid = density.grid[order]
+    rho = density.density[order]
+    cdf = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) / 2.0 * np.diff(grid))])
+    total = cdf[-1]
+    if total <= 0:
+        raise NumericError("density has zero mass")
+    return grid, cdf / total

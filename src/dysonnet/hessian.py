@@ -15,7 +15,8 @@ Kronecker structure used here.
 Assembly is exact at points where no preactivation sits on an estimation
 kink and no sample sits on a loss kink; samples violating either are
 flagged rather than silently differentiated.  The dense P x P matrix of
-:func:`risk_hessian` is refused with :class:`CapacityError` beyond
+:func:`risk_hessian`, with the chunks' factors and the one GEMM output
+held beside it, is refused with :class:`CapacityError` beyond
 ``errors.MAX_DENSE_ENTRIES`` before anything is allocated; the landscape
 report, which forms no P x P array, is held to the same budget on what it
 does form (see below).
@@ -52,21 +53,22 @@ c of Q_p as a d_{p-1} x d_p matrix, H[q, p] Q_p is
 ``Σ_i d_i/m u_q ⊗ (P_pq B)_i`` (Pearlmutter's Hessian-vector product in
 closed form), one GEMM per chunk, and Q_q^T takes it into the core.  Its
 eigenvalues and P - r exact zeros are the spectrum.  The budget is
-checked on the core, the bases, those sums and the second pass's largest
-temporaries (B, P_pq B and one GEMM output) once r is known, before any
-of them exists, so its memory grows as r^2, not P^2.
+checked on the core, the bases, those sums and what the second pass holds
+beside them (two chunks' factors, and one pair's outer products or B and
+P_pq B, and its GEMM output) once r is known, before any of them exists,
+so its memory grows as r^2, not P^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError, check_dense_budget
+from .kernels import ActivationRule
 from .net import Dataset, LossL0, NetworkParams, param_group_dims
 from .net import _sample_terms
-from .poset import ActivationRule
 
 __all__ = [
     "HessianBlocks",
@@ -87,7 +89,6 @@ def _eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
         raise NumericError(f"eigendecomposition of {what} failed: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class HessianBlocks:
     """A symmetric Hessian with zero diagonal blocks, held as one dense matrix.
 
@@ -99,12 +100,13 @@ class HessianBlocks:
     as its matrix.
     """
 
-    dims: tuple[int, ...]
-    matrix: np.ndarray
+    __slots__ = ("dims", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.n, self.n):
-            raise ShapeError(f"matrix has shape {self.matrix.shape}, expected {(self.n, self.n)}")
+    def __init__(self, dims: tuple[int, ...], matrix: np.ndarray):
+        self.dims = dims
+        self.matrix = matrix
+        if matrix.shape != (self.n, self.n):
+            raise ShapeError(f"matrix has shape {matrix.shape}, expected {(self.n, self.n)}")
 
     @property
     def n(self) -> int:
@@ -201,14 +203,20 @@ def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
         blocks[c] += part.transpose(1, 2, 0)
 
 
-def _chunk_rows(widths, m: int, columns) -> int:
-    """Samples per chunk of :func:`_summed_factors`, for ``m`` samples.
+def _chunk_plan(params: NetworkParams, m: int, columns) -> tuple[int, int]:
+    """Samples per chunk of :func:`_summed_factors` for ``m`` samples, and what a pass holds.
 
-    ``widths`` are the layer widths d_0, ..., d_{L-1}, and ``columns[g]``
-    is Q_{g+1}'s column count, None for the identity.  A chunk's factors,
-    with the one pair's outer products or products P_pq B formed at a
-    time, fit in half a block set.
+    ``columns[g]`` is Q_{g+1}'s column count, None for the identity.  A
+    chunk's factors, with the one pair's outer products or products P_pq B
+    formed at a time, fit in half a block set.  The second number counts
+    the entries a pass holds beside its targets: the factors (layer
+    states, deltas and path matrices) of the chunk in hand and of the one
+    before it, and the largest temporaries of one pair (p, q), which are
+    the chunk's copy of its P_pq, its outer products u_q ⊗ t_{p-1} or its
+    stacks B and P_pq B, and the GEMM output, dim_q x dim_p where Q_p is
+    the identity and dim_q x r_p otherwise.
     """
+    widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     groups = len(widths)
     pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
 
@@ -220,12 +228,21 @@ def _chunk_rows(widths, m: int, columns) -> int:
             return out_width(q) * widths[p - 1]
         return (widths[p] + widths[q - 1]) * columns[p - 1]
 
+    def gemm(p, q):  # the pair's summed GEMM output
+        width = widths[p - 1] * widths[p] if columns[p - 1] is None else columns[p - 1]
+        return out_width(q) * widths[q - 1] * width
+
     block_set = sum(out_width(q) * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
     # a sample's layer states, deltas and P's, and its row of the largest temporary
     factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
     largest = max((temporary(p, q) for p, q in pairs), default=0)
     # the caller still holds one chunk while the next is formed: two fit in a block set
-    return max(1, min(m, block_set // max(2 * (factors + largest), 1)))
+    chunk = max(1, min(m, block_set // max(2 * (factors + largest), 1)))
+    held = min(m, 2 * chunk) * factors + max(
+        (chunk * (temporary(p, q) + widths[q - 1] * widths[p]) + gemm(p, q) for p, q in pairs),
+        default=0,
+    )
+    return chunk, held
 
 
 def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
@@ -240,14 +257,14 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
     ``bases[p-1]`` holds one (None: the identity), is added into
     ``targets[(p, q)]``, which must start at zero.  Once the generator is
     drained each target holds the summed block H[q, p] (times Q_p).
-    A chunk holds :func:`_chunk_rows` samples; those with a nonzero
+    A chunk holds :func:`_chunk_plan`'s samples; those with a nonzero
     ``deriv`` add into each target with one GEMM, and B is formed once per
     group p.
     """
     widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     groups = len(widths)
     m = len(dataset)
-    chunk = _chunk_rows(widths, m, [None if b is None else b.shape[1] for b in bases])
+    chunk, _ = _chunk_plan(params, m, [None if b is None else b.shape[1] for b in bases])
     # at least one chunk, so that _sample_terms refuses an empty dataset
     for start in range(0, max(m, 1), chunk):
         rows = slice(start, min(start + chunk, m))
@@ -498,7 +515,9 @@ def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> Hessi
     """Mean of the per-sample Hessians of a relu chain, as one dense P x P matrix."""
     dims = _relu_dims(params)
     n = int(sum(dims))
-    check_dense_budget(n * n, f"a dense Hessian of P={n} parameters")
+    # the P x P matrix, and what the pass over the chunks holds beside it
+    held = n * n + _chunk_plan(params, len(dataset), [None] * len(dims))[1]
+    check_dense_budget(held, f"a dense Hessian of P={n} parameters")
     return HessianBlocks(dims, _summed_core(params, kind, dataset, [None] * len(dims)))
 
 
@@ -516,8 +535,7 @@ def negative_fraction(eigs: np.ndarray, tol: float) -> float:
     return float(np.count_nonzero(eigs[nonzero] < -tol) / np.count_nonzero(nonzero))
 
 
-@dataclass(frozen=True)
-class LandscapeReport:
+class LandscapeReport(NamedTuple):
     """Spectral summary of the risk Hessian at one parameter point.
 
     ``lambda0`` is the largest operator norm among the per-sample geometry
@@ -606,12 +624,8 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     held = r * r + sum(d * k for d, k, cut in zip(dims, range_dims, reduced) if cut) + sum(
         dims[q] * range_dims[p] for p, q in pairs if reduced[q]
     )
-    # and the second pass's largest temporaries where Q_p is not the identity:
-    # a chunk's stacks B and P_pq B, and the dim_q x r_p GEMM output
-    widths = [rows for rows, _ in spans.shapes]
-    chunk = _chunk_rows(widths, m, [k if cut else None for k, cut in zip(range_dims, reduced)])
-    held += max((range_dims[p] * (chunk * (widths[p + 1] + widths[q]) + dims[q])
-                 for p, q in pairs if reduced[p]), default=0)
+    # and what the second pass holds beside them: two chunks' factors, one pair's temporaries
+    held += _chunk_plan(params, m, [k if cut else None for k, cut in zip(range_dims, reduced)])[1]
     check_dense_budget(held, f"the range core of r={r} of P={sum(dims)} parameters,"
                              " with its bases and sums,")
     range_core = _summed_core(params, kind, dataset, spans.bases())

@@ -1,52 +1,38 @@
-"""Exponential-family geometry and exact likelihood decomposition.
+"""KL divergence, its contraction and the exact likelihood decomposition.
 
-Finite-support exponential families supply the log-partition, its
-gradient (the mean coordinates) and a numerically evaluated Legendre
-dual.  On top of these the module provides dual Bregman divergences, the
-data-processing contraction of KL divergence through stochastic kernels,
-and the exact decomposition of the log likelihood of enumerable layered
-discrete models into the expected-data term plus one KL divergence per
-scale.
+The module provides the data-processing contraction of KL divergence
+through stochastic kernels and the exact decomposition of the log
+likelihood of enumerable layered discrete models into the expected-data
+term plus one KL divergence per scale, with the forward/backward
+semantics checks built on it.  The finite-support exponential families
+and their Bregman divergences live in :mod:`dysonnet.expfam`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericError, ShapeError
-from .poset import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
+from .errors import CapacityError, DomainError, ShapeError
+from .kernels import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
 
 __all__ = [
-    "ConvexFunction",
     "DecompositionReport",
-    "ExpFamilyModel",
     "FpBpReport",
     "LayeredDiscreteModel",
-    "NeuronCoords",
-    "bernoulli_entropy",
-    "bregman_divergence",
     "contraction_check",
     "decompose_likelihood",
-    "dual_of",
     "fp_bp_semantics_check",
     "kl_divergence",
-    "log_partition_of",
     "logsumexp",
-    "neuron_coordinates",
     "posterior_assignments",
-    "quadratic_potential",
     "top_kl_gradient",
     "top_scale_kl",
 ]
 
 # Settings that no caller varies.
-DUAL_TOL = 1e-10  # gradient residual, relative to max(1, |eta|), at which mean_to_natural stops
-DUAL_MAX_ITER = 200  # Newton steps mean_to_natural takes before giving up
-FD_STEP = 1e-5  # central-difference step of neuron_coordinates
 KERNEL_TOL = 1e-12  # contraction_check's tolerance on pmf sums and kernel row sums
 TOP_KL_STEP = 1e-6  # central-difference step of top_kl_gradient
 N_COMPETITORS = 200  # random assignments fp_bp_semantics_check compares with the posterior
@@ -65,231 +51,6 @@ def logsumexp(a) -> float:
     if peak == -np.inf:
         return -np.inf
     return float(peak + np.log(np.sum(np.exp(a - peak))))
-
-
-# ---------------------------------------------------------------------------
-# finite-support exponential families
-# ---------------------------------------------------------------------------
-
-
-def _affine_directions(points) -> np.ndarray:
-    """Orthonormal rows spanning the directions of the points' affine hull."""
-    if len(points) < 2:
-        return np.zeros((0, points.shape[1]))
-    _, sing, vt = np.linalg.svd(points - points[0], full_matrices=False)
-    return vt[sing > sing.max() * max(points.shape) * np.finfo(float).eps]
-
-
-class ExpFamilyModel:
-    """Exponential family over a finite support.
-
-    The density against the counting measure on the support is
-    proportional to ``exp(<f(theta; h), g(x)>)`` where ``g`` is the
-    sufficient statistic and ``f`` the composition function mapping
-    parameters and a conditioning context to the natural parameter
-    vector.  The log-partition, its gradient and the Legendre dual are
-    evaluated numerically by exact summation over the support.
-    """
-
-    def __init__(self, support, suff_stat: Callable, composition: Callable = None):
-        support = np.asarray(support, dtype=float)
-        if support.ndim == 1:
-            support = support[:, None]
-        self.support = support
-        self._stats = np.asarray([np.atleast_1d(np.asarray(suff_stat(x), dtype=float))
-                                  for x in support])
-        self.composition = composition if composition is not None else (lambda theta, h: theta)
-
-    @property
-    def dim(self) -> int:
-        return self._stats.shape[1]
-
-    def _natural(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.shape != (self.dim,):
-            raise ShapeError(f"natural parameter has shape {t.shape}, expected ({self.dim},)")
-        return t
-
-    def log_partition(self, t) -> float:
-        t = self._natural(t)
-        value = logsumexp(self._stats @ t)
-        if not np.isfinite(value):
-            raise NumericError("divergent normalizer")
-        return value
-
-    def probabilities(self, t) -> np.ndarray:
-        t = self._natural(t)
-        logits = self._stats @ t
-        logits -= logits.max()
-        p = np.exp(logits)
-        return p / p.sum()
-
-    def mean(self, t) -> np.ndarray:
-        """Gradient of the log-partition: the expected sufficient statistic."""
-        return self.probabilities(t) @ self._stats
-
-    def covariance(self, t) -> np.ndarray:
-        p = self.probabilities(t)
-        centered = self._stats - p @ self._stats
-        return (centered * p[:, None]).T @ centered
-
-    def mean_to_natural(self, eta) -> np.ndarray:
-        """Solve grad log_partition(t) = eta by safeguarded Newton ascent.
-
-        Steps until the gradient residual is within ``DUAL_TOL`` of
-        ``max(1, |eta|)`` and stops falling, at most ``DUAL_MAX_ITER`` times.
-        Raises :class:`DomainError` when ``eta`` is not strictly inside the
-        convex hull of the sufficient statistics: outside their bounding
-        box, or when every support point lies within that tolerance behind
-        a hyperplane through ``eta`` whose normal is the solution's part
-        orthogonal to the points that pull on the mean,
-        ``p_x |g(x) - eta|`` above the tolerance (the solution runs off
-        along that normal on the boundary; none exists strictly inside).
-        """
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        if eta.shape != (self.dim,):
-            raise ShapeError(f"mean coordinate has shape {eta.shape}, expected ({self.dim},)")
-        lo = self._stats.min(axis=0)
-        hi = self._stats.max(axis=0)
-        if np.any(eta <= lo - 1e-12) or np.any(eta >= hi + 1e-12):
-            raise DomainError(f"mean coordinate {eta} outside the statistic hull")
-        t = np.zeros(self.dim)
-        tol = DUAL_TOL * max(1.0, float(np.abs(eta).max()))
-        last = np.inf
-        for _ in range(DUAL_MAX_ITER):
-            grad = eta - self.mean(t)
-            residual = np.abs(grad).max()
-            # polishing past the tolerance: near saturation the inverse
-            # curvature amplifies the residual into the natural parameter,
-            # and on the boundary the off-face mass keeps falling
-            if residual <= tol and residual >= last:
-                break
-            last = residual
-            try:
-                step = np.linalg.solve(self.covariance(t) + 1e-14 * np.eye(self.dim), grad)
-            except np.linalg.LinAlgError:
-                step = grad
-            # backtracking on the concave objective <t, eta> - psi(t); ties at
-            # float resolution accept the full step so the search cannot stall
-            base = t @ eta - self.log_partition(t)
-            slack = 1e-15 * (1.0 + abs(base))
-            alpha = 1.0
-            for _ in range(60):
-                cand = t + alpha * step
-                if cand @ eta - self.log_partition(cand) >= base - slack:
-                    break
-                alpha /= 2.0
-            t = t + alpha * step
-        offsets = self._stats - eta
-        pull = self.probabilities(t) * np.abs(offsets).max(axis=1)
-        span = _affine_directions(self._stats[pull > tol])
-        if len(span) < len(_affine_directions(np.vstack([self._stats, eta]))):
-            normal = t - span.T @ (span @ t)
-            if (offsets @ normal).max() <= tol * np.linalg.norm(normal):
-                raise DomainError(f"mean coordinate {eta} on or outside the hull boundary")
-        if np.abs(eta - self.mean(t)).max() <= tol:
-            return t
-        raise NumericError("dual coordinate solve did not converge")
-
-    def psi_star(self, eta) -> float:
-        """Legendre dual of the log-partition at a mean coordinate."""
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        t = self.mean_to_natural(eta)
-        return float(t @ eta - self.log_partition(t))
-
-
-@dataclass(frozen=True)
-class NeuronCoords:
-    """Mean coordinates of one conditioning context."""
-
-    eta: np.ndarray
-    h_context: object
-
-
-def neuron_coordinates(model: ExpFamilyModel, theta, h) -> NeuronCoords:
-    """Mean coordinates at the composed natural parameter, computed two ways.
-
-    The direct expectation over the normalized kernel must agree within
-    1e-8 with a central finite difference of the log-partition, taken with
-    step ``FD_STEP``; the mismatch raises :class:`NumericError`.
-    """
-    t = np.atleast_1d(np.asarray(model.composition(theta, h), dtype=float))
-    eta = model.mean(t)
-    fd = np.empty_like(eta)
-    for i in range(t.size):
-        e = np.zeros_like(t)
-        e[i] = FD_STEP
-        fd[i] = (model.log_partition(t + e) - model.log_partition(t - e)) / (2 * FD_STEP)
-    if np.abs(eta - fd).max() > 1e-8:
-        raise NumericError(
-            f"gradient and expectation disagree by {np.abs(eta - fd).max():.3e}"
-        )
-    return NeuronCoords(eta=eta, h_context=h)
-
-
-# ---------------------------------------------------------------------------
-# Bregman divergences
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConvexFunction:
-    """Convex potential with gradient, enough to define a Bregman divergence."""
-
-    value: Callable
-    grad: Callable
-
-
-def quadratic_potential() -> ConvexFunction:
-    """Self-dual potential |eta|^2 / 2; its divergence is half squared distance."""
-    return ConvexFunction(
-        value=lambda eta: 0.5 * float(np.dot(eta, eta)),
-        grad=lambda eta: np.asarray(eta, dtype=float),
-    )
-
-
-def bernoulli_entropy() -> ConvexFunction:
-    """Dual potential of the product-Bernoulli family on (0, 1)^n."""
-
-    def _check(eta):
-        eta = np.atleast_1d(np.asarray(eta, dtype=float))
-        if np.any(eta <= 0) or np.any(eta >= 1):
-            raise DomainError("Bernoulli mean coordinates must lie in (0, 1)")
-        return eta
-
-    return ConvexFunction(
-        value=lambda eta: float(np.sum(_check(eta) * np.log(_check(eta))
-                                       + (1 - _check(eta)) * np.log1p(-_check(eta)))),
-        grad=lambda eta: np.log(_check(eta) / (1 - _check(eta))),
-    )
-
-
-def dual_of(model: ExpFamilyModel) -> ConvexFunction:
-    """Numerically evaluated Legendre dual of a family's log-partition."""
-    return ConvexFunction(value=model.psi_star, grad=model.mean_to_natural)
-
-
-def log_partition_of(model: ExpFamilyModel) -> ConvexFunction:
-    return ConvexFunction(value=model.log_partition, grad=model.mean)
-
-
-def bregman_divergence(psi_star: ConvexFunction, eta, eta_prime) -> float:
-    """Divergence D[eta_prime : eta] of the potential.
-
-    Evaluates the potential at ``eta_prime`` minus its linearization at
-    ``eta``; nonnegative for convex potentials, zero only at equal
-    arguments when the potential is strictly convex.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    eta_prime = np.atleast_1d(np.asarray(eta_prime, dtype=float))
-    if eta.shape != eta_prime.shape:
-        raise ShapeError("coordinates must have matching shapes")
-    value = psi_star.value(eta_prime) - psi_star.value(eta)
-    value = float(value - np.asarray(psi_star.grad(eta)) @ (eta_prime - eta))
-    # nonnegative for convex potentials; tiny negatives are cancellation noise
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +118,6 @@ def contraction_check(p, q, kernels) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LayeredDiscreteModel:
     """Chain of discrete-indicator scales over a finite input support.
 
@@ -368,28 +128,28 @@ class LayeredDiscreteModel:
     are enumerable.
     """
 
-    x_support: np.ndarray
-    scales: tuple[KernelSpec, ...]
+    __slots__ = ("x_support", "scales")
 
-    def __post_init__(self):
-        support = np.asarray(self.x_support, dtype=float)
+    def __init__(self, x_support, scales):
+        support = np.asarray(x_support, dtype=float)
         if support.ndim == 1:
             support = support[:, None]
         if support.ndim != 2:
             raise ShapeError(f"x_support must hold one point per row, got ndim={support.ndim}")
         if not np.all(np.isfinite(support)):
             raise DomainError("x_support contains non-finite entries")
-        if not self.scales:
+        if not scales:
             raise DomainError("scales must hold at least one kernel")
-        object.__setattr__(self, "x_support", support)
-        object.__setattr__(self, "scales", tuple(self.scales))
+        scales = tuple(scales)
         dim = support.shape[1]
-        for i, spec in enumerate(self.scales):
+        for i, spec in enumerate(scales):
             if spec.in_dim != dim:
                 raise ShapeError(
                     f"scale {i} kernel expects {spec.in_dim} inputs, previous width is {dim}"
                 )
             dim = spec.out_dim
+        self.x_support = support
+        self.scales = scales
 
     @property
     def n_scales(self) -> int:
@@ -429,8 +189,7 @@ class LayeredDiscreteModel:
         return pmfs
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Exact split of the log likelihood into bound plus per-scale KL terms."""
 
     complete_ll: float
@@ -563,8 +322,7 @@ def top_kl_gradient(model: LayeredDiscreteModel, data, top_nu) -> np.ndarray:
     return grad
 
 
-@dataclass(frozen=True)
-class FpBpReport:
+class FpBpReport(NamedTuple):
     """Outcome of the forward/backward semantics checks."""
 
     posterior_ll: float

@@ -18,13 +18,13 @@ one per chunk of rows.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .poset import ActivationRule, LayerState, estimate_indicator, load_network_json
+from .kernels import ActivationRule, LayerState, estimate_indicator
+from .poset import load_network_json
 
 __all__ = [
     "Dataset",
@@ -51,17 +51,14 @@ class LossL0(Enum):
     ABSOLUTE = "absolute"
 
 
-@dataclass(frozen=True)
 class NetworkParams:
     """Weight matrices, output vector and the shared activation rule."""
 
-    weights: tuple[np.ndarray, ...]
-    alpha: np.ndarray
-    rule: ActivationRule = ActivationRule.ARGMAX_MASK_01
+    __slots__ = ("weights", "alpha", "rule")
 
-    def __post_init__(self):
-        ws = tuple(np.asarray(w, dtype=float) for w in self.weights)
-        alpha = np.asarray(self.alpha, dtype=float)
+    def __init__(self, weights, alpha, rule: ActivationRule = ActivationRule.ARGMAX_MASK_01):
+        ws = tuple(np.asarray(w, dtype=float) for w in weights)
+        alpha = np.asarray(alpha, dtype=float)
         if alpha.ndim != 1:
             raise ShapeError("alpha must be a vector")
         for w in ws:
@@ -74,8 +71,9 @@ class NetworkParams:
             raise ShapeError(
                 f"last weight has {ws[-1].shape[1]} columns but alpha has {alpha.shape[0]}"
             )
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "alpha", alpha)
+        self.weights = ws
+        self.alpha = alpha
+        self.rule = rule
 
     @property
     def input_dim(self) -> int:
@@ -87,16 +85,14 @@ class NetworkParams:
         return len(self.weights) + 1
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Training samples: row-wise inputs and labels in {-1, +1}."""
 
-    x: np.ndarray
-    y: np.ndarray
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
+    def __init__(self, x, y):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
         if x.shape[0] != y.shape[0]:
             raise ShapeError(f"{x.shape[0]} inputs but {y.shape[0]} labels")
         if not np.all(np.isin(y, (-1.0, 1.0))):
@@ -104,8 +100,8 @@ class Dataset:
         bad = np.flatnonzero(~np.all(np.isfinite(x), axis=1))
         if bad.size:
             raise DomainError(f"dataset sample {bad[0]} has non-finite inputs")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        self.x = x
+        self.y = y
 
     def __len__(self) -> int:
         return self.x.shape[0]

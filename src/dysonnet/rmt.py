@@ -1,4 +1,4 @@
-"""Matrix Dyson Equation solver and spectral diagnostics.
+"""Matrix Dyson Equation solver, its problem loader and the semicircle reference.
 
 The central object is the equation ``I + (z - A + S[M]) M = 0`` with
 ``Im M`` positive definite and ``Im z > 0``, where ``A`` is the symmetric
@@ -25,18 +25,19 @@ and falls back to the damped step when the trial does not lower the
 residual or keep ``Im m`` positive.  The empirical self-energy keeps full
 n x n matrices and the damped iteration.  ``MDESolution.m`` builds the
 matrices on first access only.
+
+Sampling ensembles and the checks made on spectra (support bound,
+symmetry, cumulants, KS distance) live in :mod:`dysonnet.esd`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
-    CapacityError,
     ConvergenceError,
     DomainError,
     NumericError,
@@ -47,28 +48,18 @@ from .errors import (
 )
 
 __all__ = [
-    "CumulantReport",
     "EmpiricalSelfEnergy",
     "IsotropicSelfEnergy",
     "MDEProblem",
     "MDESolution",
     "SpectralDensity",
-    "SupportBoundReport",
     "WignerSelfEnergy",
     "ZeroSelfEnergy",
-    "cumulant_diagnostics",
-    "density_cdf",
-    "ks_distance",
     "load_problem_json",
-    "sample_centered_hessians",
-    "sample_wigner",
-    "self_energy_norm",
     "semicircle_cdf",
     "semicircle_density",
     "solve_mde",
     "stieltjes_invert",
-    "support_bound_check",
-    "symmetry_check",
     "wigner_stieltjes",
 ]
 
@@ -76,11 +67,6 @@ __all__ = [
 ETA_START = 1.0  # first imaginary offset of the continuation ladder
 ETA_RATIO = 0.1  # factor between successive ladder offsets
 NEG_TOL = 1e-8  # numerical dip below zero that stieltjes_invert clips
-DENSITY_THRESHOLD = 1e-3  # density above which a grid energy counts as support
-CUMULANT_MU = 0.1  # cumulant_diagnostics keeps floor(N**(1/2 - mu)) partners
-MAX_CUMULANT_ENTRIES = 4096  # largest N*N for the N^2 x N^2 cumulant matrix
-NORM_TOL = 1e-10  # relative settling tolerance of the self-energy power iteration
-NORM_MAX_ITER = 1000
 DAMPING = 0.5  # base step of the damped fixed point
 BACKTRACK = (0.5, 0.25, 0.125)  # shortened Newton steps tried before the damped one
 
@@ -142,14 +128,14 @@ def _check_strength(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
 
-@dataclass(frozen=True)
 class IsotropicSelfEnergy:
     """Closed-form sandwich ``S[R] = c (tr R / N) I``."""
 
-    c: float = 1.0
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        _check_strength("isotropic self-energy c", self.c)
+    def __init__(self, c: float = 1.0):
+        _check_strength("isotropic self-energy c", c)
+        self.c = c
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         n = r.shape[0]
@@ -161,7 +147,6 @@ class IsotropicSelfEnergy:
         return self.c, 0.0
 
 
-@dataclass(frozen=True)
 class WignerSelfEnergy:
     """Symbolic expectation for a symmetric matrix with iid entries.
 
@@ -169,10 +154,11 @@ class WignerSelfEnergy:
     expectation evaluates to ``S[R] = (sigma2 / N)(tr R I + R^T)``.
     """
 
-    sigma2: float = 1.0
+    __slots__ = ("sigma2",)
 
-    def __post_init__(self):
-        _check_strength("wigner self-energy sigma2", self.sigma2)
+    def __init__(self, sigma2: float = 1.0):
+        _check_strength("wigner self-energy sigma2", sigma2)
+        self.sigma2 = sigma2
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         n = r.shape[0]
@@ -188,9 +174,10 @@ class WignerSelfEnergy:
         return self.sigma2, self.sigma2
 
 
-@dataclass(frozen=True)
 class ZeroSelfEnergy:
     """No fluctuations; the Dyson equation degenerates to the resolvent."""
+
+    __slots__ = ()
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return np.zeros_like(r)
@@ -241,34 +228,11 @@ class EmpiricalSelfEnergy:
         return out / (m * n)
 
 
-def self_energy_norm(self_energy, n: int) -> float:
-    """Operator norm of the self-energy via power iteration on matrices.
-
-    The sandwich map is self-adjoint for the Frobenius inner product and
-    positivity preserving, so iteration from the identity converges to the
-    norm-attaining positive-semidefinite eigenmatrix.
-    """
-    r = np.eye(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(NORM_MAX_ITER):
-        t = self_energy.apply(r)
-        nrm = float(np.linalg.norm(t))
-        if nrm == 0.0:
-            return 0.0
-        lam_new = abs(float(np.tensordot(r, t)))
-        r = t / nrm
-        if abs(lam_new - lam) <= NORM_TOL * max(1.0, lam_new):
-            return lam_new
-        lam = lam_new
-    raise NumericError(f"self-energy power iteration did not settle within {NORM_MAX_ITER} steps")
-
-
 # ---------------------------------------------------------------------------
 # problem and solver
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MDEProblem:
     """Expectation matrix, self-energy and spectral-parameter grid.
 
@@ -276,32 +240,30 @@ class MDEProblem:
     one) declares it as ``n``; it must match the expectation matrix.
     """
 
-    a_matrix: np.ndarray
-    self_energy: object
-    z_grid: np.ndarray
+    __slots__ = ("a_matrix", "self_energy", "z_grid")
 
-    def __post_init__(self):
-        a = _checked_matrix(self.a_matrix, "expectation matrix A")
-        se_n = getattr(self.self_energy, "n", None)
+    def __init__(self, a_matrix, self_energy, z_grid):
+        a = _checked_matrix(a_matrix, "expectation matrix A")
+        se_n = getattr(self_energy, "n", None)
         if se_n is not None and se_n != a.shape[0]:
             raise ShapeError(
                 f"self-energy acts on {se_n}x{se_n} matrices but the expectation matrix A "
                 f"is {a.shape[0]}x{a.shape[0]}"
             )
-        z = np.atleast_1d(np.asarray(self.z_grid, dtype=complex))
+        z = np.atleast_1d(np.asarray(z_grid, dtype=complex))
         if not np.isfinite(z).all():
             raise DomainError("every spectral parameter must be finite (real and imaginary part)")
         if np.any(z.imag <= 0):
             raise DomainError("every spectral parameter must have positive imaginary part")
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "z_grid", z)
+        self.a_matrix = a
+        self.self_energy = self_energy
+        self.z_grid = z
 
     @property
     def n(self) -> int:
         return self.a_matrix.shape[0]
 
 
-@dataclass(frozen=True)
 class MDESolution:
     """Solutions, certified residuals, normalized traces and solver stats.
 
@@ -315,13 +277,15 @@ class MDESolution:
     offsets the continuation ladder solved.
     """
 
-    z_grid: np.ndarray
-    values: np.ndarray
-    basis: np.ndarray | None
-    residuals: np.ndarray
-    stieltjes: np.ndarray
-    iterations: np.ndarray
-    ladder_levels: np.ndarray
+    # no __slots__: the cached ``m`` is kept in the instance dict
+    def __init__(self, z_grid, values, basis, residuals, stieltjes, iterations, ladder_levels):
+        self.z_grid = z_grid
+        self.values = values
+        self.basis = basis
+        self.residuals = residuals
+        self.stieltjes = stieltjes
+        self.iterations = iterations
+        self.ladder_levels = ladder_levels
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -605,25 +569,23 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpectralDensity:
     """Sampled density on a real grid, from inversion."""
 
-    grid: np.ndarray
-    density: np.ndarray
-    eta: float
+    __slots__ = ("grid", "density", "eta")
 
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        density = np.asarray(self.density, dtype=float)
+    def __init__(self, grid, density, eta: float):
+        grid = np.asarray(grid, dtype=float)
+        density = np.asarray(density, dtype=float)
         if grid.shape != density.shape:
             raise ShapeError("grid and density must have matching shapes")
         if not (np.isfinite(grid).all() and np.isfinite(density).all()):
             raise DomainError("grid and density values must be finite")
         if np.any(density < 0):
             raise DomainError("density values must be nonnegative")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "density", density)
+        self.grid = grid
+        self.density = density
+        self.eta = eta
 
     def mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
@@ -644,119 +606,8 @@ def stieltjes_invert(solution: MDESolution, grid: np.ndarray, eta: float) -> Spe
     return SpectralDensity(grid, np.clip(rho, 0.0, None), eta)
 
 
-def symmetry_check(density: SpectralDensity) -> float:
-    """Largest pointwise defect between the density and its reflection.
-
-    The grid must be symmetric about zero; the defect is
-    ``max_E |rho(E) - rho(-E)|``.
-    """
-    order = np.argsort(density.grid)
-    grid = density.grid[order]
-    rho = density.density[order]
-    if np.max(np.abs(grid + grid[::-1])) > 1e-12 * max(1.0, float(np.abs(grid).max())):
-        raise DomainError("grid is not symmetric about zero")
-    return float(np.max(np.abs(rho - rho[::-1])))
-
-
-@dataclass(frozen=True)
-class SupportBoundReport:
-    """Outcome of the Minkowski-sum support check."""
-
-    ok: bool
-    halfwidth: float
-    spec_a: np.ndarray
-    margins: np.ndarray
-
-    @property
-    def worst_margin(self) -> float:
-        return float(self.margins.min()) if self.margins.size else np.inf
-
-
-def support_bound_check(
-    density_or_eigs,
-    a_matrix: np.ndarray,
-    self_energy,
-    eps: float = 1e-6,
-) -> SupportBoundReport:
-    """Check that spectrum points lie in Spec A widened by twice sqrt(norm S).
-
-    Accepts either raw eigenvalues or a :class:`SpectralDensity`; for the
-    latter the support points are the grid energies with density above
-    ``DENSITY_THRESHOLD`` and the interval is additionally inflated by
-    ``3 eta^(2/3)`` to absorb the inversion smearing.  ``margins`` holds,
-    per point, the slack before the bound is violated; the check passes
-    when every margin is nonnegative.
-    """
-    a = _checked_matrix(a_matrix, "expectation matrix A")
-    spec_a = np.linalg.eigvalsh(a)
-    norm_s = self_energy_norm(self_energy, a.shape[0])
-    halfwidth = 2.0 * np.sqrt(norm_s) + eps
-    if isinstance(density_or_eigs, SpectralDensity):
-        points = density_or_eigs.grid[density_or_eigs.density > DENSITY_THRESHOLD]
-        halfwidth += 3.0 * density_or_eigs.eta ** (2.0 / 3.0)
-    else:
-        points = np.asarray(density_or_eigs, dtype=float).ravel()
-    if points.size == 0:
-        return SupportBoundReport(True, halfwidth, spec_a, np.empty(0))
-    dist = np.min(np.abs(points[:, None] - spec_a[None, :]), axis=1)
-    margins = halfwidth - dist
-    return SupportBoundReport(bool(np.all(margins >= 0.0)), halfwidth, spec_a, margins)
-
-
 # ---------------------------------------------------------------------------
-# cumulant diagnostics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CumulantReport:
-    """Entrywise second-cumulant summaries of a matrix ensemble."""
-
-    av2_norm: float
-    iso2_upper: float
-    offdiag_decay: float
-
-
-def cumulant_diagnostics(samples) -> CumulantReport:
-    """Pairwise-cumulant diagnostics over an ensemble of symmetric matrices.
-
-    ``samples`` is a sequence of finite square matrices (symmetric or
-    not), each anything ``np.asarray`` reads as one, a
-    :class:`~dysonnet.hessian.HessianBlocks` included; two suffice to form
-    the estimate but 30 or more are needed for it to mean much.  The
-    pairwise cumulant kappa(alpha, beta) is the sample covariance of
-    entries alpha, beta across the ensemble.  ``av2_norm`` is the operator
-    norm of the absolute-cumulant matrix; ``iso2_upper`` bounds the
-    isotropic norm via the trivial decomposition (diagonal part equal to
-    the full cumulant) combined with a Cauchy-Schwarz majorant of the
-    supremum over unit vectors; ``offdiag_decay`` is the largest absolute
-    cumulant left after excluding, for each entry, its
-    ``floor(N**(1/2 - CUMULANT_MU))`` strongest partners.
-    """
-    stack = _sample_stack(samples, "cumulant sample", symmetric=False)
-    if stack.shape[0] < 2:
-        raise DomainError("need at least 2 samples for covariance estimation")
-    n = stack.shape[1]
-    if n * n > MAX_CUMULANT_ENTRIES:
-        raise CapacityError(f"cumulant matrix would be {n * n} x {n * n}")
-    flat = stack.reshape(stack.shape[0], n * n)
-    cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
-    abs_cov = np.abs(cov)
-    av2 = float(np.max(np.abs(np.linalg.eigvalsh((abs_cov + abs_cov.T) / 2))))
-    four = cov.reshape(n, n, n, n)
-    majorant = np.sqrt(np.einsum("abcd,abcd->bd", four, four))
-    iso2 = float(np.max(np.abs(np.linalg.eigvalsh((majorant + majorant.T) / 2))))
-    k = max(1, int(np.floor(n ** (0.5 - CUMULANT_MU))))
-    if abs_cov.shape[1] <= k:
-        offdiag = 0.0
-    else:
-        trimmed = np.partition(abs_cov, abs_cov.shape[1] - k - 1, axis=1)
-        offdiag = float(trimmed[:, : abs_cov.shape[1] - k].max())
-    return CumulantReport(av2, iso2, offdiag)
-
-
-# ---------------------------------------------------------------------------
-# closed forms and sampling
+# closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -780,64 +631,6 @@ def wigner_stieltjes(z):
     m_plus = (-z + s) / 2.0
     m_minus = (-z - s) / 2.0
     return np.where(m_plus.imag > 0, m_plus, m_minus)
-
-
-def sample_wigner(n: int, rng, sigma: float = 1.0) -> np.ndarray:
-    """Symmetric Gaussian matrix whose spectrum fills [-2 sigma, 2 sigma]."""
-    a = rng.standard_normal((n, n))
-    return sigma * (a + a.T) / np.sqrt(2.0 * n)
-
-
-def sample_centered_hessians(widths, n_samples: int, rng) -> list[np.ndarray]:
-    """Centered per-sample risk Hessians of a random relu network.
-
-    Draws a network with the given layer widths (input width first), then
-    ``n_samples`` hinge-loss sample Hessians at standard-normal inputs and
-    symmetric random labels, and subtracts the ensemble mean so the
-    returned matrices average to zero exactly.
-    """
-    from .hessian import sample_hessian
-    from .net import LossL0, NetworkParams, param_group_dims
-
-    widths = [int(w) for w in widths]
-    if len(widths) < 2:
-        raise DomainError("need at least an input width and one layer width")
-    weights = tuple(
-        rng.standard_normal((widths[i], widths[i + 1])) / np.sqrt(widths[i])
-        for i in range(len(widths) - 1)
-    )
-    alpha = rng.standard_normal(widths[-1]) / np.sqrt(widths[-1])
-    params = NetworkParams(weights, alpha)
-    n = sum(param_group_dims(params))
-    stack = np.empty((n_samples, n, n))
-    for i in range(n_samples):
-        x = rng.standard_normal(widths[0])
-        y = float(rng.choice([-1.0, 1.0]))
-        stack[i] = sample_hessian(params, LossL0.HINGE, x, y).assemble()
-    stack -= stack.mean(axis=0)
-    return list(stack)
-
-
-def ks_distance(values: np.ndarray, cdf_grid: np.ndarray, cdf_values: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance between samples and a tabulated CDF."""
-    v = np.sort(np.asarray(values, dtype=float).ravel())
-    f = np.interp(v, cdf_grid, cdf_values, left=0.0, right=1.0)
-    n = v.size
-    upper = np.abs(np.arange(1, n + 1) / n - f)
-    lower = np.abs(np.arange(0, n) / n - f)
-    return float(max(upper.max(), lower.max()))
-
-
-def density_cdf(density: SpectralDensity) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized cumulative distribution of a sampled density."""
-    order = np.argsort(density.grid)
-    grid = density.grid[order]
-    rho = density.density[order]
-    cdf = np.concatenate([[0.0], np.cumsum((rho[1:] + rho[:-1]) / 2.0 * np.diff(grid))])
-    total = cdf[-1]
-    if total <= 0:
-        raise NumericError("density has zero mass")
-    return grid, cdf / total
 
 
 def _strength_entry(s_doc: dict, key: str) -> float:

@@ -13,6 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from dysonnet.esd import (
+    density_cdf,
+    ks_distance,
+    sample_centered_hessians,
+    sample_wigner,
+    support_bound_check,
+    symmetry_check,
+)
 from dysonnet.hessian import landscape_report, risk_hessian, sample_hessian
 from dysonnet.infogeo import (
     LayeredDiscreteModel,
@@ -20,6 +28,7 @@ from dysonnet.infogeo import (
     decompose_likelihood,
     posterior_assignments,
 )
+from dysonnet.kernels import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
 from dysonnet.net import (
     Dataset,
     LossL0,
@@ -31,21 +40,14 @@ from dysonnet.net import (
     save_dataset_csv,
     unflatten_params,
 )
-from dysonnet.poset import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
 from dysonnet.rmt import (
     EmpiricalSelfEnergy,
     IsotropicSelfEnergy,
     MDEProblem,
     ZeroSelfEnergy,
-    density_cdf,
-    ks_distance,
-    sample_centered_hessians,
-    sample_wigner,
     semicircle_density,
     solve_mde,
     stieltjes_invert,
-    support_bound_check,
-    symmetry_check,
 )
 
 WIGNER_GRID = np.linspace(-3.0, 3.0, 601)

@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, output formats and determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dysonnet import __version__, rmt
-from dysonnet.cli import main
+from dysonnet import __version__, esd
+from dysonnet.cli import _write_csv, main
+from dysonnet.kernels import ActivationRule
 from dysonnet.net import Dataset, NetworkParams, network_to_chain_json, save_dataset_csv
-from dysonnet.poset import ActivationRule
 
 
 def run_cli(*args):
@@ -307,21 +308,26 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["hessian"])
     def test_dense_hessian_over_budget(self, workdir, capsys, command):
-        # P = 50*50 + 50*50 + 50 = 5050 > 5000: refused before any block is built
+        # P = 50*50 + 50*50 + 50 = 5050 > 5000: refused before any block is built;
+        # the count is P^2, the one sample's factors (7900) and the pair
+        # (W_1, W_2)'s outer product, path copy and 2500 x 2500 GEMM output
         params = NetworkParams((np.zeros((50, 50)), np.zeros((50, 50))), np.zeros(50))
         (workdir / "big.json").write_text(json.dumps(network_to_chain_json(params)))
         save_dataset_csv(workdir / "big.csv", Dataset(np.ones((1, 50)), np.array([1.0])))
         rc = run_cli(command, "--network", workdir / "big.json", "--data", workdir / "big.csv",
                      "--out", workdir / "out")
         assert rc == 2
-        assert "a dense Hessian of P=5050 parameters needs 25502500 entries" in (
+        assert "a dense Hessian of P=5050 parameters needs 31765400 entries" in (
             capsys.readouterr().err)
         assert not (workdir / "out").exists()
 
     def test_landscape_range_core_over_budget(self, workdir, capsys):
         # w=72 (P = 10440) and 200 live samples: every group's sets reach
         # its dimension, so r = P and the r x r core is over the budget; it
-        # is refused after the first pass, before the core is allocated
+        # is refused after the first pass, before the core is allocated.
+        # The count adds to the core the factors of the one chunk of all m
+        # samples and the pair (W_1, W_2)'s outer products, path copy and
+        # w^4 GEMM output
         rng = np.random.default_rng(38)
         w, m = 72, 200
         params = NetworkParams(
@@ -332,6 +338,7 @@ class TestExitCodes:
         save_dataset_csv(workdir / "wide.csv",
                          Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m)))
         r = 2 * w * w + w
+        needed = r * r + m * (8 * w + 3 * w * w) + m * 2 * w * w + w ** 4
         tracemalloc.start()
         try:
             rc = run_cli("landscape", "--network", workdir / "wide.json",
@@ -341,7 +348,7 @@ class TestExitCodes:
             tracemalloc.stop()
         assert rc == 2
         assert (f"the range core of r={r} of P={r} parameters, with its bases and sums,"
-                f" needs {r * r} entries") in capsys.readouterr().err
+                f" needs {needed} entries") in capsys.readouterr().err
         assert not (workdir / "out").exists()
         assert peak < 8 * r * r / 20
 
@@ -373,8 +380,8 @@ class TestExitCodes:
         def sampler_started(*args):
             raise AssertionError("a trial started")
 
-        monkeypatch.setattr(rmt, "sample_wigner", sampler_started)
-        monkeypatch.setattr(rmt, "sample_centered_hessians", sampler_started)
+        monkeypatch.setattr(esd, "sample_wigner", sampler_started)
+        monkeypatch.setattr(esd, "sample_centered_hessians", sampler_started)
         tracemalloc.start()
         try:
             rc = run_cli("esd", "sample", *flags, "--trials", 1, "--out", workdir / "esd.csv")
@@ -526,6 +533,36 @@ class TestDeterminism:
         rewritten = [format(v, ".17g") for v in values]
         assert [float(r) for r in rewritten] == values
 
+    def test_csv_writer_matches_the_per_cell_formatter(self, workdir):
+        def per_cell(value):  # the writer's formatter before rows were formatted whole
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return format(float(value), ".17g")
+
+        def expected(rows):
+            lines = ["# seed=7 tool-version=" + __version__, "a,b,c"]
+            lines += [",".join(per_cell(v) for v in row) for row in rows]
+            return ("\n".join(lines) + "\n").encode()
+
+        floats = np.array([
+            [0.1, -0.0, 5e-324],
+            [1e300, -1e300, 2.2250738585072014e-308],
+            [np.float64(1) / 3, np.inf, -np.inf],
+            [np.nan, 123456789.0, -2.5e-310],
+        ])
+        mixed = [
+            (0, np.int64(-3), 0.1),
+            (np.int32(7), 10 ** 20, np.float64(-0.0)),
+            (np.uint8(255), 5e-324, 1e300),
+            (np.float32(0.1), np.float64(2.0 ** -1074), -7),
+        ]
+        singles = np.array([[0.1, -0.0, 1e-45], [3.4e38, np.nan, -np.inf]], dtype=np.float32)
+        for name, rows in (("floats", floats), ("float32", singles),
+                           ("mixed", mixed), ("float rows", list(floats))):
+            out = workdir / f"{name}.csv"
+            _write_csv(out, 7, ["a", "b", "c"], rows)
+            assert out.read_bytes() == expected(rows), name
+
 
 def test_cli_import_loads_no_scipy():
     proc = subprocess.run(
@@ -542,15 +579,18 @@ def test_cli_import_loads_no_scipy():
     "args, unloaded",
     [
         (["decompose", "--model", "model.json", "--out", "report.json"],
-         ["rmt", "hessian", "net"]),
+         ["poset", "expfam", "net", "hessian", "rmt", "esd"]),
         (["landscape", "--network", "net.json", "--data", "data.csv", "--out", "land.json"],
-         ["rmt", "infogeo"]),
+         ["infogeo", "expfam", "rmt", "esd"]),
         (["mde", "solve", "--problem", "wigner.json", "--points", "5", "--out", "rho.csv"],
-         ["hessian", "net", "infogeo", "poset"]),
+         ["esd", "kernels", "poset", "expfam", "infogeo", "net", "hessian"]),
         (["mde", "solve", "--problem", "empirical.json", "--points", "5", "--out", "rho.csv"],
-         ["hessian", "net", "infogeo", "poset"]),
+         ["esd", "kernels", "poset", "expfam", "infogeo", "net", "hessian"]),
+        (["esd", "sample", "--ensemble", "wigner", "--n", "4", "--trials", "1", "--out", "e.csv"],
+         ["rmt", "kernels", "poset", "expfam", "infogeo", "net", "hessian"]),
     ],
-    ids=["decompose", "landscape", "mde-solve-isotropic", "mde-solve-empirical"],
+    ids=["decompose", "landscape", "mde-solve-isotropic", "mde-solve-empirical",
+         "esd-sample-wigner"],
 )
 def test_subcommand_loads_only_the_modules_it_runs(workdir, args, unloaded):
     samples = np.random.default_rng(9).standard_normal((3, 4, 4))
@@ -570,6 +610,8 @@ def test_subcommand_loads_only_the_modules_it_runs(workdir, args, unloaded):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert "dysonnet.cli" in loaded
+    # a module that does not exist is trivially not loaded
+    assert [name for name in unloaded if importlib.util.find_spec(f"dysonnet.{name}") is None] == []
     assert not {f"dysonnet.{name}" for name in unloaded} & set(loaded)
 
 

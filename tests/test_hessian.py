@@ -25,6 +25,7 @@ from dysonnet.hessian import (
     risk_hessian,
     sample_hessian,
 )
+from dysonnet.kernels import ActivationRule
 from dysonnet.net import (
     Dataset,
     LossL0,
@@ -38,7 +39,6 @@ from dysonnet.net import (
     risk_gradient,
     unflatten_params,
 )
-from dysonnet.poset import ActivationRule
 
 
 # The dense per-sample pass that dysonnet.hessian replaced: every sample's
@@ -727,6 +727,37 @@ class TestLandscape:
         slack = 2 ** 20
         assert 8 * stored + slack < peak <= 8 * counted["the range core"] + slack
 
+    def test_budget_counts_the_identity_pass_temporaries(self, monkeypatch):
+        # w=20, m=100: every group's sets reach its dimension, so r = P and
+        # every Q_g is the identity; the second pass sums two chunks of 50
+        # samples straight into the P x P core, beside which it holds their
+        # factors and one pair's outer products, path copy and its 400 x 400
+        # GEMM output; the peak exceeds the core alone, but stays within
+        # the budgeted count, give or take 1 MiB
+        rng = np.random.default_rng(40)
+        w, m = 20, 100
+        params = NetworkParams(
+            tuple(rng.standard_normal((w, w)) / np.sqrt(w) for _ in range(2)),
+            rng.standard_normal(w) / np.sqrt(w),
+        )
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        counted = {}
+
+        def recording(entries, what):
+            counted[what.split(" of ")[0]] = entries
+
+        monkeypatch.setattr("dysonnet.hessian.check_dense_budget", recording)
+        tracemalloc.start()
+        try:
+            report = landscape_report(params, LossL0.HINGE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        p = sum(param_group_dims(params))
+        assert report.range_dim == p
+        slack = 2 ** 20
+        assert 8 * p * p + slack < peak <= 8 * counted["the range core"] + slack
+
     def test_range_core_eigensolver_failure_is_numeric_error(self, monkeypatch):
         # the m sample cores are solved first, the risk Hessian's core last
         rng = np.random.default_rng(34)
@@ -968,12 +999,14 @@ def test_smooth_rules_are_refused(call, rule):
 
 class TestDenseBudget:
     def test_refused_before_allocation(self):
-        # W (400 x 250), (250 x 250) and alpha (250): P = 162750
+        # W (400 x 250), (250 x 250) and alpha (250): P = 162750; P^2 plus
+        # the one sample's factors (189500) and the pair (W_1, W_2)'s outer
+        # product, path copy and 62500 x 100000 GEMM output (6250162500)
         params = NetworkParams((np.zeros((400, 250)), np.zeros((250, 250))), np.zeros(250))
         dataset = Dataset(np.ones((1, 400)), np.array([1.0]))
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match=r"P=162750 .*\(211900500000 bytes\)"):
+            with pytest.raises(CapacityError, match=r"P=162750 .*\(261903316000 bytes\)"):
                 risk_hessian(params, LossL0.HINGE, dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -10,27 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dysonnet import infogeo
+from dysonnet import expfam, infogeo
 from dysonnet.errors import CapacityError, DomainError, ShapeError
-from dysonnet.infogeo import (
+from dysonnet.expfam import (
     ConvexFunction,
     ExpFamilyModel,
-    LayeredDiscreteModel,
     bernoulli_entropy,
     bregman_divergence,
-    contraction_check,
-    decompose_likelihood,
     dual_of,
-    fp_bp_semantics_check,
-    kl_divergence,
     log_partition_of,
     neuron_coordinates,
-    posterior_assignments,
     quadratic_potential,
+)
+from dysonnet.infogeo import (
+    LayeredDiscreteModel,
+    contraction_check,
+    decompose_likelihood,
+    fp_bp_semantics_check,
+    kl_divergence,
+    posterior_assignments,
     top_kl_gradient,
     top_scale_kl,
 )
-from dysonnet.poset import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
+from dysonnet.kernels import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
 
 
 def bernoulli():
@@ -156,7 +158,7 @@ class TestMeanToNatural:
         for _ in range(50):
             eta = model.mean(rng.standard_normal(2) * 2)
             back = model.mean(model.mean_to_natural(eta))
-            assert np.abs(back - eta).max() <= infogeo.DUAL_TOL * max(1.0, np.abs(eta).max())
+            assert np.abs(back - eta).max() <= expfam.DUAL_TOL * max(1.0, np.abs(eta).max())
 
     @pytest.mark.parametrize("eta", [[0.5], [0.5, 1.0, 1.0], [[0.5, 1.0]]])
     def test_wrong_shape_refused(self, eta):
@@ -187,7 +189,7 @@ class TestMeanToNatural:
         if eta is None:
             eta = model.mean([300.0, -20000.0])
         back = model.mean(model.mean_to_natural(eta))
-        assert np.abs(back - eta).max() <= infogeo.DUAL_TOL * max(1.0, np.abs(eta).max())
+        assert np.abs(back - eta).max() <= expfam.DUAL_TOL * max(1.0, np.abs(eta).max())
 
     def test_off_the_affine_hull_refused(self):
         # statistics (x, 2x) on {0, 1, 2} lie on a line; means on it invert

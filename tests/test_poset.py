@@ -9,16 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dysonnet.errors import DomainError, NumericError, ShapeError
-from dysonnet.poset import (
-    ActivationRule,
-    KernelSpec,
-    ScalePoset,
-    build_s_system,
-    conditional_group_law,
-    estimate_indicator,
-    evaluate_plan,
-    load_network_json,
-)
+from dysonnet.kernels import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
+from dysonnet.poset import ScalePoset, build_s_system, evaluate_plan, load_network_json
 
 
 def chain(n):

@@ -1,5 +1,7 @@
-"""Each module's ``__all__`` names exactly what it defines for public use."""
+"""Each module's ``__all__`` names exactly what it defines for public use, and no
+class is a dataclass."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -28,3 +30,15 @@ def test_public_definitions_are_listed(module):
         and value.__module__ == module.__name__
     }
     assert sorted(defined - set(module.__all__)) == []
+
+
+def test_no_class_is_a_dataclass():
+    # a dataclass generates and compiles its methods when its module is imported
+    classes = [
+        value for module in MODULES for value in vars(module).values()
+        if inspect.isclass(value) and value.__module__ == module.__name__
+    ]
+    assert {"KernelSpec", "LayerState", "MDESolution", "LandscapeReport"} <= {
+        cls.__name__ for cls in classes
+    }
+    assert [cls.__qualname__ for cls in classes if dataclasses.is_dataclass(cls)] == []

@@ -16,6 +16,16 @@ from dysonnet.errors import (
     DomainError,
     ShapeError,
 )
+from dysonnet.esd import (
+    cumulant_diagnostics,
+    density_cdf,
+    ks_distance,
+    sample_centered_hessians,
+    sample_wigner,
+    self_energy_norm,
+    support_bound_check,
+    symmetry_check,
+)
 from dysonnet.rmt import (
     BACKTRACK,
     EmpiricalSelfEnergy,
@@ -26,19 +36,11 @@ from dysonnet.rmt import (
     ZeroSelfEnergy,
     _EigenSteps,
     _iterate,
-    cumulant_diagnostics,
-    density_cdf,
-    ks_distance,
     load_problem_json,
-    sample_centered_hessians,
-    sample_wigner,
-    self_energy_norm,
     semicircle_cdf,
     semicircle_density,
     solve_mde,
     stieltjes_invert,
-    support_bound_check,
-    symmetry_check,
     wigner_stieltjes,
 )
 
