@@ -1,5 +1,5 @@
 """Layered networks from scale posets, exact risk Hessians, Matrix Dyson
-Equation spectra and exponential-family diagnostics."""
+Equation spectra, and KL contraction and likelihood decomposition."""
 
 __version__ = "0.1.0"
 

@@ -3,11 +3,11 @@
 Sampling: Wigner matrices and centered per-sample Hessians of random
 relu networks, the ensembles whose eigenvalues ``esd sample`` writes.
 Checks: the Kolmogorov-Smirnov distance of samples to a tabulated CDF,
-the CDF of a sampled density, its reflection symmetry, the Minkowski-sum
-support bound with the operator norm of the self-energy it uses, and the
-pairwise-cumulant diagnostics of an ensemble.  The Dyson equation, its
-solver and the semicircle reference live in :mod:`dysonnet.rmt`, which
-the checks import when they run, so sampling loads no ``rmt``.
+the CDF of a sampled density, its reflection symmetry, and the
+Minkowski-sum support bound with the operator norm of the self-energy it
+uses.  The Dyson equation, its solver and the semicircle reference live
+in :mod:`dysonnet.rmt`, which the checks import when they run, so
+sampling loads no ``rmt``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericError
+from .errors import DomainError, NumericError
 
 __all__ = [
-    "CumulantReport",
     "SupportBoundReport",
-    "cumulant_diagnostics",
     "density_cdf",
     "ks_distance",
     "sample_centered_hessians",
@@ -33,8 +31,6 @@ __all__ = [
 
 # Settings that no caller varies.
 DENSITY_THRESHOLD = 1e-3  # density above which a grid energy counts as support
-CUMULANT_MU = 0.1  # cumulant_diagnostics keeps floor(N**(1/2 - mu)) partners
-MAX_CUMULANT_ENTRIES = 4096  # largest N*N for the N^2 x N^2 cumulant matrix
 NORM_TOL = 1e-10  # relative settling tolerance of the self-energy power iteration
 NORM_MAX_ITER = 1000
 
@@ -165,54 +161,6 @@ def support_bound_check(
     dist = np.min(np.abs(points[:, None] - spec_a[None, :]), axis=1)
     margins = halfwidth - dist
     return SupportBoundReport(bool(np.all(margins >= 0.0)), halfwidth, spec_a, margins)
-
-
-class CumulantReport(NamedTuple):
-    """Entrywise second-cumulant summaries of a matrix ensemble."""
-
-    av2_norm: float
-    iso2_upper: float
-    offdiag_decay: float
-
-
-def cumulant_diagnostics(samples) -> CumulantReport:
-    """Pairwise-cumulant diagnostics over an ensemble of symmetric matrices.
-
-    ``samples`` is a sequence of finite square matrices (symmetric or
-    not), each anything ``np.asarray`` reads as one, a
-    :class:`~dysonnet.hessian.HessianBlocks` included; two suffice to form
-    the estimate but 30 or more are needed for it to mean much.  The
-    pairwise cumulant kappa(alpha, beta) is the sample covariance of
-    entries alpha, beta across the ensemble.  ``av2_norm`` is the operator
-    norm of the absolute-cumulant matrix; ``iso2_upper`` bounds the
-    isotropic norm via the trivial decomposition (diagonal part equal to
-    the full cumulant) combined with a Cauchy-Schwarz majorant of the
-    supremum over unit vectors; ``offdiag_decay`` is the largest absolute
-    cumulant left after excluding, for each entry, its
-    ``floor(N**(1/2 - CUMULANT_MU))`` strongest partners.
-    """
-    from .rmt import _sample_stack
-
-    stack = _sample_stack(samples, "cumulant sample", symmetric=False)
-    if stack.shape[0] < 2:
-        raise DomainError("need at least 2 samples for covariance estimation")
-    n = stack.shape[1]
-    if n * n > MAX_CUMULANT_ENTRIES:
-        raise CapacityError(f"cumulant matrix would be {n * n} x {n * n}")
-    flat = stack.reshape(stack.shape[0], n * n)
-    cov = np.atleast_2d(np.cov(flat, rowvar=False, ddof=1))
-    abs_cov = np.abs(cov)
-    av2 = float(np.max(np.abs(np.linalg.eigvalsh((abs_cov + abs_cov.T) / 2))))
-    four = cov.reshape(n, n, n, n)
-    majorant = np.sqrt(np.einsum("abcd,abcd->bd", four, four))
-    iso2 = float(np.max(np.abs(np.linalg.eigvalsh((majorant + majorant.T) / 2))))
-    k = max(1, int(np.floor(n ** (0.5 - CUMULANT_MU))))
-    if abs_cov.shape[1] <= k:
-        offdiag = 0.0
-    else:
-        trimmed = np.partition(abs_cov, abs_cov.shape[1] - k - 1, axis=1)
-        offdiag = float(trimmed[:, : abs_cov.shape[1] - k].max())
-    return CumulantReport(av2, iso2, offdiag)
 
 
 def ks_distance(values: np.ndarray, cdf_grid: np.ndarray, cdf_values: np.ndarray) -> float:

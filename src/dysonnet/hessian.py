@@ -212,9 +212,10 @@ def _chunk_plan(params: NetworkParams, m: int, columns) -> tuple[int, int]:
     the entries a pass holds beside its targets: the factors (layer
     states, deltas and path matrices) of the chunk in hand and of the one
     before it, and the largest temporaries of one pair (p, q), which are
-    the chunk's copy of its P_pq, its outer products u_q ⊗ t_{p-1} or its
-    stacks B and P_pq B, and the GEMM output, dim_q x dim_p where Q_p is
-    the identity and dim_q x r_p otherwise.
+    the chunk's copy of its P_pq (made only when some derivative in the
+    chunk is zero, but always counted), its outer products u_q ⊗ t_{p-1}
+    or its stacks B and P_pq B, and the GEMM output, dim_q x dim_p where
+    Q_p is the identity and dim_q x r_p otherwise.
     """
     widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     groups = len(widths)
@@ -270,8 +271,10 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
         rows = slice(start, min(start + chunk, m))
         values, derivs, loss_args, states, deltas = _sample_terms(params, kind, dataset, rows)
         paths = _path_matrices(params, states)
-        kept = derivs != 0.0
-        if np.any(kept):
+        nonzero = derivs != 0.0
+        if np.any(nonzero):
+            # a slice takes views; only a zero derivative makes the rows a copy
+            kept = slice(None) if np.all(nonzero) else nonzero
             scale = (derivs[kept] / m)[:, None]
             for p in sorted({p for p, _ in targets}):
                 t = states[p - 1].t_in[kept] * scale

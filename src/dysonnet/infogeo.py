@@ -1,11 +1,11 @@
 """KL divergence, its contraction and the exact likelihood decomposition.
 
 The module provides the data-processing contraction of KL divergence
-through stochastic kernels and the exact decomposition of the log
-likelihood of enumerable layered discrete models into the expected-data
-term plus one KL divergence per scale, with the forward/backward
-semantics checks built on it.  The finite-support exponential families
-and their Bregman divergences live in :mod:`dysonnet.expfam`.
+through stochastic kernels (``dysonnet contract``) and the exact
+decomposition of the log likelihood of enumerable layered discrete
+models into the expected-data term plus one KL divergence per scale
+(``dysonnet decompose``), with the posterior assignments that make the
+decomposition tight.
 """
 
 from __future__ import annotations
@@ -20,23 +20,16 @@ from .kernels import ActivationRule, KernelSpec, conditional_group_law, estimate
 
 __all__ = [
     "DecompositionReport",
-    "FpBpReport",
     "LayeredDiscreteModel",
     "contraction_check",
     "decompose_likelihood",
-    "fp_bp_semantics_check",
     "kl_divergence",
     "logsumexp",
     "posterior_assignments",
-    "top_kl_gradient",
-    "top_scale_kl",
 ]
 
 # Settings that no caller varies.
 KERNEL_TOL = 1e-12  # contraction_check's tolerance on pmf sums and kernel row sums
-TOP_KL_STEP = 1e-6  # central-difference step of top_kl_gradient
-N_COMPETITORS = 200  # random assignments fp_bp_semantics_check compares with the posterior
-BP_STEP = 1e-4  # descent step of fp_bp_semantics_check's backward check
 TRANSPORT_RULE = ActivationRule.PARTIAL_EXPECTATION_01  # estimation passing each scale's input on
 MAX_CONDITIONAL_ENTRIES = 10 ** 6  # conditionals decompose_likelihood holds: n_x * sum_s |S_s|
 
@@ -212,18 +205,17 @@ def _observed_conditionals(model: LayeredDiscreteModel, data):
     return data[observed], model.conditionals(model.x_support[observed])
 
 
-def _check_scale_pmf(model: LayeredDiscreteModel, s: int, pmf, what: str) -> np.ndarray:
-    pmf = _check_pmf(pmf, 1e-9, what)
-    expected = _n_states(model.scales[s])
-    if pmf.shape[0] != expected:
-        raise ShapeError(f"{what} has {pmf.shape[0]} entries, scale has {expected} states")
-    return pmf
-
-
 def _validate_nu(model: LayeredDiscreteModel, nu) -> list[np.ndarray]:
     if len(nu) != model.n_scales:
         raise DomainError(f"need one assigned pmf per scale, got {len(nu)}")
-    return [_check_scale_pmf(model, s, pmf, f"nu[{s}]") for s, pmf in enumerate(nu)]
+    nus = []
+    for s, pmf in enumerate(nu):
+        pmf = _check_pmf(pmf, 1e-9, f"nu[{s}]")
+        expected = _n_states(model.scales[s])
+        if pmf.shape[0] != expected:
+            raise ShapeError(f"nu[{s}] has {pmf.shape[0]} entries, scale has {expected} states")
+        nus.append(pmf)
+    return nus
 
 
 def decompose_likelihood(model: LayeredDiscreteModel, data, nu) -> DecompositionReport:
@@ -290,71 +282,3 @@ def posterior_assignments(model: LayeredDiscreteModel, data) -> list[np.ndarray]
             log_mix = (w[:, None] * np.log(cond)).sum(axis=0)
         out.append(np.exp(log_mix - logsumexp(log_mix)))
     return out
-
-
-def top_scale_kl(model: LayeredDiscreteModel, data, top_nu) -> float:
-    """Supervised discrepancy at the top scale under the data pmf."""
-    w, conds = _observed_conditionals(model, data)
-    top_nu = _check_scale_pmf(model, model.n_scales - 1, top_nu, "top_nu")
-    return float(w @ kl_divergence(top_nu, conds[-1]))
-
-
-def _with_top_weights(model: LayeredDiscreteModel, flat) -> LayeredDiscreteModel:
-    spec = model.scales[-1]
-    weight = np.asarray(flat, dtype=float).reshape(spec.weight.shape)
-    scales = model.scales[:-1] + (KernelSpec(weight, spec.field),)
-    return LayeredDiscreteModel(model.x_support, scales)
-
-
-def top_kl_gradient(model: LayeredDiscreteModel, data, top_nu) -> np.ndarray:
-    """Central finite-difference gradient of the top-scale KL in the top weights.
-
-    The difference step is ``TOP_KL_STEP``.
-    """
-    theta = model.scales[-1].weight.ravel()
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = TOP_KL_STEP
-        up = top_scale_kl(_with_top_weights(model, theta + e), data, top_nu)
-        down = top_scale_kl(_with_top_weights(model, theta - e), data, top_nu)
-        grad[i] = (up - down) / (2 * TOP_KL_STEP)
-    return grad
-
-
-class FpBpReport(NamedTuple):
-    """Outcome of the forward/backward semantics checks."""
-
-    posterior_ll: float
-    best_competitor_ll: float
-    fp_ok: bool
-    kl_before: float
-    kl_after: float
-    bp_ok: bool
-
-
-def fp_bp_semantics_check(model: LayeredDiscreteModel, data, rng) -> FpBpReport:
-    """Verify the two halves of the training semantics.
-
-    Forward: the posterior assignments attain the maximal expected term
-    against ``N_COMPETITORS`` random competitor assignments.  Backward:
-    one step of size ``BP_STEP`` against the finite-difference gradient of
-    the supervised top-scale KL, with the first top-scale state as the
-    target, strictly decreases that term.
-    """
-    posterior = posterior_assignments(model, data)
-    best = decompose_likelihood(model, data, posterior).expected_ll
-    top = None
-    for _ in range(N_COMPETITORS):
-        candidate = [rng.dirichlet(np.ones(p.shape[0])) for p in posterior]
-        value = decompose_likelihood(model, data, candidate).expected_ll
-        top = value if top is None else max(top, value)
-    fp_ok = top <= best + 1e-12
-    top_nu = np.zeros(_n_states(model.scales[-1]))
-    top_nu[0] = 1.0
-    kl_before = top_scale_kl(model, data, top_nu)
-    grad = top_kl_gradient(model, data, top_nu)
-    theta = model.scales[-1].weight.ravel() - BP_STEP * grad
-    kl_after = top_scale_kl(_with_top_weights(model, theta), data, top_nu)
-    bp_ok = kl_after < kl_before or np.abs(grad).max() < 1e-10
-    return FpBpReport(best, float(top), bool(fp_ok), kl_before, kl_after, bool(bp_ok))

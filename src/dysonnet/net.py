@@ -1,4 +1,4 @@
-"""Single-output layered network, piecewise-linear losses and empirical risk.
+"""Single-output layered network, piecewise-linear losses and their files.
 
 The network score is ``x^T W_1 dg(m_1) W_2 dg(m_2) ... W_{L-1} dg(m_{L-1}) a``
 where each diagonal factor is built from the layer's estimated indicator,
@@ -10,9 +10,10 @@ derivative vanishes almost everywhere.
 
 The samples are evaluated as rows: the forward pass, the loss and the
 backward pass each take a stack of inputs, scores or layer states and
-act on every row at once, with no loop over the samples.  The risk and
-its gradient make one such pass over the whole dataset, and the Hessian
-one per chunk of rows.
+act on every row at once, with no loop over the samples.  The Hessian
+and the landscape report make one such pass per chunk of rows.  A
+network is read from the chain form of the poset document, through the
+poset's plan, and a dataset from CSV.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .kernels import ActivationRule, LayerState, estimate_indicator
-from .poset import load_network_json
+from .poset import build_s_system, load_network_json
 
 __all__ = [
     "Dataset",
     "LossL0",
     "NetworkParams",
-    "empirical_risk",
     "flatten_params",
     "forward",
     "load_dataset_csv",
@@ -38,7 +38,6 @@ __all__ = [
     "network_from_chain_json",
     "network_to_chain_json",
     "param_group_dims",
-    "risk_gradient",
     "save_dataset_csv",
     "unflatten_params",
 ]
@@ -161,8 +160,8 @@ def _sample_terms(params: NetworkParams, kind: LossL0, dataset: Dataset, rows=sl
     """Losses, score derivatives, loss arguments, layer states and deltas of ``rows``.
 
     Every result holds the samples of the slice ``rows`` (all of them by
-    default) as rows.  The one place the risk, its gradient and its
-    Hessian evaluate samples.
+    default) as rows.  The one place the risk and its Hessian evaluate
+    samples.
     """
     if len(dataset) == 0:
         raise DomainError("dataset is empty")
@@ -173,12 +172,6 @@ def _sample_terms(params: NetworkParams, kind: LossL0, dataset: Dataset, rows=sl
     return values, derivs, loss_args, states, _backprop_deltas(params, states)
 
 
-def empirical_risk(params: NetworkParams, kind: LossL0, dataset: Dataset) -> float:
-    """Mean loss over the dataset."""
-    values = _sample_terms(params, kind, dataset)[0]
-    return float(np.sum(values) / len(dataset))
-
-
 def _backprop_deltas(params: NetworkParams, states: list[LayerState]) -> list[np.ndarray]:
     """Score derivatives with respect to each layer's preactivation, for one sample or rows."""
     deltas = [np.empty(0)] * len(params.weights)
@@ -187,23 +180,6 @@ def _backprop_deltas(params: NetworkParams, states: list[LayerState]) -> list[np
         deltas[i] = states[i].h_prime * upstream
         upstream = (params.weights[i] @ deltas[i][..., None])[..., 0]
     return deltas
-
-
-def risk_gradient(params: NetworkParams, kind: LossL0, dataset: Dataset) -> np.ndarray:
-    """Analytic gradient of the empirical risk over all parameters.
-
-    The layout is column-major vectorization of each weight matrix in layer
-    order, followed by the output vector.  Group g's part is the one
-    product ``(deriv * T_g)^T Δ_g`` of the stacked layer inputs and deltas.
-    """
-    _, derivs, _, states, deltas = _sample_terms(params, kind, dataset)
-    pieces = [
-        ((derivs[:, None] * state.t_in).T @ delta).ravel(order="F")
-        for state, delta in zip(states, deltas)
-    ]
-    top = states[-1].h_tilde if params.weights else dataset.x
-    pieces.append(derivs @ top)
-    return np.concatenate(pieces) / len(dataset)
 
 
 def param_group_dims(params: NetworkParams) -> tuple[int, ...]:
@@ -235,37 +211,32 @@ def unflatten_params(theta: np.ndarray, like: NetworkParams) -> NetworkParams:
 def network_from_chain_json(source) -> NetworkParams:
     """Load a network from the poset document restricted to a chain.
 
-    The chain's last node must carry a single-column kernel, which becomes
-    the output vector; its rule entry is accepted but not applied since the
-    score is the top node's preactivation.  All interior nodes must share
-    one activation rule.
+    The layer order and the check that each kernel takes its
+    predecessor's outputs come from the poset's plan
+    (:func:`~dysonnet.poset.build_s_system`).  The chain's last node must
+    carry a single-column kernel, which becomes the output vector; its
+    rule entry is accepted but not applied since the score is the top
+    node's preactivation.  All interior nodes must share one activation
+    rule.
     """
     poset, specs = load_network_json(source)
-    order = [poset.minimal]
-    while True:
-        succ = poset.successors(order[-1])
-        if not succ:
-            break
-        if len(succ) != 1:
-            raise DomainError("network document is not a chain")
-        order.append(next(iter(succ)))
-    if set(order) != set(poset.node_ids):
+    if any(len(poset.successors(node)) > 1 for node in poset.node_ids):
         raise DomainError("network document is not a chain")
-    if len(order) < 2:
+    if len(poset.node_ids) < 2:
         raise DomainError("chain must contain at least one layer above the input")
-    missing = [node for node in order[1:] if node not in specs]
+    missing = [node for node in poset.node_ids if node != poset.minimal and node not in specs]
     if missing:
         raise DomainError(f"chain nodes {missing} have no layer entry")
-    kernels = [specs[node][0] for node in order[1:]]
-    rules = {specs[node][1] for node in order[1:-1]}
+    (first,) = poset.successors(poset.minimal)
+    layers = build_s_system(poset, specs[first][0].in_dim, specs).layers
+    rules = {layer.rule for layer in layers[:-1]}
     if len(rules) > 1:
         raise DomainError(f"layers must share one activation rule, found {sorted(r.value for r in rules)}")
-    if kernels[-1].out_dim != 1:
+    if layers[-1].out_dim != 1:
         raise ShapeError("top node kernel must have a single column (the output vector)")
     rule = rules.pop() if rules else ActivationRule.ARGMAX_MASK_01
-    weights = tuple(k.weight for k in kernels[:-1])
-    alpha = kernels[-1].weight[:, 0]
-    return NetworkParams(weights, alpha, rule)
+    weights = tuple(layer.kernel.weight for layer in layers[:-1])
+    return NetworkParams(weights, layers[-1].kernel.weight[:, 0], rule)
 
 
 def load_dataset_csv(path) -> Dataset:

@@ -6,9 +6,11 @@ the bottom: every non-minimal node owns a linear kernel
 (:class:`~dysonnet.kernels.KernelSpec`) and an indicator-estimation rule
 (:class:`~dysonnet.kernels.ActivationRule`) and consumes the concatenated
 outputs of its immediate predecessors.  When the poset is a chain the plan
-is an ordinary multilayer perceptron.  :func:`load_network_json` reads a
-poset and its layers from JSON; the kernels themselves, their indicator
-law and its estimation live in :mod:`dysonnet.kernels`.
+is an ordinary multilayer perceptron, which
+:func:`~dysonnet.net.network_from_chain_json` reads off it.
+:func:`load_network_json` reads a poset and its layers from JSON; the
+kernels themselves, their indicator law and its estimation live in
+:mod:`dysonnet.kernels`.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DomainError, ShapeError, read_json
-from .kernels import ActivationRule, KernelSpec, LayerState, estimate_indicator, kernel_from_entry
+from .kernels import ActivationRule, KernelSpec, kernel_from_entry
 
 __all__ = [
     "NetworkPlan",
     "PlanLayer",
     "ScalePoset",
     "build_s_system",
-    "evaluate_plan",
     "load_network_json",
 ]
 
@@ -192,28 +193,6 @@ def build_s_system(
 
     terminals = tuple(sorted(n for n in poset.node_ids if not poset.successors(n)))
     return NetworkPlan(poset, input_dim, tuple(layers), terminals)
-
-
-def evaluate_plan(plan: NetworkPlan, x: np.ndarray):
-    """Run a plan on one input vector.
-
-    Returns ``(output, states)``: the concatenated terminal outputs (in
-    lexicographic terminal order) and a dict mapping node id to its
-    :class:`~dysonnet.kernels.LayerState`.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (plan.input_dim,):
-        raise ShapeError(f"input has shape {x.shape}, plan expects ({plan.input_dim},)")
-    outputs = {plan.poset.minimal: x}
-    states: dict[str, LayerState] = {}
-    for layer in plan.layers:
-        t_in = np.concatenate([outputs[p] for p in layer.input_nodes])
-        h_hat = layer.kernel.weight.T @ t_in
-        h_tilde, h_prime = estimate_indicator(layer.rule, h_hat)
-        states[layer.node] = LayerState(t_in, h_hat, h_tilde, h_prime)
-        outputs[layer.node] = h_tilde
-    out = np.concatenate([outputs[t] for t in plan.terminal_nodes])
-    return out, states
 
 
 _RULE_NAMES = {rule.value: rule for rule in ActivationRule}

@@ -27,7 +27,7 @@ n x n matrices and the damped iteration.  ``MDESolution.m`` builds the
 matrices on first access only.
 
 Sampling ensembles and the checks made on spectra (support bound,
-symmetry, cumulants, KS distance) live in :mod:`dysonnet.esd`.
+symmetry, KS distance) live in :mod:`dysonnet.esd`.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ DAMPING = 0.5  # base step of the damped fixed point
 BACKTRACK = (0.5, 0.25, 0.125)  # shortened Newton steps tried before the damped one
 
 
-def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -> np.ndarray:
+def _checked_matrix(m, what: str, stack: bool = False) -> np.ndarray:
     """``m`` as floats, or an error naming ``what`` if it is no valid matrix input.
 
     ``m`` must be a finite square matrix, symmetric to within
-    ``1e-12 * max(1, max|m|)`` unless ``symmetric`` is false.  With
+    ``1e-12 * max(1, max|m|)``.  With
     ``stack`` it is a 3-d stack of such matrices, measured on one scale,
     and a failure names the first bad matrix as ``what`` and its index.
     The checks run one matrix at a time, so their temporaries are the
@@ -93,16 +93,15 @@ def _checked_matrix(m, what: str, stack: bool = False, symmetric: bool = True) -
     for index, mat in enumerate(mats):
         if not np.isfinite(mat).all():
             raise DomainError(f"{name(index)} has non-finite entries")
-    if symmetric:
-        scale = max([1.0] + [float(np.abs(mat).max(initial=0.0)) for mat in mats])
-        for index, mat in enumerate(mats):
-            skew = mat - mat.T
-            if np.abs(skew, out=skew).max(initial=0.0) > 1e-12 * scale:
-                raise DomainError(f"{name(index)} is not symmetric")
+    scale = max([1.0] + [float(np.abs(mat).max(initial=0.0)) for mat in mats])
+    for index, mat in enumerate(mats):
+        skew = mat - mat.T
+        if np.abs(skew, out=skew).max(initial=0.0) > 1e-12 * scale:
+            raise DomainError(f"{name(index)} is not symmetric")
     return m
 
 
-def _sample_stack(samples, what: str, symmetric: bool = True) -> np.ndarray:
+def _sample_stack(samples, what: str) -> np.ndarray:
     """Checked stack of sample matrices, each read by ``np.asarray``.
 
     A :class:`~dysonnet.hessian.HessianBlocks` reads as its matrix.
@@ -114,7 +113,7 @@ def _sample_stack(samples, what: str, symmetric: bool = True) -> np.ndarray:
         check_dense_budget(len(mats) * mats[0].size,
                            f"a stack of {len(mats)} {what}s of shape {mats[0].shape}")
     stack = np.stack(mats) if mats else np.empty((0, 0, 0))
-    return _checked_matrix(stack, what, stack=True, symmetric=symmetric)
+    return _checked_matrix(stack, what, stack=True)
 
 
 # ---------------------------------------------------------------------------

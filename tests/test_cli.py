@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dysonnet
 from dysonnet import __version__, esd
 from dysonnet.cli import _write_csv, main
 from dysonnet.kernels import ActivationRule
@@ -37,6 +39,10 @@ def write_tiny_net(path):
 
 @pytest.fixture
 def workdir(tmp_path):
+    return write_inputs(tmp_path)
+
+
+def write_inputs(tmp_path):
     write_wigner_problem(tmp_path / "wigner.json")
     write_tiny_net(tmp_path / "net.json")
     save_dataset_csv(tmp_path / "data.csv", Dataset(np.array([[1.0]]), np.array([1.0])))
@@ -575,44 +581,67 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize(
-    "args, unloaded",
-    [
-        (["decompose", "--model", "model.json", "--out", "report.json"],
-         ["poset", "expfam", "net", "hessian", "rmt", "esd"]),
-        (["landscape", "--network", "net.json", "--data", "data.csv", "--out", "land.json"],
-         ["infogeo", "expfam", "rmt", "esd"]),
-        (["mde", "solve", "--problem", "wigner.json", "--points", "5", "--out", "rho.csv"],
-         ["esd", "kernels", "poset", "expfam", "infogeo", "net", "hessian"]),
-        (["mde", "solve", "--problem", "empirical.json", "--points", "5", "--out", "rho.csv"],
-         ["esd", "kernels", "poset", "expfam", "infogeo", "net", "hessian"]),
-        (["esd", "sample", "--ensemble", "wigner", "--n", "4", "--trials", "1", "--out", "e.csv"],
-         ["rmt", "kernels", "poset", "expfam", "infogeo", "net", "hessian"]),
-    ],
-    ids=["decompose", "landscape", "mde-solve-isotropic", "mde-solve-empirical",
-         "esd-sample-wigner"],
-)
-def test_subcommand_loads_only_the_modules_it_runs(workdir, args, unloaded):
+SUBCOMMANDS = {
+    "decompose": ["decompose", "--model", "model.json", "--out", "report.json"],
+    "landscape": ["landscape", "--network", "net.json", "--data", "data.csv",
+                  "--out", "land.json"],
+    "mde-solve-isotropic": ["mde", "solve", "--problem", "wigner.json", "--points", "5",
+                            "--out", "rho.csv"],
+    "mde-solve-empirical": ["mde", "solve", "--problem", "empirical.json", "--points", "5",
+                            "--out", "rho.csv"],
+    "esd-sample-wigner": ["esd", "sample", "--ensemble", "wigner", "--n", "4", "--trials", "1",
+                          "--out", "e.csv"],
+}
+
+
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory):
+    """The ``dysonnet`` modules each of ``SUBCOMMANDS`` loads, run in a fresh interpreter."""
+    directory = write_inputs(tmp_path_factory.mktemp("loads"))
     samples = np.random.default_rng(9).standard_normal((3, 4, 4))
-    np.save(workdir / "samples4.npy", samples + samples.transpose(0, 2, 1))
-    (workdir / "empirical.json").write_text(json.dumps(
+    np.save(directory / "samples4.npy", samples + samples.transpose(0, 2, 1))
+    (directory / "empirical.json").write_text(json.dumps(
         {"A": np.eye(4).tolist(), "S": {"kind": "empirical", "samples": "samples4.npy"}}
     ))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys, dysonnet.cli; code = dysonnet.cli.main(sys.argv[1:]); "
-         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dysonnet.')))); "
-         "sys.exit(code)",
-         *args],
-        capture_output=True, text=True, cwd=workdir,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert "dysonnet.cli" in loaded
+    loaded = {}
+    for name, args in SUBCOMMANDS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, dysonnet.cli; code = dysonnet.cli.main(sys.argv[1:]); "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('dysonnet.')))); "
+             "sys.exit(code)",
+             *args],
+            capture_output=True, text=True, cwd=directory,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = set(json.loads(proc.stdout))
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "name, unloaded",
+    [
+        ("decompose", ["poset", "net", "hessian", "rmt", "esd"]),
+        ("landscape", ["infogeo", "rmt", "esd"]),
+        ("mde-solve-isotropic", ["esd", "kernels", "poset", "infogeo", "net", "hessian"]),
+        ("mde-solve-empirical", ["esd", "kernels", "poset", "infogeo", "net", "hessian"]),
+        ("esd-sample-wigner", ["rmt", "kernels", "poset", "infogeo", "net", "hessian"]),
+    ],
+    ids=list(SUBCOMMANDS),
+)
+def test_subcommand_loads_only_the_modules_it_runs(loaded_modules, name, unloaded):
+    assert "dysonnet.cli" in loaded_modules[name]
     # a module that does not exist is trivially not loaded
-    assert [name for name in unloaded if importlib.util.find_spec(f"dysonnet.{name}") is None] == []
-    assert not {f"dysonnet.{name}" for name in unloaded} & set(loaded)
+    assert [module for module in unloaded
+            if importlib.util.find_spec(f"dysonnet.{module}") is None] == []
+    assert not {f"dysonnet.{module}" for module in unloaded} & loaded_modules[name]
+
+
+def test_subcommands_together_load_every_module(loaded_modules):
+    # a module that no subcommand loads is reached by no CLI path
+    every = {f"dysonnet.{info.name}" for info in pkgutil.iter_modules(dysonnet.__path__)}
+    assert sorted(every - set().union(*loaded_modules.values())) == []
 
 
 # The JSON reader also accepts NaN, infinities and integers too large for a

@@ -1,6 +1,5 @@
-"""Exponential-family coordinates, divergences and the likelihood identity."""
+"""KL divergence, its contraction and the likelihood identity."""
 
-import itertools
 import re
 from functools import reduce
 
@@ -10,193 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dysonnet import expfam, infogeo
+from dysonnet import infogeo
 from dysonnet.errors import CapacityError, DomainError, ShapeError
-from dysonnet.expfam import (
-    ConvexFunction,
-    ExpFamilyModel,
-    bernoulli_entropy,
-    bregman_divergence,
-    dual_of,
-    log_partition_of,
-    neuron_coordinates,
-    quadratic_potential,
-)
 from dysonnet.infogeo import (
     LayeredDiscreteModel,
     contraction_check,
     decompose_likelihood,
-    fp_bp_semantics_check,
     kl_divergence,
     posterior_assignments,
-    top_kl_gradient,
-    top_scale_kl,
 )
 from dysonnet.kernels import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
-
-
-def bernoulli():
-    return ExpFamilyModel([0.0, 1.0], lambda x: x)
-
-
-class TestNeuronCoordinates:
-    def test_bernoulli_at_zero(self):
-        coords = neuron_coordinates(bernoulli(), [0.0], None)
-        assert coords.eta[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_saturation(self):
-        coords = neuron_coordinates(bernoulli(), [30.0], None)
-        assert coords.eta[0] == pytest.approx(1.0, abs=1e-9)
-
-    def test_three_point_support(self):
-        model = ExpFamilyModel([0.0, 1.0, 2.0], lambda x: x)
-        coords = neuron_coordinates(model, [np.log(2.0)], None)
-        assert coords.eta[0] == pytest.approx(10.0 / 7.0, abs=1e-10)
-
-    def test_composition_selects_natural_parameter(self):
-        w = np.array([[0.5, -0.25]])
-        model = ExpFamilyModel(
-            [0.0, 1.0], lambda x: x, composition=lambda theta, h: np.asarray(theta) @ h
-        )
-        h = np.array([1.0, 2.0])
-        coords = neuron_coordinates(model, w, h)
-        t = float((w @ h)[0])
-        assert coords.eta[0] == pytest.approx(1 / (1 + np.exp(-t)), abs=1e-10)
-        assert coords.h_context is h
-
-    def test_mean_inside_hull(self):
-        rng = np.random.default_rng(31)
-        model = ExpFamilyModel(rng.standard_normal((6, 2)), lambda x: x)
-        for _ in range(50):
-            eta = model.mean(rng.standard_normal(2))
-            lo = model.support.min(axis=0) - 1e-12
-            hi = model.support.max(axis=0) + 1e-12
-            assert np.all(eta >= lo) and np.all(eta <= hi)
-
-    def test_log_partition_convex(self):
-        rng = np.random.default_rng(32)
-        model = ExpFamilyModel(rng.standard_normal((5, 2)), lambda x: x)
-        for _ in range(200):
-            a, b = rng.standard_normal((2, 2)) * 2
-            mid = model.log_partition((a + b) / 2)
-            assert mid <= (model.log_partition(a) + model.log_partition(b)) / 2 + 1e-10
-
-
-class TestBregman:
-    def test_quadratic_is_half_squared_distance(self):
-        f = quadratic_potential()
-        assert bregman_divergence(f, [1.0, 2.0], [2.0, 0.0]) == pytest.approx(2.5)
-        assert bregman_divergence(f, [1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_bernoulli_dual_matches_kl(self):
-        f = bernoulli_entropy()
-        expected = kl_divergence([0.75, 0.25], [0.5, 0.5])
-        assert bregman_divergence(f, [0.5], [0.75]) == pytest.approx(expected, abs=1e-12)
-
-    def test_asymmetry_witness(self):
-        f = bernoulli_entropy()
-        forward_d = bregman_divergence(f, [0.5], [0.9])
-        backward_d = bregman_divergence(f, [0.9], [0.5])
-        assert forward_d == pytest.approx(kl_divergence([0.9, 0.1], [0.5, 0.5]), abs=1e-12)
-        assert backward_d == pytest.approx(kl_divergence([0.5, 0.5], [0.9, 0.1]), abs=1e-12)
-        assert forward_d != backward_d
-
-    def test_nonnegative_and_identity(self):
-        rng = np.random.default_rng(33)
-        f = bernoulli_entropy()
-        for _ in range(500):
-            eta = rng.uniform(0.01, 0.99, size=3)
-            eta_p = rng.uniform(0.01, 0.99, size=3)
-            d = bregman_divergence(f, eta, eta_p)
-            assert d >= 0.0
-            assert bregman_divergence(f, eta, eta) == 0.0
-
-    def test_domain_error_outside(self):
-        with pytest.raises(DomainError):
-            bregman_divergence(bernoulli_entropy(), [0.5], [1.5])
-
-    def test_legendre_involution(self):
-        model = bernoulli()
-        dual = dual_of(model)
-        rng = np.random.default_rng(34)
-        for _ in range(50):
-            theta = rng.standard_normal(1) * 3
-            eta = model.mean(theta)
-            assert np.abs(dual.grad(eta) - theta).max() <= 1e-7
-
-    def test_duality_identity(self):
-        # divergence of the dual at swapped mean coordinates equals the
-        # divergence of the log-partition at the natural coordinates
-        model = bernoulli()
-        dual = dual_of(model)
-        primal = log_partition_of(model)
-        rng = np.random.default_rng(35)
-        for _ in range(50):
-            t1, t2 = rng.standard_normal(2) * 2
-            e1, e2 = model.mean([t1]), model.mean([t2])
-            lhs = bregman_divergence(dual, e1, e2)
-            rhs = bregman_divergence(primal, [t2], [t1])
-            assert abs(lhs - rhs) <= 1e-8
-
-    def test_numeric_dual_matches_closed_form(self):
-        model = bernoulli()
-        closed = bernoulli_entropy()
-        for eta in (0.1, 0.35, 0.5, 0.82):
-            assert model.psi_star([eta]) == pytest.approx(closed.value([eta]), abs=1e-10)
-
-
-class TestMeanToNatural:
-    # statistics (x, x^2) on {0, 1, 2}: the hull is the triangle with
-    # vertices (0, 0), (1, 1) and (2, 4), inside the box [0, 2] x [0, 4]
-    @staticmethod
-    def model():
-        return ExpFamilyModel([0.0, 1.0, 2.0], lambda x: np.concatenate([x, x * x]))
-
-    def test_inverts_the_mean_map(self):
-        model = self.model()
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            eta = model.mean(rng.standard_normal(2) * 2)
-            back = model.mean(model.mean_to_natural(eta))
-            assert np.abs(back - eta).max() <= expfam.DUAL_TOL * max(1.0, np.abs(eta).max())
-
-    @pytest.mark.parametrize("eta", [[0.5], [0.5, 1.0, 1.0], [[0.5, 1.0]]])
-    def test_wrong_shape_refused(self, eta):
-        with pytest.raises(ShapeError):
-            self.model().mean_to_natural(eta)
-
-    @pytest.mark.parametrize("eta", [
-        (3.0, 1.0),  # outside the box
-        (1.0, 3.0),  # inside the box, above the edge from (0, 0) to (2, 4)
-        (1.0, 1.0),  # a vertex
-        (0.5, 1.0),  # on the edge from (0, 0) to (2, 4)
-        (1.5, 2.5),  # on the edge from (1, 1) to (2, 4)
-    ])
-    def test_outside_or_on_the_boundary_refused(self, eta):
-        with pytest.raises(DomainError, match="hull"):
-            self.model().mean_to_natural(eta)
-
-    @pytest.mark.parametrize("support, stat, eta", [
-        # product Bernoulli on {0, 1}^5, 0.01 from every face: p(1, ..., 1) = 1e-10
-        (list(itertools.product([0.0, 1.0], repeat=5)), lambda x: x, np.full(5, 0.01)),
-        # the statistic x on {0, ..., 4} at 1e-3: p_4 is about 1e-12
-        (np.arange(5.0), lambda x: x, np.array([1e-3])),
-        # (x, x^2) on {0, 0.01, 0.02} at natural parameter (300, -20000)
-        ([0.0, 0.01, 0.02], lambda x: np.concatenate([x, x * x]), None),
-    ], ids=["product-bernoulli", "line", "fine-spacing"])
-    def test_near_the_boundary_round_trips(self, support, stat, eta):
-        model = ExpFamilyModel(np.asarray(support), stat)
-        if eta is None:
-            eta = model.mean([300.0, -20000.0])
-        back = model.mean(model.mean_to_natural(eta))
-        assert np.abs(back - eta).max() <= expfam.DUAL_TOL * max(1.0, np.abs(eta).max())
-
-    def test_off_the_affine_hull_refused(self):
-        # statistics (x, 2x) on {0, 1, 2} lie on a line; means on it invert
-        model = ExpFamilyModel([0.0, 1.0, 2.0], lambda x: np.concatenate([x, 2 * x]))
-        assert np.abs(model.mean(model.mean_to_natural([1.0, 2.0])) - [1.0, 2.0]).max() <= 1e-10
-        with pytest.raises(DomainError, match="hull"):
-            model.mean_to_natural([1.0, 1.5])
 
 
 class TestContraction:
@@ -386,6 +208,21 @@ def sparse_pmf(rng, size):
     return p / p.sum()
 
 
+class TestFpBp:
+    """Forward-pass semantics: the posterior assignments maximize the expected term."""
+
+    def test_posterior_beats_competitors(self):
+        # no random assignment of the same scales does better
+        rng = np.random.default_rng(43)
+        model = random_two_scale(rng)
+        data = rng.dirichlet(np.ones(4))
+        posterior = posterior_assignments(model, data)
+        best = decompose_likelihood(model, data, posterior).expected_ll
+        for _ in range(200):
+            competitor = [rng.dirichlet(np.ones(p.shape[0])) for p in posterior]
+            assert decompose_likelihood(model, data, competitor).expected_ll <= best + 1e-12
+
+
 class TestJointEnumerationOracle:
     def test_per_scale_path_matches_joint_enumeration(self, monkeypatch):
         rng = np.random.default_rng(46)
@@ -438,7 +275,6 @@ class TestJointEnumerationOracle:
     [
         (lambda m: decompose_likelihood(m, [np.nan], [[0.5, 0.5]]), "data"),
         (lambda m: decompose_likelihood(m, [1.0], [[np.nan, 0.5]]), "nu[0]"),
-        (lambda m: top_scale_kl(m, [1.0], [0.5, np.inf]), "top_nu"),
         (lambda m: contraction_check([np.nan, 1.0], [0.5, 0.5], []), "p"),
         (lambda m: contraction_check([0.5, 0.5], [0.5, np.nan], []), "q"),
     ],
@@ -448,52 +284,19 @@ def test_nonfinite_pmf_rejected(call, name):
         call(binary_scale_model())
 
 
-def test_top_nu_length_checked():
+def test_nu_length_checked():
     rng = np.random.default_rng(56)
     model = random_two_scale(rng)
     data = rng.dirichlet(np.ones(4))
-    for call in (top_scale_kl, top_kl_gradient):
-        with pytest.raises(ShapeError, match=r"^top_nu has 3 entries, scale has 4 states"):
-            call(model, data, np.full(3, 1 / 3))
-
-
-class TestFpBp:
-    def test_posterior_beats_competitors(self):
-        rng = np.random.default_rng(43)
-        model = random_two_scale(rng)
-        data = rng.dirichlet(np.ones(4))
-        report = fp_bp_semantics_check(model, data, rng)
-        assert report.fp_ok
-        assert report.best_competitor_ll <= report.posterior_ll + 1e-12
-
-    def test_gradient_step_decreases_supervised_kl(self):
-        rng = np.random.default_rng(44)
-        model = random_two_scale(rng)
-        data = rng.dirichlet(np.ones(4))
-        report = fp_bp_semantics_check(model, data, rng)
-        assert report.bp_ok
-        assert report.kl_after < report.kl_before
-
-    def test_stationary_at_exact_match(self):
-        rng = np.random.default_rng(45)
-        model = random_two_scale(rng)
-        data = np.array([1.0, 0.0, 0.0, 0.0])
-        target = model.conditionals(model.x_support[0])[-1]
-        grad = top_kl_gradient(model, data, target)
-        assert np.abs(grad).max() <= 1e-8
-        # a descent step from the optimum cannot help
-        assert top_scale_kl(model, data, target) == pytest.approx(0.0, abs=1e-12)
+    nu = [np.full(8, 1 / 8), np.full(3, 1 / 3)]
+    with pytest.raises(ShapeError, match=r"^nu\[1\] has 3 entries, scale has 4 states"):
+        decompose_likelihood(model, data, nu)
 
 
 def test_kl_divergence_conventions():
     assert kl_divergence([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2))
     assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == np.inf
     assert kl_divergence([0.0, 1.0], [0.0, 1.0]) == 0.0
-
-
-def test_convex_function_dataclass():
-    f = ConvexFunction(value=lambda e: float(np.sum(e)), grad=lambda e: np.ones_like(e))
-    assert bregman_divergence(f, [1.0], [3.0]) == 0.0
 
 
 class TestPropertyBased:
@@ -509,12 +312,3 @@ class TestPropertyBased:
         kernel = k_raw / k_raw.sum(axis=1, keepdims=True)
         stages = contraction_check(p, q, [kernel])
         assert stages[1] <= stages[0] + 1e-12
-
-    @given(hnp.arrays(np.float64, 3, elements=st.floats(0.05, 0.95)),
-           hnp.arrays(np.float64, 3, elements=st.floats(0.05, 0.95)))
-    @settings(max_examples=300, deadline=None)
-    def test_bernoulli_divergence_nonnegative(self, eta, eta_prime):
-        d = bregman_divergence(bernoulli_entropy(), eta, eta_prime)
-        assert d >= 0.0
-        if np.array_equal(eta, eta_prime):
-            assert d == 0.0

@@ -14,7 +14,6 @@ from dysonnet.net import (
     LossL0,
     NetworkParams,
     _backprop_deltas,
-    empirical_risk,
     flatten_params,
     forward,
     load_dataset_csv,
@@ -22,10 +21,11 @@ from dysonnet.net import (
     network_from_chain_json,
     network_to_chain_json,
     param_group_dims,
-    risk_gradient,
     save_dataset_csv,
     unflatten_params,
 )
+from dysonnet.poset import build_s_system, load_network_json
+from oracles import empirical_risk, evaluate_plan, risk_gradient
 
 
 def random_net(rng, rule=ActivationRule.ARGMAX_MASK_01, max_width=6, max_depth=4):
@@ -341,6 +341,28 @@ class TestDatasetAndJson:
         }
         with pytest.raises(ShapeError):
             network_from_chain_json(doc)
+
+
+@pytest.mark.parametrize("rule", list(ActivationRule))
+def test_forward_matches_the_plan_of_the_chain_document(rule):
+    # the plan of the chain document, evaluated node by node, is the
+    # reference: forward's layer states are its interior nodes' states and
+    # the score is the top node's preactivation
+    rng = np.random.default_rng(10)
+    for _ in range(50):
+        params = random_net(rng, rule=rule)
+        poset, specs = load_network_json(network_to_chain_json(params))
+        plan = build_s_system(poset, params.input_dim, specs)
+        for x in rng.standard_normal((3, params.input_dim)):
+            score, states = forward(params, x)
+            _, want = evaluate_plan(plan, x)
+            pairs = [(getattr(state, name), getattr(want[layer.node], name))
+                     for state, layer in zip(states, plan.layers[:-1], strict=True)
+                     for name in ("t_in", "h_hat", "h_tilde", "h_prime")]
+            pairs.append((np.array([score]), want[plan.layers[-1].node].h_hat))
+            for got, ref in pairs:
+                assert got.shape == ref.shape
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_param_layout_is_column_major():

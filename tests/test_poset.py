@@ -10,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from dysonnet.errors import DomainError, NumericError, ShapeError
 from dysonnet.kernels import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
-from dysonnet.poset import ScalePoset, build_s_system, evaluate_plan, load_network_json
+from dysonnet.poset import ScalePoset, build_s_system, load_network_json
+from oracles import evaluate_plan
 
 
 def chain(n):

@@ -17,7 +17,6 @@ from dysonnet.errors import (
     ShapeError,
 )
 from dysonnet.esd import (
-    cumulant_diagnostics,
     density_cdf,
     ks_distance,
     sample_centered_hessians,
@@ -610,52 +609,6 @@ class TestSupportBound:
     def test_invalid_a_rejected(self, a, problem):
         with pytest.raises(DomainError, match=f"^expectation matrix A {problem}"):
             support_bound_check(np.zeros(2), a, ZeroSelfEnergy())
-
-
-class TestCumulants:
-    def test_independent_unit_variance_entries(self):
-        # full sign design scaled so the unbiased sample variance is exactly 1;
-        # the duplicated off-diagonal pair couples into a 2x2 block of ones
-        scale = np.sqrt(7.0 / 8.0)
-        samples = [
-            scale * np.array([[a, b], [b, c]])
-            for a in (-1.0, 1.0)
-            for b in (-1.0, 1.0)
-            for c in (-1.0, 1.0)
-        ]
-        report = cumulant_diagnostics(samples)
-        assert report.av2_norm == pytest.approx(2.0, abs=1e-12)
-        assert report.iso2_upper >= report.av2_norm - 1e-12
-
-    def test_constant_samples(self):
-        samples = [np.ones((3, 3))] * 5
-        report = cumulant_diagnostics(samples)
-        assert report.av2_norm == 0.0
-        assert report.iso2_upper == 0.0
-        assert report.offdiag_decay == 0.0
-
-    def test_offdiag_decay_shrinks_with_samples(self):
-        # iid entries: every population cross-cumulant vanishes, so the
-        # statistic is pure sampling noise shrinking like 1/sqrt(m)
-        rng = np.random.default_rng(28)
-
-        def draw(m):
-            mats = [rng.standard_normal((4, 4)) for _ in range(m)]
-            return cumulant_diagnostics(mats).offdiag_decay
-
-        small = draw(60)
-        large = draw(6000)
-        assert large < small / 3.0
-
-    def test_needs_two_samples(self):
-        with pytest.raises(DomainError):
-            cumulant_diagnostics([np.zeros((2, 2))])
-
-    def test_nonfinite_sample_rejected(self):
-        samples = [np.eye(3), np.ones((3, 3)), np.zeros((3, 3))]
-        samples[1][0, 2] = np.nan
-        with pytest.raises(DomainError, match="^cumulant sample 1 has non-finite entries"):
-            cumulant_diagnostics(samples)
 
 
 class TestCenteredHessians:
