@@ -12,6 +12,7 @@ before they allocate a dense array, and the JSON document reader.
 """
 
 import json
+import os
 
 
 class DysonnetError(Exception):
@@ -65,10 +66,18 @@ def check_dense_budget(entries: int, what: str) -> None:
 
 
 def read_json(source):
-    """Parse a JSON document given as a path, an open file or an already-parsed dict."""
+    """Parse a JSON document given as a path, an open file or an already-parsed dict.
+
+    A path is a ``str`` or an ``os.PathLike``.  Anything else, an int file
+    descriptor included, is refused with :class:`DomainError` before
+    anything is opened.
+    """
     if isinstance(source, dict):
         return source
     if hasattr(source, "read"):
         return json.load(source)
+    if not isinstance(source, (str, os.PathLike)):
+        raise DomainError("a JSON source must be a path, an open file or a dict,"
+                          f" got {type(source).__name__}")
     with open(source, "r", encoding="utf-8") as handle:
         return json.load(handle)

@@ -33,6 +33,7 @@ __all__ = [
 DENSITY_THRESHOLD = 1e-3  # density above which a grid energy counts as support
 NORM_TOL = 1e-10  # relative settling tolerance of the self-energy power iteration
 NORM_MAX_ITER = 1000
+SUPPORT_EPS = 1e-6  # slack added to the support bound's half-width
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +41,10 @@ NORM_MAX_ITER = 1000
 # ---------------------------------------------------------------------------
 
 
-def sample_wigner(n: int, rng, sigma: float = 1.0) -> np.ndarray:
-    """Symmetric Gaussian matrix whose spectrum fills [-2 sigma, 2 sigma]."""
+def sample_wigner(n: int, rng) -> np.ndarray:
+    """Symmetric Gaussian matrix whose spectrum fills [-2, 2]."""
     a = rng.standard_normal((n, n))
-    return sigma * (a + a.T) / np.sqrt(2.0 * n)
+    return (a + a.T) / np.sqrt(2.0 * n)
 
 
 def sample_centered_hessians(widths, n_samples: int, rng) -> list[np.ndarray]:
@@ -130,13 +131,8 @@ class SupportBoundReport(NamedTuple):
         return float(self.margins.min()) if self.margins.size else np.inf
 
 
-def support_bound_check(
-    density_or_eigs,
-    a_matrix: np.ndarray,
-    self_energy,
-    eps: float = 1e-6,
-) -> SupportBoundReport:
-    """Check that spectrum points lie in Spec A widened by twice sqrt(norm S).
+def support_bound_check(density_or_eigs, a_matrix, self_energy) -> SupportBoundReport:
+    """Check that spectrum points lie in Spec A widened by ``2 sqrt(norm S) + SUPPORT_EPS``.
 
     Accepts either raw eigenvalues or a :class:`~dysonnet.rmt.SpectralDensity`; for the
     latter the support points are the grid energies with density above
@@ -150,7 +146,7 @@ def support_bound_check(
     a = _checked_matrix(a_matrix, "expectation matrix A")
     spec_a = np.linalg.eigvalsh(a)
     norm_s = self_energy_norm(self_energy, a.shape[0])
-    halfwidth = 2.0 * np.sqrt(norm_s) + eps
+    halfwidth = 2.0 * np.sqrt(norm_s) + SUPPORT_EPS
     if isinstance(density_or_eigs, SpectralDensity):
         points = density_or_eigs.grid[density_or_eigs.density > DENSITY_THRESHOLD]
         halfwidth += 3.0 * density_or_eigs.eta ** (2.0 / 3.0)

@@ -78,11 +78,6 @@ class NetworkParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[0] if self.weights else self.alpha.shape[0]
 
-    @property
-    def depth(self) -> int:
-        """Number of parameter groups, the L-1 weight matrices plus alpha."""
-        return len(self.weights) + 1
-
 
 class Dataset:
     """Training samples: row-wise inputs and labels in {-1, +1}."""

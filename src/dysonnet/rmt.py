@@ -5,8 +5,8 @@ The central object is the equation ``I + (z - A + S[M]) M = 0`` with
 expectation matrix and ``S`` the self-energy sandwich operator over the
 centered fluctuations.  Its unique solution approximates the resolvent of
 the random matrix; the normalized trace is the Stieltjes transform of the
-limiting spectral density, recovered on a real grid by inversion at a
-small imaginary offset.
+limiting spectral density, read off the solved grid ``E + i eta`` by
+Stieltjes inversion.
 
 The globally convergent solver is a damped fixed-point iteration
 ``M <- (1-g) M - g (z - A + S[M])^{-1}`` with geometric continuation in
@@ -14,17 +14,18 @@ the imaginary part: each grid point is solved either warm-started from
 its neighbor or, failing that, by a ladder of decreasing offsets
 starting at ``Im z = 1``.
 
-The isotropic, Wigner and zero self-energies map functions of ``A`` to
-functions of ``A``, acting there as ``S m = (a sum(m) + b m) / n``, and
-declare the pair ``(a, b)`` as ``eigen_weights``.  For them the solution
-is ``M = U diag(m) U^T`` with ``A = U diag(lambda) U^T``, and after one
-``eigh`` of ``A`` the solver works on the length-n vector ``m`` (the
+The isotropic, Wigner and zero self-energies are one operator,
+``S[R] = (a tr R I + b R^T) / n`` with ``eigen_weights`` ``(a, b)`` equal
+to ``(c, 0)``, ``(sigma2, sigma2)`` and ``(0, 0)``.  It acts on functions
+of ``A`` as ``S m = (a sum(m) + b m) / n``, so after one ``eigh`` of ``A``
+the solver works on the eigenvalues ``m`` of ``M = U diag(m) U^T`` (the
 vector Dyson equation).  There each step first tries a Newton step,
 whose diagonal-plus-rank-one Jacobian Sherman-Morrison solves in O(n),
 and falls back to the damped step when the trial does not lower the
-residual or keep ``Im m`` positive.  The empirical self-energy keeps full
-n x n matrices and the damped iteration.  ``MDESolution.m`` builds the
-matrices on first access only.
+residual or keep ``Im m`` positive.  The empirical self-energy, built
+only by ``EmpiricalSelfEnergy.from_samples``, keeps full n x n matrices
+and the damped iteration.  ``MDESolution.m`` builds the matrices on
+first access only.
 
 Sampling ensembles and the checks made on spectra (support bound,
 symmetry, KS distance) live in :mod:`dysonnet.esd`.
@@ -75,11 +76,10 @@ def _checked_matrix(m, what: str, stack: bool = False) -> np.ndarray:
     """``m`` as floats, or an error naming ``what`` if it is no valid matrix input.
 
     ``m`` must be a finite square matrix, symmetric to within
-    ``1e-12 * max(1, max|m|)``.  With
-    ``stack`` it is a 3-d stack of such matrices, measured on one scale,
-    and a failure names the first bad matrix as ``what`` and its index.
-    The checks run one matrix at a time, so their temporaries are the
-    size of one matrix, not of the stack.
+    ``1e-12 * max(1, max|m|)``.  With ``stack`` it is a 3-d stack of such
+    matrices, measured on one scale, and a failure names the first bad
+    matrix as ``what`` and its index.  The checks run one matrix at a time,
+    so their temporaries are the size of one matrix, not of the stack.
     """
     m = np.asarray(m, dtype=float)
     mats = m if stack else m[np.newaxis]
@@ -101,21 +101,6 @@ def _checked_matrix(m, what: str, stack: bool = False) -> np.ndarray:
     return m
 
 
-def _sample_stack(samples, what: str) -> np.ndarray:
-    """Checked stack of sample matrices, each read by ``np.asarray``.
-
-    A :class:`~dysonnet.hessian.HessianBlocks` reads as its matrix.
-    """
-    mats = [np.asarray(s, dtype=float) for s in samples]
-    if len({m.shape for m in mats}) > 1:
-        raise ShapeError(f"all {what}s must share one shape")
-    if mats:
-        check_dense_budget(len(mats) * mats[0].size,
-                           f"a stack of {len(mats)} {what}s of shape {mats[0].shape}")
-    stack = np.stack(mats) if mats else np.empty((0, 0, 0))
-    return _checked_matrix(stack, what, stack=True)
-
-
 # ---------------------------------------------------------------------------
 # self-energy operators
 # ---------------------------------------------------------------------------
@@ -127,64 +112,45 @@ def _check_strength(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and nonnegative, got {value}")
 
 
-class IsotropicSelfEnergy:
-    """Closed-form sandwich ``S[R] = c (tr R / N) I``."""
+class _EigenDiagonalSelfEnergy:
+    """``S[R] = (a tr R I + b R^T) / n`` for the pair ``eigen_weights = (a, b)``.
 
-    __slots__ = ("c",)
+    It maps functions of ``A`` to functions of ``A``: in A's eigenbasis
+    ``U diag(v) U^T`` is complex symmetric for real orthogonal ``U``, so
+    ``R^T = R`` and ``S v = (a sum(v) + b v) / n``.
+    """
+
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        n = r.shape[0]
+        a, b = self.eigen_weights
+        return (a / n) * np.trace(r) * np.eye(n, dtype=r.dtype) + (b / n) * r.T
+
+
+class IsotropicSelfEnergy(_EigenDiagonalSelfEnergy):
+    """Closed-form sandwich ``S[R] = c (tr R / N) I``: weights ``(c, 0)``."""
 
     def __init__(self, c: float = 1.0):
         _check_strength("isotropic self-energy c", c)
-        self.c = c
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        n = r.shape[0]
-        return self.c * (np.trace(r) / n) * np.eye(n, dtype=r.dtype)
-
-    @property
-    def eigen_weights(self) -> tuple[float, float]:
-        """``(a, b)`` with ``S v = (a sum(v) + b v) / n`` in A's eigenbasis."""
-        return self.c, 0.0
+        self.eigen_weights = (c, 0.0)
 
 
-class WignerSelfEnergy:
+class WignerSelfEnergy(_EigenDiagonalSelfEnergy):
     """Symbolic expectation for a symmetric matrix with iid entries.
 
     For fluctuations with entrywise variance ``sigma2`` the sandwich
-    expectation evaluates to ``S[R] = (sigma2 / N)(tr R I + R^T)``.
+    expectation evaluates to ``S[R] = (sigma2 / N)(tr R I + R^T)``: weights
+    ``(sigma2, sigma2)``.
     """
-
-    __slots__ = ("sigma2",)
 
     def __init__(self, sigma2: float = 1.0):
         _check_strength("wigner self-energy sigma2", sigma2)
-        self.sigma2 = sigma2
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        n = r.shape[0]
-        return (self.sigma2 / n) * (np.trace(r) * np.eye(n, dtype=r.dtype) + r.T)
-
-    @property
-    def eigen_weights(self) -> tuple[float, float]:
-        """``(a, b)`` with ``S v = (a sum(v) + b v) / n`` in A's eigenbasis.
-
-        ``U diag(v) U^T`` is complex symmetric for real orthogonal ``U``,
-        so ``R^T = R`` and the transpose term is ``v`` itself.
-        """
-        return self.sigma2, self.sigma2
+        self.eigen_weights = (sigma2, sigma2)
 
 
-class ZeroSelfEnergy:
+class ZeroSelfEnergy(_EigenDiagonalSelfEnergy):
     """No fluctuations; the Dyson equation degenerates to the resolvent."""
 
-    __slots__ = ()
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return np.zeros_like(r)
-
-    @property
-    def eigen_weights(self) -> tuple[float, float]:
-        """``(a, b)`` with ``S v = (a sum(v) + b v) / n`` in A's eigenbasis."""
-        return 0.0, 0.0
+    eigen_weights = (0.0, 0.0)
 
 
 class EmpiricalSelfEnergy:
@@ -194,11 +160,11 @@ class EmpiricalSelfEnergy:
     ``W_i = sqrt(N) (H_i - mean)`` and the operator is
     ``S[R] = (1 / (m N)) sum_i W_i R W_i``.  It does not act diagonally in
     the eigenbasis of the expectation matrix, so it declares no
-    ``eigen_weights`` and the solver keeps full matrices.
+    ``eigen_weights`` and the solver keeps full matrices.  Build it with
+    :meth:`from_samples`.
     """
 
-    def __init__(self, fluctuations: np.ndarray):
-        self.fluctuations = _checked_matrix(fluctuations, "fluctuation sample", stack=True)
+    __slots__ = ("fluctuations",)
 
     @property
     def n(self) -> int:
@@ -207,15 +173,22 @@ class EmpiricalSelfEnergy:
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalSelfEnergy":
-        stack = _sample_stack(samples, "empirical sample")
-        if stack.shape[0] < 2:
+        """Centre and scale a checked stack of samples, each read by ``np.asarray``.
+
+        A :class:`~dysonnet.hessian.HessianBlocks` reads as its matrix.
+        """
+        mats = [np.asarray(s, dtype=float) for s in samples]
+        if len(mats) < 2:
             raise DomainError("need at least 2 samples to center fluctuations")
-        # The samples passed the check on their own scale.  Checking the
-        # much smaller fluctuations again would reject that accepted skew.
+        if len({m.shape for m in mats}) > 1:
+            raise ShapeError("all empirical samples must share one shape")
+        check_dense_budget(len(mats) * mats[0].size,
+                           f"a stack of {len(mats)} empirical samples of shape {mats[0].shape}")
+        stack = _checked_matrix(np.stack(mats), "empirical sample", stack=True)
         # The stack is this call's own copy: centre and scale it in place.
         stack -= stack.mean(axis=0)
         stack *= np.sqrt(stack.shape[1])
-        se = cls.__new__(cls)
+        se = cls()
         se.fluctuations = stack
         return se
 
@@ -292,30 +265,6 @@ class MDESolution:
         if self.basis is None:
             return self.values
         return (self.basis * self.values[:, None, :]) @ self.basis.T
-
-    def indices_of(self, zs) -> np.ndarray:
-        """Grid index of each spectral parameter, matched within 1e-12 relative.
-
-        Sorting the grid by real part bounds each parameter's candidates to
-        a window, so the lookup is one vectorised pass; where several grid
-        points match, the first is returned.
-        """
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        tol = 1e-12 * np.maximum(1.0, np.abs(zs))
-        order = np.argsort(self.z_grid.real, kind="stable")
-        real = self.z_grid.real[order]
-        lo = np.searchsorted(real, zs.real - tol, side="left")
-        counts = np.searchsorted(real, zs.real + tol, side="right") - lo
-        owner = np.repeat(np.arange(zs.size), counts)
-        offset = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        cand = order[np.repeat(lo, counts) + offset]
-        hit = np.abs(self.z_grid[cand] - zs[owner]) <= tol[owner]
-        out = np.full(zs.size, self.z_grid.size)
-        np.minimum.at(out, owner[hit], cand[hit])
-        missing = np.flatnonzero(out == self.z_grid.size)
-        if missing.size:
-            raise DomainError(f"spectral parameter {zs[missing[0]]} not in the solved grid")
-        return out
 
 
 class _DenseSteps:
@@ -586,19 +535,26 @@ class SpectralDensity:
         self.density = density
         self.eta = eta
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
-
 
 def stieltjes_invert(solution: MDESolution, grid: np.ndarray, eta: float) -> SpectralDensity:
-    """Recover the density ``rho(E) = Im m(E + i eta) / pi`` on a real grid.
+    """Recover the density ``rho(E) = Im m(E + i eta) / pi`` on the solved grid.
 
-    Every requested energy must have been solved at offset ``eta``.  The
-    imaginary part may dip below zero only by numerical error smaller than
-    ``NEG_TOL``; such values are clipped to zero.
+    ``grid + i eta`` must be the solution's ``z_grid`` point for point, in
+    order, each within 1e-12 relative; otherwise :class:`DomainError`
+    names the first energy that differs.  The imaginary part may dip below
+    zero only by numerical error smaller than ``NEG_TOL``; such values are
+    clipped to zero.
     """
     grid = np.asarray(grid, dtype=float)
-    rho = solution.stieltjes[solution.indices_of(grid + 1j * eta)].imag / np.pi
+    zs, solved = np.ravel(grid + 1j * eta), solution.z_grid
+    k = min(zs.size, solved.size)
+    off = np.flatnonzero(np.abs(zs[:k] - solved[:k]) > 1e-12 * np.maximum(1.0, np.abs(zs[:k])))
+    first = off[0] if off.size else k
+    if first < max(zs.size, solved.size):
+        requested, want = (str(z[first]) if first < z.size else "nothing" for z in (zs, solved))
+        raise DomainError(f"energy grid differs from the solved grid at point {first}:"
+                          f" requested {requested}, solved {want}")
+    rho = solution.stieltjes.imag / np.pi
     worst = float(rho.min())
     if worst < -NEG_TOL:
         raise NumericError(f"density dipped to {worst:.3e}, below the -{NEG_TOL:g} allowance")
@@ -610,16 +566,15 @@ def stieltjes_invert(solution: MDESolution, grid: np.ndarray, eta: float) -> Spe
 # ---------------------------------------------------------------------------
 
 
-def semicircle_density(e, radius: float = 2.0):
-    """Semicircle density on [-radius, radius]."""
+def semicircle_density(e):
+    """Density of the semicircle law on [-2, 2]."""
     e = np.asarray(e, dtype=float)
-    inside = np.clip(radius * radius - e * e, 0.0, None)
-    return 2.0 * np.sqrt(inside) / (np.pi * radius * radius)
+    return np.sqrt(np.clip(4.0 - e * e, 0.0, None)) / (2.0 * np.pi)
 
 
-def semicircle_cdf(e, radius: float = 2.0):
-    """Closed-form distribution function of the semicircle law."""
-    x = np.clip(np.asarray(e, dtype=float) / radius, -1.0, 1.0)
+def semicircle_cdf(e):
+    """Closed-form distribution function of the semicircle law on [-2, 2]."""
+    x = np.clip(np.asarray(e, dtype=float) / 2.0, -1.0, 1.0)
     return 0.5 + (x * np.sqrt(1.0 - x * x) + np.arcsin(x)) / np.pi
 
 
@@ -632,11 +587,19 @@ def wigner_stieltjes(z):
     return np.where(m_plus.imag > 0, m_plus, m_minus)
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: an int or a float, not a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _strength_entry(s_doc: dict, key: str) -> float:
+    value = s_doc.get(key, 1.0)
     try:
-        return float(s_doc.get(key, 1.0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"self-energy {key} must be a number, got {s_doc[key]!r}") from exc
+        if _is_number(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise DomainError(f"self-energy {key} must be a number, got {value!r}")
 
 
 def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
@@ -649,11 +612,16 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
     """
     doc = read_json(source)
     try:
-        a = np.asarray(doc["A"], dtype=float)
+        rows = doc["A"]
+        a = np.asarray(rows, dtype=float)
         s_doc = doc["S"]
         kind = s_doc["kind"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed problem document: {exc}") from exc
+    # numpy reads "0" and true as floats too
+    bad = [x for row in rows for x in row if not _is_number(x)] if a.ndim == 2 else []
+    if bad:
+        raise DomainError(f"expectation matrix A entries must be numbers, got {bad[0]!r}")
     if kind == "isotropic":
         se = IsotropicSelfEnergy(_strength_entry(s_doc, "c"))
     elif kind == "zero":

@@ -216,6 +216,9 @@ class TestExitCodes:
              "self-energy sigma2 must be a number"),
             ({"A": [[10 ** 400]]}, [], "malformed problem document"),
             ({"S": {"kind": "isotropic", "c": 10 ** 400}}, [], "self-energy c must be a number"),
+            ({"S": {"kind": "isotropic", "c": "2"}}, [], "self-energy c must be a number"),
+            ({"S": {"kind": "isotropic", "c": True}}, [], "self-energy c must be a number"),
+            ({"A": [["0"]]}, [], "expectation matrix A entries must be numbers"),
             ({"S": {"kind": "empirical", "samples": "sym4.npy"}}, [],
              "self-energy acts on 4x4 matrices but the expectation matrix A is 2x2"),
             ({"A": [[0.0] * 4] * 4, "S": {"kind": "empirical", "samples": "skew4.npy"}}, [],
@@ -225,6 +228,7 @@ class TestExitCodes:
         ],
         ids=["nan-a", "inf-a", "nan-emin", "inf-emax", "nan-eta", "negative-c",
              "negative-sigma2", "null-c", "list-sigma2", "huge-int-a", "huge-int-c",
+             "string-c", "bool-c", "string-a",
              "samples-size-mismatch",
              "skew-samples", "nan-samples"],
     )

@@ -1,6 +1,7 @@
 """Self-energy operators, Dyson-equation solutions and spectral checks."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -86,7 +87,7 @@ class TestSelfEnergies:
         r = rng.standard_normal((n, n))
         acc = np.zeros((n, n))
         for _ in range(m):
-            w = sample_wigner(n, rng, sigma=sigma) * np.sqrt(n)
+            w = sigma * sample_wigner(n, rng) * np.sqrt(n)
             acc += w @ r @ w
         sampled = acc / (m * n)
         closed = WignerSelfEnergy(sigma**2).apply(r)
@@ -129,8 +130,6 @@ class TestSelfEnergies:
         samples[2][3, 3] = np.nan
         with pytest.raises(DomainError, match="empirical sample 2 has non-finite entries"):
             EmpiricalSelfEnergy.from_samples(samples)
-        with pytest.raises(DomainError, match="fluctuation sample 0 has non-finite entries"):
-            EmpiricalSelfEnergy(np.full((2, 3, 3), np.inf))
 
     def test_from_samples_accepts_what_its_check_accepts(self):
         # A skew of 1e-9 at entries of size 1e3 is within 1e-12 * max|m|, but
@@ -448,6 +447,9 @@ class TestSolveMDE:
             MDEProblem(np.zeros((3, 3)), se, np.array([1j]))
 
 
+GRID = np.linspace(-2, 2, 9)
+
+
 class TestStieltjesInversion:
     def test_point_mass(self):
         # the offset must stay above the grid spacing or the trapezoid rule
@@ -457,7 +459,7 @@ class TestStieltjesInversion:
         eta = 0.05
         problem = MDEProblem(a_val * np.eye(3), ZeroSelfEnergy(), grid + 1j * eta)
         density = stieltjes_invert(solve_mde(problem), grid, eta)
-        mass = density.mass()
+        mass = np.trapezoid(density.density, density.grid)
         assert 0.97 <= mass <= 1.03
         assert grid[np.argmax(density.density)] == pytest.approx(a_val, abs=0.01)
 
@@ -483,20 +485,22 @@ class TestStieltjesInversion:
         with pytest.raises(DomainError):
             stieltjes_invert(solution, np.array([1.0]), 1e-3)
 
-    def test_lookup_matches_linear_scan(self):
-        # unsorted grid, two offsets and a duplicate: the first match wins
-        rng = np.random.default_rng(52)
-        energies = rng.permutation(np.linspace(-2, 2, 9))
-        z_grid = np.concatenate([energies + 1e-2j, energies[:4] + 1e-1j, energies[2:3] + 1e-2j])
-        solution = solve_mde(MDEProblem(np.eye(2), ZeroSelfEnergy(), z_grid))
-        queries = np.concatenate([z_grid, z_grid[::-1] * (1 + 1e-14)])
-        expected = [int(np.flatnonzero(np.abs(z_grid - q) <= 1e-12 * max(1.0, abs(q)))[0])
-                    for q in queries]
-        assert solution.indices_of(queries).tolist() == expected
-        density = stieltjes_invert(solution, energies, 1e-2)
-        assert np.array_equal(density.density, solution.stieltjes[:9].imag / np.pi)
-        with pytest.raises(DomainError, match="not in the solved grid"):
-            solution.indices_of([z_grid[0], 0.25 + 1e-2j])
+    def test_solved_grid_within_tolerance_accepted(self):
+        solution = solve_mde(MDEProblem(np.eye(2), ZeroSelfEnergy(), GRID + 1e-2j))
+        density = stieltjes_invert(solution, GRID * (1 + 1e-14), 1e-2)
+        assert np.array_equal(density.density, solution.stieltjes.imag / np.pi)
+
+    @pytest.mark.parametrize("energies, eta, first", [
+        (GRID[::-1], 1e-2, 0), (GRID[::2], 1e-2, 1), (GRID[:5], 1e-2, 5), (GRID, 1e-1, 0),
+    ], ids=["reordered", "every-other", "prefix", "other-eta"])
+    def test_other_grid_rejected_at_its_first_differing_energy(self, energies, eta, first):
+        # the density is read off the solution point for point, in order
+        solved = GRID + 1e-2j
+        solution = solve_mde(MDEProblem(np.eye(2), ZeroSelfEnergy(), solved))
+        requested = str(energies[first] + 1j * eta) if first < energies.size else "nothing"
+        with pytest.raises(DomainError, match=re.escape(
+                f"at point {first}: requested {requested}, solved {solved[first]}")):
+            stieltjes_invert(solution, energies, eta)
 
     def test_mass_conservation_on_mde_densities(self):
         grid = np.linspace(-3, 3, 241)
@@ -504,7 +508,7 @@ class TestStieltjesInversion:
         for se in (IsotropicSelfEnergy(1.0), WignerSelfEnergy(1.0)):
             problem = MDEProblem(np.zeros((6, 6)), se, grid + 1j * eta)
             density = stieltjes_invert(solve_mde(problem), grid, eta)
-            assert 0.97 <= density.mass() <= 1.03
+            assert 0.97 <= np.trapezoid(density.density, density.grid) <= 1.03
 
 
 class TestEmpiricalESD:
@@ -596,8 +600,6 @@ class TestSupportBound:
         h = np.eye(300) + sample_wigner(300, rng)
         eigs = np.linalg.eigvalsh(h)
         tight = support_bound_check(eigs, np.eye(300), IsotropicSelfEnergy(1.0))
-        loose = support_bound_check(eigs, np.eye(300), IsotropicSelfEnergy(1.0), eps=0.25)
-        assert loose.ok
         assert tight.worst_margin >= -0.25
 
     @pytest.mark.parametrize(
