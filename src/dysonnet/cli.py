@@ -32,28 +32,17 @@ from .errors import DomainError, DysonnetError, NumericError, check_dense_budget
 
 
 def _write_csv(path, seed, header, rows):
-    """Write the seed comment, ``header`` and ``rows``, one line a row.
+    """Write the seed comment, ``header`` and the 2-D float array ``rows``, one line a row.
 
-    ``rows`` is a 2-D float array, or any iterable of rows of cells: an
-    integer cell, Python or numpy, is written as an integer and any other
-    as a float with 17 significant digits.  An array is formatted a row at
-    a time from its Python floats, with no per-cell type test.
+    Each cell is written with 17 significant digits, formatted a row at a
+    time from its Python floats; an integer below 10**17 held as a float,
+    such as an index column, reads as that integer.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"# seed={seed} tool-version={__version__}\n")
         handle.write(",".join(header) + "\n")
-        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
-            for row in rows:
-                handle.write(",".join([format(v, ".17g") for v in row.tolist()]) + "\n")
-            return
-        for row in rows:
-            handle.write(",".join([_format_cell(v) for v in row]) + "\n")
-
-
-def _format_cell(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+        for row in np.asarray(rows):
+            handle.write(",".join([format(v, ".17g") for v in row.tolist()]) + "\n")
 
 
 def _write_json(path, seed, payload):
@@ -80,6 +69,16 @@ def _positive(kind, name):
     return parse
 
 
+def _seed(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"--seed must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 def _cmd_mde_solve(args):
     from .rmt import load_problem_json, solve_mde, stieltjes_invert
 
@@ -92,7 +91,7 @@ def _cmd_mde_solve(args):
     problem = load_problem_json(args.problem, args.eta, grid)
     solution = solve_mde(problem, tol=args.tol, max_iter=args.max_iter)
     density = stieltjes_invert(solution, grid, args.eta)
-    _write_csv(args.out, args.seed, ["E", "rho"], zip(density.grid, density.density))
+    _write_csv(args.out, args.seed, ["E", "rho"], np.column_stack([density.grid, density.density]))
     return 0
 
 
@@ -133,11 +132,10 @@ def _cmd_esd_sample(args):
         return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in mats]))
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        per_trial = list(pool.map(one_trial, range(args.trials)))
-    rows = []
-    for trial, eigs in enumerate(per_trial):
-        rows.extend((trial, i, lam) for i, lam in enumerate(eigs))
-    _write_csv(args.out, args.seed, ["trial", "index", "lambda"], rows)
+        eigs = np.array(list(pool.map(one_trial, range(args.trials))))
+    trial, index = np.indices(eigs.shape)
+    _write_csv(args.out, args.seed, ["trial", "index", "lambda"],
+               np.column_stack([trial.ravel(), index.ravel(), eigs.ravel()]))
     return 0
 
 
@@ -161,7 +159,8 @@ def _cmd_landscape(args):
     dataset = load_dataset_csv(args.data)
     report = landscape_report(params, LossL0(args.loss), dataset)
     eigs_path = args.eigs_csv or os.path.splitext(args.out)[0] + "_eigs.csv"
-    _write_csv(eigs_path, args.seed, ["index", "lambda"], enumerate(report.eigs))
+    _write_csv(eigs_path, args.seed, ["index", "lambda"],
+               np.column_stack([np.arange(report.eigs.size), report.eigs]))
     _write_json(
         args.out,
         args.seed,
@@ -193,7 +192,8 @@ def _cmd_contract(args):
     stages = contraction_check(p, q, kernels)
     increases = np.diff(stages)
     if args.csv:
-        _write_csv(args.csv, args.seed, ["stage", "divergence"], enumerate(stages))
+        _write_csv(args.csv, args.seed, ["stage", "divergence"],
+                   np.column_stack([np.arange(len(stages)), stages]))
     _write_json(
         args.out,
         args.seed,
@@ -229,7 +229,8 @@ def _cmd_decompose(args):
     model = LayeredDiscreteModel(support, scales)
     report = decompose_likelihood(model, data, nu)
     if args.csv:
-        _write_csv(args.csv, args.seed, ["stage", "divergence"], enumerate(report.kl_terms))
+        _write_csv(args.csv, args.seed, ["stage", "divergence"],
+                   np.column_stack([np.arange(len(report.kl_terms)), report.kl_terms]))
     _write_json(
         args.out,
         args.seed,
@@ -251,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     # --seed and --threads are accepted both before and after the subcommand;
     # the subcommand's copies default to SUPPRESS, so a value given after it
     # overrides one given before and an absent one leaves it alone
-    parser.add_argument("--seed", type=int, default=0, help="64-bit run seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="64-bit run seed (default 0)")
     parser.add_argument("--threads", type=_positive(int, "--threads"), default=None,
                         help="worker-pool size; defaults to SPECTRAL_THREADS or 1")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     common.add_argument("--threads", type=_positive(int, "--threads"),
                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     commands = parser.add_subparsers(dest="command", required=True)

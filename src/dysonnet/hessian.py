@@ -35,9 +35,15 @@ before it, and one block's GEMM output.
 
 The same Kronecker structure confines each sample's Hessian to a
 subspace of dimension k << P: within group g its range lies in the span
-of ``I ⊗ t_{g-1}`` and ``u_g ⊗ I``.  The landscape report builds each
-sample's k x k core in that basis in closed form from the sample's
-factors, and reads the sample's operator norm off the core.
+of ``I ⊗ t_{g-1}`` and ``u_g ⊗ I``.  The landscape report reads each
+sample's operator norm off its core in the frame
+Q_g = [I ⊗ t̂_{g-1}, û_g ⊗ Π_g], Π_g = I - t̂_{g-1} t̂_{g-1}^T, whose
+Q_g Q_g^T projects onto that span; group 1 has no û piece, and the
+output vector's frame is [t̂_{L-1}, Π_L].  A zero t or u zeroes the rows
+of its piece rather than dropping it, so every core has one fixed
+K x K layout: a slice of a chunk's rows is formed at once in closed form
+from the factors, holding no more entries than the chunk's path
+matrices or ``SLICE_ENTRIES``, and eigensolved with one call.
 
 The relu masks confine the summed Hessian too.  Within group g its range
 lies in the span of ``t_{g-1} e_j^T`` over the units j that a sample with
@@ -80,6 +86,10 @@ __all__ = [
 ]
 
 KINK_TOL = 1e-9
+# most entries a slice of frame cores holds (1 MiB): a few cores already
+# spread the per-call cost, and one chunk can be all the samples, so the
+# chunk's path matrices alone would not bound the first pass's peak
+SLICE_ENTRIES = 1 << 17
 
 
 def _eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -135,22 +145,22 @@ def _offsets(sizes) -> np.ndarray:
 
 
 def _lower_blocks(matrix: np.ndarray, offsets) -> dict:
-    """Views of the blocks (p, q), p < q, below the diagonal of ``matrix``.
+    """Views of the blocks (p, q), p < q, below the diagonal of ``matrix``, or of each in a stack.
 
-    Group g spans ``offsets[g-1]:offsets[g]`` along both axes; block (p, q)
-    has group q's rows and group p's columns.
+    Group g spans ``offsets[g-1]:offsets[g]`` along both of the last two
+    axes; block (p, q) has group q's rows and group p's columns.
     """
     groups = len(offsets) - 1
     return {
-        (p, q): matrix[offsets[q - 1]:offsets[q], offsets[p - 1]:offsets[p]]
+        (p, q): matrix[..., offsets[q - 1]:offsets[q], offsets[p - 1]:offsets[p]]
         for p in range(1, groups) for q in range(p + 1, groups + 1)
     }
 
 
 def _mirror(matrix: np.ndarray, offsets) -> None:
-    """Copy the blocks below the diagonal of ``matrix`` into those above it."""
+    """Copy the blocks below the diagonal of ``matrix``, or of each in a stack, above it."""
     for (p, q), block in _lower_blocks(matrix, offsets).items():
-        matrix[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
+        matrix[..., offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = np.swapaxes(block, -1, -2)
 
 
 def _path_matrices(params: NetworkParams, states) -> dict:
@@ -171,10 +181,10 @@ def _path_matrices(params: NetworkParams, states) -> dict:
     return paths
 
 
-def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
+def _add_chunk(target: np.ndarray, u: np.ndarray, t: np.ndarray, paths: np.ndarray) -> None:
     """Add a chunk's part of one cross block, or of its product with Q_p, into ``target``.
 
-    Row i of ``u`` (None for the output group, u = 1) and ``t`` and
+    Row i of ``u`` (a one for the output group, u_L = 1) and ``t`` and
     ``paths[i]`` belong to sample i.  Where ``t`` holds the scaled t_{p-1}
     as rows, the GEMM ``(u ⊗ t)^T @ vec(P)`` sums the samples' blocks
     u_q ⊗ P_pq ⊗ t_{p-1}^T in (c, b) x (r, a) order, and ``target`` is in
@@ -186,14 +196,10 @@ def _add_chunk(target: np.ndarray, u, t: np.ndarray, paths: np.ndarray) -> None:
     """
     rows = paths.shape[0]
     if t.ndim == 3:
-        projected = paths @ t
-        if u is None:
-            target += projected.sum(axis=0)
-        else:
-            target += (u.T @ projected.reshape(rows, -1)).reshape(target.shape)
+        target += (u.T @ (paths @ t).reshape(rows, -1)).reshape(target.shape)
         return
     width_r, width_a = paths.shape[1:]
-    x = t if u is None else (u[:, :, None] * t[:, None, :]).reshape(rows, -1)
+    x = (u[:, :, None] * t[:, None, :]).reshape(rows, -1)
     summed = x.T @ paths.reshape(rows, -1)
     n_c, width_b = target.shape[0] // width_r, t.shape[1]
     blocks = np.reshape(target, (n_c, width_r, width_a, width_b), copy=False)
@@ -218,22 +224,20 @@ def _chunk_plan(params: NetworkParams, m: int, columns) -> tuple[int, int]:
     Q_p is the identity and dim_q x r_p otherwise.
     """
     widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
+    u_widths = widths[1:] + (1,)  # length of each u_g, the output vector's u_L = 1 last
     groups = len(widths)
     pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
 
-    def out_width(q):  # length of u_q
-        return widths[q] if q < groups else 1
-
     def temporary(p, q):  # a sample's row of the pair's outer product, or of B and P_pq B
         if columns[p - 1] is None:
-            return out_width(q) * widths[p - 1]
+            return u_widths[q - 1] * widths[p - 1]
         return (widths[p] + widths[q - 1]) * columns[p - 1]
 
     def gemm(p, q):  # the pair's summed GEMM output
         width = widths[p - 1] * widths[p] if columns[p - 1] is None else columns[p - 1]
-        return out_width(q) * widths[q - 1] * width
+        return u_widths[q - 1] * widths[q - 1] * width
 
-    block_set = sum(out_width(q) * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
+    block_set = sum(u_widths[q - 1] * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
     # a sample's layer states, deltas and P's, and its row of the largest temporary
     factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
     largest = max((temporary(p, q) for p, q in pairs), default=0)
@@ -254,7 +258,8 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
     :func:`net._sample_terms`, with its :func:`_path_matrices`; every
     array holds the chunk's samples as rows.  Block (p, q) of a sample's
     Hessian is ``deriv * kron(u_q, kron(P_pq, t_{p-1}^T))``, with
-    u_q = ``deltas[q-1]`` and u_L = 1; ``1/m`` of it, times Q_p where
+    u_q = ``deltas[q-1]``: the chunk's deltas end with the output vector's
+    u_L = 1, a read-only column of ones.  ``1/m`` of it, times Q_p where
     ``bases[p-1]`` holds one (None: the identity), is added into
     ``targets[(p, q)]``, which must start at zero.  Once the generator is
     drained each target holds the summed block H[q, p] (times Q_p).
@@ -270,6 +275,7 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
     for start in range(0, max(m, 1), chunk):
         rows = slice(start, min(start + chunk, m))
         values, derivs, loss_args, states, deltas = _sample_terms(params, kind, dataset, rows)
+        deltas.append(np.broadcast_to(1.0, (len(values), 1)))
         paths = _path_matrices(params, states)
         nonzero = derivs != 0.0
         if np.any(nonzero):
@@ -284,65 +290,49 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
                     t = np.matmul(t, basis.reshape(widths[p], widths[p - 1], -1)).transpose(1, 0, 2)
                 for q in range(p + 1, groups + 1):
                     if (p, q) in targets:
-                        u = deltas[q - 1][kept] if q < groups else None
-                        _add_chunk(targets[(p, q)], u, t, paths[(p, q)][kept])
+                        _add_chunk(targets[(p, q)], deltas[q - 1][kept], t, paths[(p, q)][kept])
         yield rows, values, derivs, loss_args, states, deltas, paths
 
 
-def _sample_core(params: NetworkParams, states, deltas, paths, i: int) -> np.ndarray:
-    """The k x k core Q^T H Q of row ``i``'s geometry H, from its factors.
+def _frame_offsets(inputs, deltas) -> np.ndarray:
+    """Where each group's frame columns start, then the end: u_g's width, then t_{g-1}'s for g > 1."""
+    return _offsets([u.shape[1] + (t.shape[1] if g else 0)
+                     for g, (t, u) in enumerate(zip(inputs, deltas))])
 
-    ``states``, ``deltas`` and ``paths`` hold a chunk of samples as rows.
-    Q = blockdiag(Q_1, ..., Q_L) with Q_g = [I ⊗ t̂_{g-1}, û_g ⊗ N] for
-    g < L, N an orthonormal basis of t̂_{g-1}'s complement, and Q_L = I.
-    The û piece exists for g > 1 only, and a piece whose vector is zero
-    is dropped; under relu t_{g-1} = 0 zeroes u_g too, so such a group
-    keeps no column.  Block (p, q) of H is X ⊗ t_{p-1}^T with
-    X = u_q ⊗ P_pq.  Its column part along I ⊗ t̂_{p-1} is |t_{p-1}| X,
-    and along û_p ⊗ N it is 0, since N ⊥ t̂_{p-1}.  X's row parts are
-    ``outer(u_q, t̂_{q-1}^T P_pq)`` and ``|u_q| N^T P_pq`` (P_pL itself for
-    the output group).  H's range lies in the span of Q, so H and the
-    core share their nonzero eigenvalues.
+
+def _frame_cores(inputs, deltas, paths, rows: slice) -> np.ndarray:
+    """The K x K cores Q^T H Q of the geometries H of ``rows``, stacked.
+
+    ``inputs[g-1]``, ``deltas[g-1]`` hold the chunk's t_{g-1} and u_g as
+    rows for every group g, the output vector's u_L = 1 last, and ``paths``
+    its :func:`_path_matrices`.  Q = blockdiag(Q_1, ..., Q_L) with
+    Q_g = [I ⊗ t̂_{g-1}, û_g ⊗ Π_g], Π_g = I - t̂_{g-1} t̂_{g-1}^T, and no û
+    piece for g = 1; a zero t or u has t̂ or û zero, which zeroes rows.  Each
+    Q_g Q_g^T is the orthogonal projector onto a span holding group g's
+    part of H's range, so a core keeps H's nonzero eigenvalues.  Block
+    (p, q) of H is X ⊗ t_{p-1}^T with X = u_q ⊗ P_pq.  Its column part along
+    I ⊗ t̂_{p-1} is |t_{p-1}| X, and along û_p ⊗ Π_p it is 0, since
+    t_{p-1}^T Π_p = 0.  X's row parts are ``outer(u_q, t̂_{q-1}^T P_pq)``
+    and ``|u_q| Π_q P_pq``.
     """
-    pieces = []  # per group g < L: None, or (|t_{g-1}|, t̂_{g-1}, |u_g| N or None)
-    sizes = []
-    for g, state in enumerate(states, start=1):
-        t_in = state.t_in[i]
-        t_norm = np.linalg.norm(t_in)
-        if t_norm == 0.0:
-            pieces.append(None)
-            sizes.append(0)
-            continue
-        t_hat = t_in / t_norm
-        scaled_complement = None
-        size = state.h_hat.shape[1]
-        u_norm = np.linalg.norm(deltas[g - 1][i])
-        if g > 1 and u_norm > 0.0:
-            complement = np.linalg.qr(t_hat[:, None], mode="complete")[0][:, 1:]
-            scaled_complement = u_norm * complement
-            size += complement.shape[1]
-        pieces.append((t_norm, t_hat, scaled_complement))
-        sizes.append(size)
-    sizes.append(params.alpha.size)
-    offsets = _offsets(sizes)
-    core = np.zeros((offsets[-1], offsets[-1]))
-    for (p, q), stacked in paths.items():
-        if pieces[p - 1] is None or (q <= len(states) and pieces[q - 1] is None):
-            continue  # no columns in group p, or (t_{q-1} = 0) P_pq = 0
-        path = stacked[i]
-        if q > len(states):
-            rows = path
-        else:
-            _, t_hat, scaled_complement = pieces[q - 1]
-            rows = np.outer(deltas[q - 1][i], t_hat @ path)
-            if scaled_complement is not None:
-                rows = np.vstack([rows, scaled_complement.T @ path])
-        block = pieces[p - 1][0] * rows
-        r = slice(offsets[q - 1], offsets[q - 1] + block.shape[0])
-        c = slice(offsets[p - 1], offsets[p - 1] + block.shape[1])
-        core[r, c] = block
-        core[c, r] = block.T
-    return core
+    ts = [t[rows] for t in inputs]
+    us = [u[rows] for u in deltas]
+    t_norms = [np.linalg.norm(t, axis=1) for t in ts]
+    u_norms = [np.linalg.norm(u, axis=1) for u in us]
+    t_hats = [np.divide(t, norm[:, None], out=np.zeros_like(t), where=norm[:, None] > 0.0)
+              for t, norm in zip(ts, t_norms)]
+    at = _frame_offsets(ts, us)
+    cores = np.zeros((len(t_norms[0]), at[-1], at[-1]))
+    for (p, q), block in _lower_blocks(cores, at).items():
+        path = paths[(p, q)][rows]
+        along = t_hats[q - 1][:, None, :] @ path  # t̂_{q-1}^T P_pq
+        scale = t_norms[p - 1][:, None, None]
+        width, columns = us[q - 1].shape[1], path.shape[2]
+        block[:, :width, :columns] = us[q - 1][:, :, None] * (scale * along)
+        block[:, width:, :columns] = (scale * u_norms[q - 1][:, None, None]) * (
+            path - t_hats[q - 1][:, :, None] * along)
+    _mirror(cores, at)
+    return cores
 
 
 class _RangeSpans:
@@ -394,24 +384,21 @@ class _RangeSpans:
                     self.targets[p + 1, g + 1] = block[:, self.offsets[p]:self.offsets[p + 1]]
 
     def add(self, states, deltas, kept: np.ndarray) -> None:
-        """Gather one chunk's masks and vectors, from the rows with ``kept`` (d != 0)."""
-        last = len(states)  # the output vector's group, 0-based
-        for g, (n_rows, n_cols) in enumerate(self.shapes):
-            roles = [None, None]
-            if g < last:
-                roles[0] = states[g].h_prime[kept], states[g].t_in[kept]
-            if g > 0:
-                u = deltas[g][kept] if g < last else np.ones((np.count_nonzero(kept), 1))
-                roles[1] = states[g - 1].h_prime[kept], u
-            for role, factors in enumerate(roles):
-                if factors is None:
-                    continue
-                mask, vectors = factors
-                rows, units = np.nonzero(mask)
-                used = np.minimum(self.counts[g], self.limits[g]).sum()
-                if self.counts[g, role] <= self.limits[g, role] and used < n_rows * n_cols:
-                    self.found[g][role].append((vectors[rows], units))
-                self.counts[g, role] += units.size
+        """Gather one chunk's masks and vectors, from the rows with ``kept`` (d != 0).
+
+        ``deltas`` holds each group's u_g, the output vector's u_L = 1 last.
+        Groups 1 to L-1 take the column role and groups 2 to L the row role.
+        """
+        roles = [(g, 0, state.h_prime, state.t_in) for g, state in enumerate(states)]
+        roles += [(g, 1, state.h_prime, u)
+                  for g, (state, u) in enumerate(zip(states, deltas[1:]), start=1)]
+        for g, role, mask, vectors in roles:
+            n_rows, n_cols = self.shapes[g]
+            rows, units = np.nonzero(mask[kept])
+            used = np.minimum(self.counts[g], self.limits[g]).sum()
+            if self.counts[g, role] <= self.limits[g, role] and used < n_rows * n_cols:
+                self.found[g][role].append((vectors[kept][rows], units))
+            self.counts[g, role] += units.size
 
     def _unit_counts(self, g: int):
         """Vectors per unit j where group g's span is its column role's sets alone, else None.
@@ -545,9 +532,10 @@ class LandscapeReport(NamedTuple):
     factors, so the bound ``op_norm <= mean_lprime * lambda0`` certifies
     that the spectrum collapses as the mean absolute loss derivative
     vanishes.  Each sample's norm is the exact largest |eigenvalue| of its
-    k x k range core (see the module docstring); ``sample_ranks`` holds
-    each sample's k, the dimension of the subspace its Hessian lives in,
-    and ``lambda0_sample`` the first sample attaining ``lambda0``.
+    core in the frame of the module docstring; ``sample_ranks`` holds each
+    sample's k, the frame's rank and the dimension of the subspace its
+    Hessian lives in, and ``lambda0_sample`` the first sample attaining
+    ``lambda0``.
     ``range_dim`` is r, the dimension of the masked range basis the risk
     Hessian is eigensolved in (see the module docstring): ``eigs`` holds
     at least P - r exact zeros, a proved lower bound on the null space.
@@ -580,9 +568,12 @@ class LandscapeReport(NamedTuple):
 
 
 def _sample_pass(params: NetworkParams, kind: LossL0, dataset: Dataset, spans: _RangeSpans):
-    """The first pass: each sample's loss, |deriv|, kink flag, range-core norm and k.
+    """The first pass: each sample's loss, |deriv|, kink flag, frame-core norm and k.
 
     It gathers ``spans`` and sums their narrow roles' blocks on the way.
+    Each chunk's cores are formed and eigensolved a slice at a time, a
+    slice holding no more entries than the chunk's path matrices or
+    ``SLICE_ENTRIES``.
     """
     m = len(dataset)
     losses = np.empty(m)
@@ -598,10 +589,20 @@ def _sample_pass(params: NetworkParams, kind: LossL0, dataset: Dataset, spans: _
         kinks[rows] = np.abs(loss_args) < KINK_TOL
         for state in states:
             kinks[rows] |= np.any(np.abs(state.h_hat) < KINK_TOL, axis=1)
-        for row, i in enumerate(range(rows.start, rows.stop)):
-            core = _sample_core(params, states, deltas, paths, row)
-            ranks[i] = core.shape[0]
-            norms[i] = np.max(np.abs(_eigvalsh(core, f"sample {i}'s range core")))
+        inputs = [dataset.x[rows]] + [state.h_tilde for state in states]
+        # k is Q's rank: u_g's width where t_{g-1} != 0, and for g > 1 where
+        # u_g != 0 t_{g-1}'s width, less one where t_{g-1} != 0
+        live = [(np.linalg.norm(t, axis=1) > 0.0, np.linalg.norm(u, axis=1) > 0.0)
+                for t, u in zip(inputs, deltas)]
+        ranks[rows] = sum(t_on * u.shape[1] + (g > 0) * u_on * (t.shape[1] - t_on)
+                          for g, (t, u, (t_on, u_on)) in enumerate(zip(inputs, deltas, live)))
+        entries = min(sum(path.size for path in paths.values()), SLICE_ENTRIES)
+        step = max(1, entries // _frame_offsets(inputs, deltas)[-1] ** 2)
+        for at in range(0, len(values), step):
+            part = slice(at, min(at + step, len(values)))
+            what = f"the frame cores of samples {rows.start + at} to {rows.start + part.stop - 1}"
+            eigs = _eigvalsh(_frame_cores(inputs, deltas, paths, part), what)
+            norms[rows][part] = np.max(np.abs(eigs), axis=1)
     return losses, abs_derivs, kinks, norms, ranks
 
 

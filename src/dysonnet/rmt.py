@@ -34,6 +34,7 @@ symmetry, KS distance) live in :mod:`dysonnet.esd`.
 from __future__ import annotations
 
 import math
+import os
 from functools import cached_property
 
 import numpy as np
@@ -608,7 +609,9 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
     Schema: ``{"A": [[...], ...], "S": {"kind": "isotropic", "c": 1.0}}``
     with self-energy kinds ``isotropic``, ``zero``, ``wigner`` (optional
     ``sigma2``) and ``empirical`` (``samples`` pointing at an ``.npy``
-    stack of sample matrices).
+    stack of sample matrices).  A relative ``samples`` path is read beside
+    the document when ``source`` is a path, and from the working directory
+    when it is a dict or an open file.
     """
     doc = read_json(source)
     try:
@@ -630,8 +633,11 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
         se = WignerSelfEnergy(_strength_entry(s_doc, "sigma2"))
     elif kind == "empirical":
         try:
+            path = s_doc["samples"]
+            if isinstance(source, (str, os.PathLike)):
+                path = os.path.join(os.path.dirname(source), path)
             # mapped, not read: the header's shape is checked before the read
-            samples = np.lib.format.open_memmap(s_doc["samples"], mode="r")
+            samples = np.lib.format.open_memmap(path, mode="r")
         except (KeyError, OSError, TypeError, ValueError) as exc:
             raise DomainError(f"cannot load empirical samples: {exc}") from exc
         if samples.ndim != 3:

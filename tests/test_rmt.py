@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -704,6 +705,26 @@ class TestStackBudgets:
         doc.write_text(json.dumps({"A": [[0.0]], "S": {"kind": "empirical", "samples": samples}}))
         with pytest.raises(DomainError, match="cannot load empirical samples"):
             load_problem_json(doc, 0.1, np.zeros(3))
+
+    def test_relative_samples_read_beside_a_document_path(self, tmp_path, monkeypatch):
+        # a document given as a path reads relative samples beside itself;
+        # a dict or an open file reads them from the working directory
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        g = np.random.default_rng(57).standard_normal((3, 2, 2))
+        np.save(sub / "s.npy", g + g.transpose(0, 2, 1))
+        doc = {"A": [[0.0, 0.0], [0.0, 0.0]], "S": {"kind": "empirical", "samples": "s.npy"}}
+        (sub / "p.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        for source in ("sub/p.json", sub / "p.json", Path("sub") / "p.json"):
+            assert load_problem_json(source, 0.1, np.zeros(3)).self_energy.n == 2
+        with open(sub / "p.json", encoding="utf-8") as handle:
+            with pytest.raises(DomainError, match="cannot load empirical samples"):
+                load_problem_json(handle, 0.1, np.zeros(3))
+        with pytest.raises(DomainError, match="cannot load empirical samples"):
+            load_problem_json(doc, 0.1, np.zeros(3))
+        monkeypatch.chdir(sub)
+        assert load_problem_json(doc, 0.1, np.zeros(3)).self_energy.n == 2
 
     @pytest.mark.parametrize("shape", [(), (3,), (3, 3)], ids=["scalar", "vector", "matrix"])
     def test_load_problem_needs_a_stack(self, tmp_path, shape):
