@@ -8,8 +8,9 @@ byte-identical across reruns and across worker counts.  Every CSV starts
 with a ``# seed=... tool-version=...`` comment and floats are written
 with 17 significant digits for lossless round-trip.
 
-Exit codes: 0 success, 2 validation failure, 3 numeric non-convergence
-(the message carries the final residual).
+Exit codes: 0 success, 2 validation failure or a path that cannot be read
+or written (the message names it), 3 numeric non-convergence (the message
+carries the final residual).
 
 Each subcommand imports the modules it runs when it runs, so an
 invocation loads and compiles only those: ``decompose`` loads ``kernels``
@@ -28,7 +29,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, DysonnetError, NumericError, check_dense_budget, read_json
+from .errors import (DomainError, DysonnetError, NumericError, check_dense_budget, json_floats,
+                     read_json, reading)
 
 
 def _write_csv(path, seed, header, rows):
@@ -61,9 +63,13 @@ def _refuse_shared_output(flag, path, other_flag, other_path):
 
 def _positive(kind, name):
     def parse(text):
-        value = kind(text)
-        if not 0 < value < float("inf"):
-            raise argparse.ArgumentTypeError(f"{name} must be positive and finite, got {value}")
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"{name} must be positive and finite ({kind.__name__}), got {text!r}")
         return value
 
     return parse
@@ -87,6 +93,8 @@ def _cmd_mde_solve(args):
             raise DomainError(f"{name} must be finite, got {value}")
     if args.emin >= args.emax:
         raise DomainError(f"--emin {args.emin} must be below --emax {args.emax}")
+    check_dense_budget(3 * args.points, f"the energy grid of --points {args.points},"
+                       " real and complex (3 entries a point)")
     grid = np.linspace(args.emin, args.emax, args.points)
     problem = load_problem_json(args.problem, args.eta, grid)
     solution = solve_mde(problem, tol=args.tol, max_iter=args.max_iter)
@@ -111,9 +119,11 @@ def _cmd_esd_sample(args):
 
     from .esd import sample_centered_hessians, sample_wigner
 
-    # what one trial holds at once, refused before the pool starts
+    # what one trial holds at once, then what the trials gather, refused
+    # before the pool starts
     if args.ensemble == "wigner":
         check_dense_budget(args.n * args.n, f"esd sample --ensemble wigner --n {args.n}")
+        eigs_per_trial = args.n
     else:
         widths = _hessian_widths(args.n)
         p = sum(a * b for a, b in zip(widths, widths[1:])) + widths[-1]
@@ -122,6 +132,13 @@ def _cmd_esd_sample(args):
             f"esd sample --ensemble centered-hessian --n {args.n} --samples {args.samples}"
             f" ({args.samples} Hessians of P={p} parameters)",
         )
+        eigs_per_trial = args.samples * p
+    # the pool's list, its array, the two index arrays and the 3-column CSV stack
+    check_dense_budget(
+        7 * args.trials * eigs_per_trial,
+        f"esd sample --trials {args.trials}, gathering {args.trials} trials of"
+        f" {eigs_per_trial} eigenvalues (7 entries each)",
+    )
     generators = _trial_generators(args.seed, args.trials)
 
     def one_trial(index):
@@ -183,12 +200,10 @@ def _cmd_contract(args):
     from .infogeo import contraction_check
 
     doc = read_json(args.model)
-    try:
-        p = np.asarray(doc["p"], dtype=float)
-        q = np.asarray(doc["q"], dtype=float)
-        kernels = [np.asarray(k, dtype=float) for k in doc["kernels"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed contraction document: {exc}") from exc
+    with reading("malformed contraction document"):
+        p = json_floats(doc["p"], "p")
+        q = json_floats(doc["q"], "q")
+        kernels = [json_floats(k, f"kernel {i}") for i, k in enumerate(doc["kernels"])]
     stages = contraction_check(p, q, kernels)
     increases = np.diff(stages)
     if args.csv:
@@ -212,13 +227,11 @@ def _cmd_decompose(args):
     from .kernels import kernel_from_entry
 
     doc = read_json(args.model)
-    try:
-        support = np.asarray(doc["x_support"], dtype=float)
-        data = np.asarray(doc["x_pmf"], dtype=float)
-        nu = [np.asarray(v, dtype=float) for v in doc["nu"]]
+    with reading("malformed model document"):
+        support = json_floats(doc["x_support"], "x_support")
+        data = json_floats(doc["x_pmf"], "x_pmf")
+        nu = [json_floats(v, f"nu[{i}]") for i, v in enumerate(doc["nu"])]
         scale_entries = doc["scales"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed model document: {exc}") from exc
     if not isinstance(scale_entries, list):
         raise DomainError(
             f"scales must be a list of layer entries, got {type(scale_entries).__name__}"
@@ -342,8 +355,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"dysonnet: numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DysonnetError, FileNotFoundError, IsADirectoryError, PermissionError,
-            ValueError) as exc:
+    except (DysonnetError, OSError, ValueError) as exc:
         print(f"dysonnet: {exc}", file=sys.stderr)
         return 2
 

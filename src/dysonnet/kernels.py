@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, json_floats, reading
 
 __all__ = [
     "ActivationRule",
@@ -158,12 +158,10 @@ def kernel_from_entry(entry, where: str) -> KernelSpec:
     and ``cols`` must be positive integers (not bools or floats).  ``where``
     names the entry in the error raised for a malformed one.
     """
-    try:
+    with reading(f"malformed {where}"):
         rows, cols = entry["rows"], entry["cols"]
         for name, size in (("rows", rows), ("cols", cols)):
             if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
                 raise DomainError(f"{name} must be a positive integer, got {size!r}")
-        weight = np.asarray(entry["weights"], dtype=float).reshape(rows, cols)
+        weight = json_floats(entry["weights"], "weights").reshape(rows, cols)
         return KernelSpec(weight, entry.get("field", "01"))
-    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
-        raise DomainError(f"malformed {where}: {exc}") from exc

@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, read_json
+from .errors import DomainError, ShapeError, read_json, reading
 from .kernels import ActivationRule, KernelSpec, kernel_from_entry
 
 __all__ = [
@@ -209,12 +209,10 @@ def load_network_json(source) -> tuple[ScalePoset, dict[str, tuple[KernelSpec, A
     edges.
     """
     doc = read_json(source)
-    try:
+    with reading("malformed network document"):
         nodes = [str(n) for n in doc["nodes"]]
         edges = [(str(a), str(b)) for a, b in doc["edges"]]
         layer_doc = doc["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed network document: {exc}") from exc
     if not isinstance(layer_doc, dict):
         raise DomainError(
             f"layers must map node ids to layer entries, got {type(layer_doc).__name__}"

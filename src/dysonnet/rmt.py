@@ -46,7 +46,9 @@ from .errors import (
     ShapeError,
     StabilityError,
     check_dense_budget,
+    json_floats,
     read_json,
+    reading,
 )
 
 __all__ = [
@@ -107,10 +109,11 @@ def _checked_matrix(m, what: str, stack: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_strength(name: str, value: float) -> None:
+def _checked_strength(name: str, value) -> float:
     # A negative strength flips the sign of Im S[M] and breaks positivity.
-    if not (np.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be finite and nonnegative, got {value}")
+    if np.ndim(value) or not (np.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be a number, finite and nonnegative, got {value}")
+    return float(value)
 
 
 class _EigenDiagonalSelfEnergy:
@@ -131,8 +134,7 @@ class IsotropicSelfEnergy(_EigenDiagonalSelfEnergy):
     """Closed-form sandwich ``S[R] = c (tr R / N) I``: weights ``(c, 0)``."""
 
     def __init__(self, c: float = 1.0):
-        _check_strength("isotropic self-energy c", c)
-        self.eigen_weights = (c, 0.0)
+        self.eigen_weights = (_checked_strength("isotropic self-energy c", c), 0.0)
 
 
 class WignerSelfEnergy(_EigenDiagonalSelfEnergy):
@@ -144,7 +146,7 @@ class WignerSelfEnergy(_EigenDiagonalSelfEnergy):
     """
 
     def __init__(self, sigma2: float = 1.0):
-        _check_strength("wigner self-energy sigma2", sigma2)
+        sigma2 = _checked_strength("wigner self-energy sigma2", sigma2)
         self.eigen_weights = (sigma2, sigma2)
 
 
@@ -176,9 +178,14 @@ class EmpiricalSelfEnergy:
     def from_samples(cls, samples) -> "EmpiricalSelfEnergy":
         """Centre and scale a checked stack of samples, each read by ``np.asarray``.
 
-        A :class:`~dysonnet.hessian.HessianBlocks` reads as its matrix.
+        A :class:`~dysonnet.hessian.HessianBlocks` reads as its matrix.  A
+        sample whose dtype is not float, int or uint (complex, bool or
+        text) is refused before its data is read.
         """
-        mats = [np.asarray(s, dtype=float) for s in samples]
+        mats = [np.asarray(s) for s in samples]
+        odd = [m.dtype for m in mats if m.dtype.kind not in "fiu"]
+        if odd:
+            raise DomainError(f"empirical samples must hold real numbers, got dtype {odd[0]}")
         if len(mats) < 2:
             raise DomainError("need at least 2 samples to center fluctuations")
         if len({m.shape for m in mats}) > 1:
@@ -283,7 +290,6 @@ class _DenseSteps:
         self.a = a
         self.self_energy = self_energy
         self.eye = np.eye(a.shape[0])
-        self.shape = a.shape
 
     def shift(self, z):
         return z * self.eye - self.a
@@ -321,7 +327,6 @@ class _EigenSteps:
         self.eigenvalues = eigenvalues
         n = eigenvalues.size
         self.a, self.b = weights[0] / n, weights[1] / n
-        self.shape = eigenvalues.shape
 
     def shift(self, z):
         return z - self.eigenvalues
@@ -475,20 +480,25 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
     evaluations of each solve.
 
     ``tol`` must be finite and positive and ``max_iter`` at least 1;
-    otherwise :class:`DomainError` is raised before any work.
+    otherwise :class:`DomainError` is raised before any work.  The
+    solution, 2 entries for each of its complex values, is checked against
+    ``MAX_DENSE_ENTRIES`` before it is allocated.
     """
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter}")
     weights = getattr(problem.self_energy, "eigen_weights", None)
-    count = len(problem.z_grid)
-    if weights is None:
-        check_dense_budget(
-            2 * count * problem.n * problem.n,
-            f"the dense MDE solution of {count} grid points of {problem.n}x{problem.n}"
-            " complex matrices (2 entries each)",
-        )
+    dense = weights is None
+    n, count = problem.n, len(problem.z_grid)
+    shape = (count, n, n) if dense else (count, n)
+    check_dense_budget(
+        2 * math.prod(shape),
+        f"the {'dense ' if dense else ''}MDE solution of {count} grid points of"
+        f" {'x'.join(map(str, shape[1:]))} complex {'matrices' if dense else 'eigenvalues'}"
+        " (2 entries each)",
+    )
+    if dense:
         basis = None
         steps = _DenseSteps(problem.a_matrix, problem.self_energy)
     else:
@@ -497,7 +507,7 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition of A failed: {exc}") from exc
         steps = _EigenSteps(eigenvalues, weights)
-    values = np.empty((count,) + steps.shape, dtype=complex)
+    values = np.empty(shape, dtype=complex)
     residuals = np.empty(count)
     stieltjes = np.empty(count, dtype=complex)
     iterations = np.empty(count, dtype=np.int64)
@@ -507,7 +517,7 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
         m, residuals[idx], iterations[idx], ladder_levels[idx] = _solve_point(
             steps, z, prev, tol, max_iter)
         values[idx] = m
-        stieltjes[idx] = steps.trace(m) / problem.n
+        stieltjes[idx] = steps.trace(m) / n
         prev = m
     return MDESolution(problem.z_grid.copy(), values, basis, residuals, stieltjes,
                        iterations, ladder_levels)
@@ -588,21 +598,6 @@ def wigner_stieltjes(z):
     return np.where(m_plus.imag > 0, m_plus, m_minus)
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a JSON number: an int or a float, not a bool or a string."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _strength_entry(s_doc: dict, key: str) -> float:
-    value = s_doc.get(key, 1.0)
-    try:
-        if _is_number(value):
-            return float(value)
-    except OverflowError:
-        pass
-    raise DomainError(f"self-energy {key} must be a number, got {value!r}")
-
-
 def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
     """Build an :class:`MDEProblem` from its JSON description.
 
@@ -614,32 +609,23 @@ def load_problem_json(source, eta: float, grid: np.ndarray) -> MDEProblem:
     when it is a dict or an open file.
     """
     doc = read_json(source)
-    try:
-        rows = doc["A"]
-        a = np.asarray(rows, dtype=float)
+    with reading("malformed problem document"):
+        a = json_floats(doc["A"], "expectation matrix A")
         s_doc = doc["S"]
         kind = s_doc["kind"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed problem document: {exc}") from exc
-    # numpy reads "0" and true as floats too
-    bad = [x for row in rows for x in row if not _is_number(x)] if a.ndim == 2 else []
-    if bad:
-        raise DomainError(f"expectation matrix A entries must be numbers, got {bad[0]!r}")
     if kind == "isotropic":
-        se = IsotropicSelfEnergy(_strength_entry(s_doc, "c"))
+        se = IsotropicSelfEnergy(json_floats(s_doc.get("c", 1.0), "self-energy c"))
     elif kind == "zero":
         se = ZeroSelfEnergy()
     elif kind == "wigner":
-        se = WignerSelfEnergy(_strength_entry(s_doc, "sigma2"))
+        se = WignerSelfEnergy(json_floats(s_doc.get("sigma2", 1.0), "self-energy sigma2"))
     elif kind == "empirical":
-        try:
+        with reading("cannot load empirical samples"):
             path = s_doc["samples"]
             if isinstance(source, (str, os.PathLike)):
                 path = os.path.join(os.path.dirname(source), path)
             # mapped, not read: the header's shape is checked before the read
             samples = np.lib.format.open_memmap(path, mode="r")
-        except (KeyError, OSError, TypeError, ValueError) as exc:
-            raise DomainError(f"cannot load empirical samples: {exc}") from exc
         if samples.ndim != 3:
             raise ShapeError("empirical samples must form a stack of square matrices")
         check_dense_budget(samples.size, f"empirical samples of shape {samples.shape}")

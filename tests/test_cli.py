@@ -1,6 +1,8 @@
 """Subcommand behavior, exit codes, output formats and determinism."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import pkgutil
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dysonnet
-from dysonnet import __version__, esd
+from dysonnet import __version__, errors, esd, rmt
 from dysonnet.cli import _write_csv, main
 from dysonnet.kernels import ActivationRule
 from dysonnet.net import Dataset, NetworkParams, network_to_chain_json, save_dataset_csv
@@ -173,6 +175,37 @@ class TestExitCodes:
         rc = run_cli(*inputs, "--out", out, other, workdir / "." / "same.out")
         assert rc == 2
         assert f"--out and {other} name the same file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, path",
+        [("--out", "afile/x.csv"), ("--problem", "afile/p.json"), ("--out", "a" * 300 + ".csv")],
+        ids=["out-under-a-file", "problem-under-a-file", "name-too-long"],
+    )
+    def test_path_error_exits_2_naming_the_path(self, workdir, capsys, monkeypatch, flag, path):
+        monkeypatch.chdir(workdir)
+        (workdir / "afile").write_text("")
+        paths = {"--problem": "wigner.json", "--out": "x.csv", flag: path}
+        rc = run_cli("mde", "solve", "--points", 3, *[a for pair in paths.items() for a in pair])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag, kind",
+        [(["--threads", "abc", "mde", "solve"], "--threads", "int"),
+         (["mde", "solve", "--points", "x"], "--points", "int"),
+         (["mde", "solve", "--points", "1.5"], "--points", "int"),
+         (["mde", "solve", "--eta", "e"], "--eta", "float")],
+        ids=["threads", "points", "fractional-points", "eta"],
+    )
+    def test_non_numeric_flag_value_names_the_flag(self, workdir, capsys, args, flag, kind):
+        out = workdir / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--problem", workdir / "wigner.json", "--out", out)
+        assert exc.value.code == 2
+        value = args[args.index(flag) + 1]
+        assert (f"argument {flag}: {flag} must be positive and finite ({kind}), got {value!r}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_invalid_model_document(self, workdir, capsys):
@@ -402,6 +435,61 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert peak < 1 << 20
         assert not (workdir / "esd.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, budget, named",
+        [
+            (["--ensemble", "wigner", "--n", 10, "--trials", 5], 300,
+             "esd sample --trials 5, gathering 5 trials of 10 eigenvalues (7 entries each)"
+             " needs 350 entries"),
+            (["--ensemble", "centered-hessian", "--n", 4, "--samples", 3, "--trials", 3], 600,
+             "esd sample --trials 3, gathering 3 trials of 42 eigenvalues (7 entries each)"
+             " needs 882 entries"),
+        ],
+        ids=["wigner", "centered-hessian"],
+    )
+    def test_esd_sample_gather_over_budget(self, workdir, capsys, monkeypatch, flags, budget,
+                                           named):
+        # one trial fits (10 * 10 and 3 * 14 * 14 = 588 entries, P = 14); what
+        # the trials gather does not, and is refused before the pool starts
+        def sampler_started(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(errors, "MAX_DENSE_ENTRIES", budget)
+        monkeypatch.setattr(esd, "sample_wigner", sampler_started)
+        monkeypatch.setattr(esd, "sample_centered_hessians", sampler_started)
+        rc = run_cli("esd", "sample", *flags, "--out", workdir / "esd.csv")
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (workdir / "esd.csv").exists()
+
+    def test_energy_grid_over_budget(self, workdir, capsys, monkeypatch):
+        def loaded(*args):
+            raise AssertionError("the problem was loaded")
+
+        monkeypatch.setattr(errors, "MAX_DENSE_ENTRIES", 100)
+        monkeypatch.setattr(rmt, "load_problem_json", loaded)
+        rc = run_cli("mde", "solve", "--problem", workdir / "wigner.json", "--points", 40,
+                     "--out", workdir / "rho.csv")
+        assert rc == 2
+        assert ("the energy grid of --points 40, real and complex (3 entries a point)"
+                " needs 120 entries") in capsys.readouterr().err
+        assert not (workdir / "rho.csv").exists()
+
+    @pytest.mark.parametrize("dtype", [complex, str, bool], ids=["complex", "string", "bool"])
+    def test_empirical_samples_that_are_not_real_refused(self, workdir, capsys, dtype):
+        g = np.random.default_rng(58).standard_normal((3, 2, 2))
+        samples = (g + g.transpose(0, 2, 1)).astype(dtype)
+        np.save(workdir / "s.npy", samples)
+        (workdir / "p.json").write_text(json.dumps(
+            {"A": [[0.0, 0.0], [0.0, 0.0]], "S": {"kind": "empirical", "samples": "s.npy"}}
+        ))
+        rc = run_cli("mde", "solve", "--problem", workdir / "p.json", "--points", 3,
+                     "--out", workdir / "rho.csv")
+        assert rc == 2
+        assert (f"empirical samples must hold real numbers, got dtype {samples.dtype}"
+                in capsys.readouterr().err)
+        assert not (workdir / "rho.csv").exists()
 
     @pytest.mark.parametrize(
         "shape, points, named",
@@ -706,11 +794,11 @@ def _mutated(draw, doc):
 
 
 @st.composite
-def decompose_documents(draw):
+def valid_decompose_documents(draw):
     n = draw(st.integers(1, 3))
     dims = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
     coords = st.floats(-3.0, 3.0)
-    return _mutated(draw, {
+    return {
         "x_support": [draw(st.lists(coords, min_size=dims[0], max_size=dims[0]))
                       for _ in range(n)],
         "x_pmf": _pmf(draw, n),
@@ -718,17 +806,27 @@ def decompose_documents(draw):
                     "weights": draw(st.lists(coords, min_size=a * b, max_size=a * b))}
                    for a, b in zip(dims, dims[1:])],
         "nu": [_pmf(draw, 2 ** b) for b in dims[1:]],
-    })
+    }
+
+
+@st.composite
+def decompose_documents(draw):
+    return _mutated(draw, draw(valid_decompose_documents()))
+
+
+@st.composite
+def valid_contract_documents(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return {
+        "p": _pmf(draw, sizes[0]),
+        "q": _pmf(draw, sizes[0]),
+        "kernels": [[_pmf(draw, b) for _ in range(a)] for a, b in zip(sizes, sizes[1:])],
+    }
 
 
 @st.composite
 def contract_documents(draw):
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    return _mutated(draw, {
-        "p": _pmf(draw, sizes[0]),
-        "q": _pmf(draw, sizes[0]),
-        "kernels": [[_pmf(draw, b) for _ in range(a)] for a, b in zip(sizes, sizes[1:])],
-    })
+    return _mutated(draw, draw(valid_contract_documents()))
 
 
 @pytest.fixture(scope="module")
@@ -767,7 +865,7 @@ def test_contract_loader_maps_any_document_to_an_exit_code(fuzz_dir, doc):
 
 
 @st.composite
-def problem_documents(draw):
+def valid_problem_documents(draw):
     n = draw(st.integers(1, 3))
     entries = st.floats(-2.0, 2.0)
     a = [[0.0] * n for _ in range(n)]
@@ -782,11 +880,16 @@ def problem_documents(draw):
         s_doc["sigma2"] = draw(st.floats(0.0, 2.0))
     elif kind == "empirical":
         s_doc["samples"] = f"samples{n}.npy"
-    return _mutated(draw, {"A": a, "S": s_doc})
+    return {"A": a, "S": s_doc}
 
 
 @st.composite
-def network_documents(draw):
+def problem_documents(draw):
+    return _mutated(draw, draw(valid_problem_documents()))
+
+
+@st.composite
+def valid_network_documents(draw):
     # a relu chain on an input of width 2, the width of the fuzz dataset
     widths = [2] + draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
     coords = st.floats(-2.0, 2.0)
@@ -794,7 +897,12 @@ def network_documents(draw):
                     .reshape(a, b) for a, b in zip(widths, widths[1:]))
     alpha = np.asarray(draw(st.lists(coords, min_size=widths[-1], max_size=widths[-1])))
     rule = draw(st.sampled_from(list(ActivationRule)))
-    return _mutated(draw, network_to_chain_json(NetworkParams(weights, alpha, rule)))
+    return network_to_chain_json(NetworkParams(weights, alpha, rule))
+
+
+@st.composite
+def network_documents(draw):
+    return _mutated(draw, draw(valid_network_documents()))
 
 
 @given(problem_documents())
@@ -822,3 +930,71 @@ def test_network_loader_maps_any_document_to_an_exit_code(fuzz_dir, command, doc
     rc = run_cli(command, "--network", fuzz_dir / "net.json",
                  "--data", fuzz_dir / "data.csv", "--out", fuzz_dir / "out")
     assert rc in (0, 2, 3)
+
+
+def _number_leaves(node, path=()):
+    """Paths of the JSON numbers in ``node``, the integer kernel sizes aside."""
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        return [leaf for key in keys if key not in ("rows", "cols")
+                for leaf in _number_leaves(node[key], path + (key,))]
+    return [path] if type(node) in (int, float) else []
+
+
+def _field_named(path):
+    """What the error for a non-number at ``path`` names: the field and its entry."""
+    head = path[0]
+    if head == "A":
+        return "expectation matrix A entries must be numbers"
+    if head == "S":
+        return f"self-energy {path[1]} must be a number"
+    if head == "kernels":
+        return f"kernel {path[1]} entries must be numbers"
+    if head == "nu":
+        return f"nu[{path[1]}] entries must be numbers"
+    if head == "scales":
+        return f"malformed scale entry {path[1]}: weights entries must be numbers"
+    if head == "layers":
+        return f"malformed layer entry for node {path[1]!r}: weights entries must be numbers"
+    return f"{head} entries must be numbers"
+
+
+@st.composite
+def with_one_non_number(draw, documents):
+    """A valid document with one number leaf replaced by "1", true or null, and its field."""
+    doc = draw(documents)
+    path = draw(st.sampled_from(_number_leaves(doc)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(st.sampled_from(["1", True, None]))
+    return doc, _field_named(path)
+
+
+NUMBER_FIELD_COMMANDS = {
+    "contract": (valid_contract_documents(), ["contract", "--model", "doc.json"]),
+    "decompose": (valid_decompose_documents(), ["decompose", "--model", "doc.json"]),
+    "mde-solve": (valid_problem_documents(),
+                  ["mde", "solve", "--problem", "doc.json", "--points", 5, "--eta", 0.1]),
+    "landscape": (valid_network_documents(),
+                  ["landscape", "--network", "doc.json", "--data", "data.csv"]),
+}
+
+
+@pytest.mark.parametrize("kind", NUMBER_FIELD_COMMANDS)
+@given(data=st.data())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_non_number_in_a_number_field_exits_2_naming_it(fuzz_dir, kind, data):
+    documents, command = NUMBER_FIELD_COMMANDS[kind]
+    doc, named = data.draw(with_one_non_number(documents))
+    (fuzz_dir / "doc.json").write_text(json.dumps(doc))
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # the documents name their sample stacks and data relative to it
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            rc = run_cli(*command, "--out", "out")
+    finally:
+        os.chdir(cwd)
+    assert rc == 2
+    assert named in err.getvalue()

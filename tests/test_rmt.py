@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dysonnet import errors, rmt
 from dysonnet.cli import _hessian_widths
 from dysonnet.errors import (
     MAX_DENSE_ENTRIES,
@@ -673,6 +674,45 @@ class TestStackBudgets:
             r" \(2 entries each\) needs 25200000 entries"
         )) < 1 << 20
         assert 2 * points * n * n > MAX_DENSE_ENTRIES
+
+    def test_eigenbasis_solution_refused_before_allocation(self, monkeypatch):
+        def solved(*args):
+            raise AssertionError("a grid point was solved")
+
+        monkeypatch.setattr(errors, "MAX_DENSE_ENTRIES", 50)
+        monkeypatch.setattr(rmt, "_solve_point", solved)
+        problem = MDEProblem(np.zeros((4, 4)), IsotropicSelfEnergy(1.0),
+                             np.linspace(-1, 1, 10) + 0.1j)
+        with pytest.raises(CapacityError, match=r"the MDE solution of 10 grid points of 4"
+                           r" complex eigenvalues \(2 entries each\) needs 80 entries"):
+            solve_mde(problem)
+
+    @pytest.mark.parametrize("dtype", [complex, str, bool], ids=["complex", "string", "bool"])
+    def test_from_samples_refuses_what_is_not_real(self, dtype):
+        g = np.random.default_rng(59).standard_normal((3, 2, 2))
+        samples = (g + g.transpose(0, 2, 1)).astype(dtype)
+        with pytest.raises(DomainError, match=f"got dtype {re.escape(str(samples.dtype))}$"):
+            EmpiricalSelfEnergy.from_samples(samples)
+        with pytest.raises(DomainError, match="must hold real numbers"):
+            EmpiricalSelfEnergy.from_samples(list(samples))
+
+    def test_load_problem_refuses_complex_samples_from_the_header(self, tmp_path):
+        # a sparse file of complex samples: refused on its dtype, its data never read
+        path = tmp_path / "complex.npy"
+        with open(path, "wb") as handle:
+            np.lib.format.write_array_header_1_0(
+                handle, {"descr": "<c16", "fortran_order": False, "shape": (3, 1000, 1000)}
+            )
+            handle.truncate(handle.tell() + 3 * 1000 * 1000 * 16)
+        doc = {"A": [[0.0]], "S": {"kind": "empirical", "samples": str(path)}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="got dtype complex128$"):
+                load_problem_json(doc, 0.1, np.zeros(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the samples would be 48 MB
 
     def test_from_samples_refused_before_stacking(self):
         samples = np.broadcast_to(np.zeros(()), (26, 1000, 1000))  # no memory behind it
