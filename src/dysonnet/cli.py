@@ -25,12 +25,23 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .errors import (DomainError, DysonnetError, NumericError, check_dense_budget, json_floats,
                      read_json, reading)
+
+
+@contextmanager
+def _writing(path):
+    """The text file ``path``, open for writing; any ``OSError`` names ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(path, seed, header, rows):
@@ -40,7 +51,7 @@ def _write_csv(path, seed, header, rows):
     time from its Python floats; an integer below 10**17 held as a float,
     such as an index column, reads as that integer.
     """
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _writing(path) as handle:
         handle.write(f"# seed={seed} tool-version={__version__}\n")
         handle.write(",".join(header) + "\n")
         for row in np.asarray(rows):
@@ -50,7 +61,7 @@ def _write_csv(path, seed, header, rows):
 def _write_json(path, seed, payload):
     doc = {"seed": int(seed), "tool_version": __version__}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8") as handle:
+    with _writing(path) as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -108,31 +119,21 @@ def _trial_generators(seed, trials):
     return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(trials)]
 
 
-def _hessian_widths(n_target: int) -> tuple[int, ...]:
-    # Four layer groups of equal width w give roughly 3 w^2 + w parameters.
-    w = max(2, int(round(np.sqrt(n_target / 3.0))))
-    return (w, w, w, w)
-
-
 def _cmd_esd_sample(args):
     from concurrent.futures import ThreadPoolExecutor
 
-    from .esd import sample_centered_hessians, sample_wigner
+    from .esd import _hessian_widths, _trial_entries, sample_centered_hessians, sample_wigner
 
-    # what one trial holds at once, then what the trials gather, refused
-    # before the pool starts
-    if args.ensemble == "wigner":
-        check_dense_budget(args.n * args.n, f"esd sample --ensemble wigner --n {args.n}")
-        eigs_per_trial = args.n
-    else:
-        widths = _hessian_widths(args.n)
-        p = sum(a * b for a, b in zip(widths, widths[1:])) + widths[-1]
-        check_dense_budget(
-            args.samples * p * p,
-            f"esd sample --ensemble centered-hessian --n {args.n} --samples {args.samples}"
-            f" ({args.samples} Hessians of P={p} parameters)",
-        )
-        eigs_per_trial = args.samples * p
+    # what the trials that run at once hold, then what the trials gather,
+    # refused before the pool starts
+    held, eigs_per_trial = _trial_entries(args.ensemble, args.n, args.samples)
+    what = f"esd sample --ensemble {args.ensemble} --n {args.n}"
+    if args.ensemble == "centered-hessian":
+        what += (f" --samples {args.samples} ({args.samples} Hessians of"
+                 f" P={eigs_per_trial // args.samples} parameters)")
+    at_once = min(args.threads, args.trials)
+    check_dense_budget(at_once * held,
+                       f"{at_once} trial{'s' if at_once > 1 else ''} at once of {what}")
     # the pool's list, its array, the two index arrays and the 3-column CSV stack
     check_dense_budget(
         7 * args.trials * eigs_per_trial,
@@ -142,10 +143,9 @@ def _cmd_esd_sample(args):
     generators = _trial_generators(args.seed, args.trials)
 
     def one_trial(index):
-        gen = generators[index]
         if args.ensemble == "wigner":
-            return np.linalg.eigvalsh(sample_wigner(args.n, gen))
-        mats = sample_centered_hessians(_hessian_widths(args.n), args.samples, gen)
+            return np.linalg.eigvalsh(sample_wigner(args.n, generators[index]))
+        mats = sample_centered_hessians(_hessian_widths(args.n), args.samples, generators[index])
         return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in mats]))
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:

@@ -11,7 +11,8 @@ It also holds what every subcommand shares: the one dense budget,
 before they allocate a dense array, and the reader of the JSON documents
 they take.  :func:`read_json` returns only a JSON object; any other
 document, like a source of another type, is refused with
-:class:`DomainError` naming its type.  :func:`json_floats` is the one place
+:class:`DomainError` naming its type, and a document it cannot parse
+with one naming the document.  :func:`json_floats` is the one place
 where a document value becomes floats: it takes a JSON number or nested
 lists of them of one shape, and refuses a bool, string, null or object, a
 ragged list and an int too large for a float, naming the field.  Within
@@ -82,12 +83,19 @@ def read_json(source) -> dict:
     A path is a ``str`` or an ``os.PathLike``.  Anything else, an int file
     descriptor included, is refused with :class:`DomainError` before
     anything is opened, and so is a document that is not a JSON object.
+    Bytes that are not UTF-8, malformed JSON and nesting deeper than the
+    interpreter's recursion limit are refused with :class:`DomainError`
+    naming the document.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
-            source = json.load(handle)
-    elif hasattr(source, "read"):
-        source = json.load(source)
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "r", encoding="utf-8") as handle:
+                source = json.load(handle)
+        elif hasattr(source, "read"):
+            source = json.load(source)
+    except (RecursionError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        name = getattr(source, "name", "from an open file") if hasattr(source, "read") else source
+        raise DomainError(f"cannot read the JSON document {name}: {exc}") from exc
     # what is left is the document, or a source of another type
     if not isinstance(source, dict):
         raise DomainError("a JSON document must be an object, given as a dict, a path or"

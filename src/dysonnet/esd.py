@@ -2,6 +2,10 @@
 
 Sampling: Wigner matrices and centered per-sample Hessians of random
 relu networks, the ensembles whose eigenvalues ``esd sample`` writes.
+The centred samples are yielded one at a time, each minus the mean H̄
+that the one Hessian accumulator (``hessian.risk_hessian``) forms, so a
+trial holds no stack of samples; :func:`_trial_entries` counts what one
+trial holds, for ``esd sample`` to check before any trial starts.
 Checks: the Kolmogorov-Smirnov distance of samples to a tabulated CDF,
 the CDF of a sampled density, its reflection symmetry, and the
 Minkowski-sum support bound with the operator norm of the self-energy it
@@ -47,34 +51,58 @@ def sample_wigner(n: int, rng) -> np.ndarray:
     return (a + a.T) / np.sqrt(2.0 * n)
 
 
-def sample_centered_hessians(widths, n_samples: int, rng) -> list[np.ndarray]:
-    """Centered per-sample risk Hessians of a random relu network.
+def _hessian_widths(n_target: int) -> tuple[int, ...]:
+    # Four layer groups of equal width w give roughly 3 w^2 + w parameters.
+    return (max(2, int(round(np.sqrt(n_target / 3.0)))),) * 4
+
+
+def _trial_entries(ensemble: str, n: int, samples: int) -> tuple[int, int]:
+    """What one ``esd sample`` trial holds at once, in entries, and the eigenvalues it returns.
+
+    A Wigner trial holds the sampled matrix and ``eigvalsh``'s copy of it.
+    A centred trial first holds the mean H̄ and what ``risk_hessian``'s
+    pass over the samples holds beside it (``net._chunk_plan``'s count),
+    then H̄, the sample being formed with its one-sample pass, and the
+    previous sample, which the caller's loop still holds.
+    """
+    if ensemble == "wigner":
+        return 2 * n * n, n
+    from .net import NetworkParams, _chunk_plan, param_group_dims
+
+    widths = _hessian_widths(n)
+    # weights that take no memory: the plan reads only their shapes
+    params = NetworkParams([np.broadcast_to(0.0, s) for s in zip(widths, widths[1:])],
+                           np.broadcast_to(0.0, widths[-1:]))
+    p = sum(param_group_dims(params))
+    mean_pass, sample_pass = (_chunk_plan(params, m, [None] * len(widths))[1] for m in (samples, 1))
+    return max(p * p + mean_pass, 3 * p * p + sample_pass), samples * p
+
+
+def sample_centered_hessians(widths, n_samples: int, rng):
+    """Yield the centered per-sample risk Hessians of a random relu network.
 
     Draws a network with the given layer widths (input width first), then
-    ``n_samples`` hinge-loss sample Hessians at standard-normal inputs and
-    symmetric random labels, and subtracts the ensemble mean so the
-    returned matrices average to zero exactly.
+    ``n_samples`` standard-normal inputs with symmetric random labels, and
+    takes their mean hinge-loss Hessian H̄ from :func:`risk_hessian`.
+    Each sample's Hessian is then formed, has H̄ subtracted in place and is
+    yielded, one at a time, so the samples average to zero.
     """
-    from .hessian import sample_hessian
-    from .net import LossL0, NetworkParams, param_group_dims
+    from .hessian import risk_hessian, sample_hessian
+    from .net import Dataset, LossL0, NetworkParams
 
     widths = [int(w) for w in widths]
     if len(widths) < 2:
         raise DomainError("need at least an input width and one layer width")
-    weights = tuple(
-        rng.standard_normal((widths[i], widths[i + 1])) / np.sqrt(widths[i])
-        for i in range(len(widths) - 1)
-    )
-    alpha = rng.standard_normal(widths[-1]) / np.sqrt(widths[-1])
-    params = NetworkParams(weights, alpha)
-    n = sum(param_group_dims(params))
-    stack = np.empty((n_samples, n, n))
-    for i in range(n_samples):
-        x = rng.standard_normal(widths[0])
-        y = float(rng.choice([-1.0, 1.0]))
-        stack[i] = sample_hessian(params, LossL0.HINGE, x, y).assemble()
-    stack -= stack.mean(axis=0)
-    return list(stack)
+    weights = [rng.standard_normal((a, b)) / np.sqrt(a) for a, b in zip(widths, widths[1:])]
+    params = NetworkParams(weights, rng.standard_normal(widths[-1]) / np.sqrt(widths[-1]))
+    draws = [(rng.standard_normal(widths[0]), float(rng.choice([-1.0, 1.0])))
+             for _ in range(n_samples)]
+    mean = risk_hessian(params, LossL0.HINGE,
+                        Dataset([x for x, _ in draws], [y for _, y in draws])).assemble()
+    for x, y in draws:
+        sample = sample_hessian(params, LossL0.HINGE, x, y).assemble()
+        sample -= mean
+        yield sample
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ShapeError, check_dense_budget
 from .kernels import ActivationRule
 from .net import Dataset, LossL0, NetworkParams, param_group_dims
-from .net import _sample_terms
+from .net import _chunk_plan, _sample_terms
 
 __all__ = [
     "HessianBlocks",
@@ -209,47 +209,6 @@ def _add_chunk(target: np.ndarray, u: np.ndarray, t: np.ndarray, paths: np.ndarr
         blocks[c] += part.transpose(1, 2, 0)
 
 
-def _chunk_plan(params: NetworkParams, m: int, columns) -> tuple[int, int]:
-    """Samples per chunk of :func:`_summed_factors` for ``m`` samples, and what a pass holds.
-
-    ``columns[g]`` is Q_{g+1}'s column count, None for the identity.  A
-    chunk's factors, with the one pair's outer products or products P_pq B
-    formed at a time, fit in half a block set.  The second number counts
-    the entries a pass holds beside its targets: the factors (layer
-    states, deltas and path matrices) of the chunk in hand and of the one
-    before it, and the largest temporaries of one pair (p, q), which are
-    the chunk's copy of its P_pq (made only when some derivative in the
-    chunk is zero, but always counted), its outer products u_q ⊗ t_{p-1}
-    or its stacks B and P_pq B, and the GEMM output, dim_q x dim_p where
-    Q_p is the identity and dim_q x r_p otherwise.
-    """
-    widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
-    u_widths = widths[1:] + (1,)  # length of each u_g, the output vector's u_L = 1 last
-    groups = len(widths)
-    pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
-
-    def temporary(p, q):  # a sample's row of the pair's outer product, or of B and P_pq B
-        if columns[p - 1] is None:
-            return u_widths[q - 1] * widths[p - 1]
-        return (widths[p] + widths[q - 1]) * columns[p - 1]
-
-    def gemm(p, q):  # the pair's summed GEMM output
-        width = widths[p - 1] * widths[p] if columns[p - 1] is None else columns[p - 1]
-        return u_widths[q - 1] * widths[q - 1] * width
-
-    block_set = sum(u_widths[q - 1] * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
-    # a sample's layer states, deltas and P's, and its row of the largest temporary
-    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
-    largest = max((temporary(p, q) for p, q in pairs), default=0)
-    # the caller still holds one chunk while the next is formed: two fit in a block set
-    chunk = max(1, min(m, block_set // max(2 * (factors + largest), 1)))
-    held = min(m, 2 * chunk) * factors + max(
-        (chunk * (temporary(p, q) + widths[q - 1] * widths[p]) + gemm(p, q) for p, q in pairs),
-        default=0,
-    )
-    return chunk, held
-
-
 def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
                     targets: dict, bases):
     """Yield ``(rows, values, derivs, loss_args, states, deltas, paths)`` for each chunk.
@@ -263,7 +222,7 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
     ``bases[p-1]`` holds one (None: the identity), is added into
     ``targets[(p, q)]``, which must start at zero.  Once the generator is
     drained each target holds the summed block H[q, p] (times Q_p).
-    A chunk holds :func:`_chunk_plan`'s samples; those with a nonzero
+    A chunk holds :func:`net._chunk_plan`'s samples; those with a nonzero
     ``deriv`` add into each target with one GEMM, and B is formed once per
     group p.
     """

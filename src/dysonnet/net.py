@@ -11,9 +11,10 @@ derivative vanishes almost everywhere.
 The samples are evaluated as rows: the forward pass, the loss and the
 backward pass each take a stack of inputs, scores or layer states and
 act on every row at once, with no loop over the samples.  The Hessian
-and the landscape report make one such pass per chunk of rows.  A
-network is read from the chain form of the poset document, through the
-poset's plan, and a dataset from CSV.
+and the landscape report make one such pass per chunk of rows, in the
+chunks that :func:`_chunk_plan` sets; it also counts what a pass holds.
+A network is read from the chain form of the poset document, through
+the poset's plan, and a dataset from CSV.
 """
 
 from __future__ import annotations
@@ -177,6 +178,49 @@ def _backprop_deltas(params: NetworkParams, states: list[LayerState]) -> list[np
     return deltas
 
 
+def _chunk_plan(params: NetworkParams, m: int, columns) -> tuple[int, int]:
+    """Samples per chunk of the Hessian accumulator for ``m`` samples, and what a pass holds.
+
+    The accumulator is ``hessian._summed_factors``; its plan is kept here
+    so that ``esd sample`` counts a trial without loading ``hessian``.
+    ``columns[g]`` is Q_{g+1}'s column count, None for the identity.  A
+    chunk's factors, with the one pair's outer products or products P_pq B
+    formed at a time, fit in half a block set.  The second number counts
+    the entries a pass holds beside its targets: the factors (layer
+    states, deltas and path matrices) of the chunk in hand and of the one
+    before it, and the largest temporaries of one pair (p, q), which are
+    the chunk's copy of its P_pq (made only when some derivative in the
+    chunk is zero, but always counted), its outer products u_q ⊗ t_{p-1}
+    or its stacks B and P_pq B, and the GEMM output, dim_q x dim_p where
+    Q_p is the identity and dim_q x r_p otherwise.
+    """
+    widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
+    u_widths = widths[1:] + (1,)  # length of each u_g, the output vector's u_L = 1 last
+    groups = len(widths)
+    pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
+
+    def temporary(p, q):  # a sample's row of the pair's outer product, or of B and P_pq B
+        if columns[p - 1] is None:
+            return u_widths[q - 1] * widths[p - 1]
+        return (widths[p] + widths[q - 1]) * columns[p - 1]
+
+    def gemm(p, q):  # the pair's summed GEMM output
+        width = widths[p - 1] * widths[p] if columns[p - 1] is None else columns[p - 1]
+        return u_widths[q - 1] * widths[q - 1] * width
+
+    block_set = sum(u_widths[q - 1] * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
+    # a sample's layer states, deltas and P's, and its row of the largest temporary
+    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
+    largest = max((temporary(p, q) for p, q in pairs), default=0)
+    # the caller still holds one chunk while the next is formed: two fit in a block set
+    chunk = max(1, min(m, block_set // max(2 * (factors + largest), 1)))
+    held = min(m, 2 * chunk) * factors + max(
+        (chunk * (temporary(p, q) + widths[q - 1] * widths[p]) + gemm(p, q) for p, q in pairs),
+        default=0,
+    )
+    return chunk, held
+
+
 def param_group_dims(params: NetworkParams) -> tuple[int, ...]:
     """Flat sizes of the parameter groups W_1 ... W_{L-1}, alpha."""
     return tuple(w.size for w in params.weights) + (params.alpha.size,)
@@ -236,9 +280,12 @@ def network_from_chain_json(source) -> NetworkParams:
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset from CSV with header ``x1,...,xn,y``."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8, an oversized field
+        raise DomainError(f"cannot read dataset file {path}: {exc}") from exc
     if not rows:
         raise DomainError(f"empty dataset file {path}")
     header = [h.strip() for h in rows[0][1]]

@@ -2,12 +2,17 @@
 
 The empirical risk and its gradient, from the same per-sample pass the
 Hessian makes, and the evaluation of a poset's layered plan, which
-``net.forward`` must match on chain documents.
+``net.forward`` must match on chain documents.  And the recorder of a
+run's dense-budget checks, which peak tests hold the traced peak to.
 """
 
-import numpy as np
+import tracemalloc
 
-from dysonnet.errors import ShapeError
+import numpy as np
+import pytest
+
+from dysonnet import cli, hessian, rmt
+from dysonnet.errors import ShapeError, check_dense_budget
 from dysonnet.kernels import LayerState, estimate_indicator
 from dysonnet.net import Dataset, LossL0, NetworkParams, _sample_terms
 from dysonnet.poset import NetworkPlan
@@ -56,3 +61,31 @@ def evaluate_plan(plan: NetworkPlan, x: np.ndarray):
         outputs[layer.node] = h_tilde
     out = np.concatenate([outputs[t] for t in plan.terminal_nodes])
     return out, states
+
+
+def budget_peak(call):
+    """Run ``call()`` under tracemalloc, recording every dense-budget check it makes.
+
+    ``check_dense_budget`` is replaced in each module that imports it
+    (``cli``, ``hessian``, ``rmt``) by one that records ``entries`` under
+    the part of ``what`` before its first " of ", then checks as before.
+    The modules are imported before tracing starts, so compiling them is
+    not counted.  Returns ``call()``'s result, the traced peak in bytes and
+    the recorded counts.
+    """
+    counted = {}
+
+    def recording(entries, what):
+        counted[what.split(" of ")[0]] = entries
+        check_dense_budget(entries, what)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (cli, hessian, rmt):
+            patch.setattr(module, "check_dense_budget", recording)
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return result, peak, counted

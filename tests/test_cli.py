@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, output formats and determinism."""
 
+import concurrent.futures.thread  # esd sample's pool, imported before its peak is traced
 import contextlib
 import importlib.util
 import io
@@ -11,6 +12,7 @@ import sys
 import tracemalloc
 
 import numpy as np
+import numpy.random  # esd sample's generators, imported before its peak is traced
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from dysonnet import __version__, errors, esd, rmt
 from dysonnet.cli import _write_csv, main
 from dysonnet.kernels import ActivationRule
 from dysonnet.net import Dataset, NetworkParams, network_to_chain_json, save_dataset_csv
+from oracles import budget_peak
 
 
 def run_cli(*args):
@@ -189,6 +192,42 @@ class TestExitCodes:
         rc = run_cli("mde", "solve", "--points", 3, *[a for pair in paths.items() for a in pair])
         assert rc == 2
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"p": ' + b"[" * 100_000, b"\xff{}", b"1" * 200_000],
+        ids=["nested-100000-deep", "not-utf-8", "200000-character-field"],
+    )
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(["contract", "--out", "out.json"], "--model"),
+         (["decompose", "--out", "out.json"], "--model"),
+         (["mde", "solve", "--out", "out.csv"], "--problem"),
+         (["landscape", "--data", "data.csv", "--out", "out.json"], "--network"),
+         (["landscape", "--network", "net.json", "--out", "out.json"], "--data")],
+        ids=["contract", "decompose", "mde-solve", "network", "dataset-csv"],
+    )
+    def test_unreadable_input_exits_2_naming_it(self, workdir, capsys, monkeypatch, command,
+                                                flag, content):
+        monkeypatch.chdir(workdir)
+        (workdir / "unreadable.in").write_bytes(content)
+        rc = run_cli(*command, flag, "unreadable.in")
+        assert rc == 2
+        assert "unreadable.in" in capsys.readouterr().err
+        assert not (workdir / command[-1]).exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize(
+        "command",
+        [["contract", "--model", "contract.json"],
+         ["esd", "sample", "--ensemble", "wigner", "--n", 4, "--trials", 1]],
+        ids=["json", "csv"],
+    )
+    def test_failed_write_exits_2_naming_the_path(self, workdir, capsys, monkeypatch, command):
+        monkeypatch.chdir(workdir)
+        rc = run_cli(*command, "--out", "/dev/full")
+        assert rc == 2
+        assert "cannot write /dev/full: No space left on device" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args, flag, kind",
@@ -412,9 +451,9 @@ class TestExitCodes:
         [
             (["--ensemble", "centered-hessian", "--n", 4000, "--samples", 16],
              "esd sample --ensemble centered-hessian --n 4000 --samples 16"
-             " (16 Hessians of P=4144 parameters) needs 274763776 entries"),
+             " (16 Hessians of P=4144 parameters) needs 53403765 entries"),
             (["--ensemble", "wigner", "--n", 6000],
-             "esd sample --ensemble wigner --n 6000 needs 36000000 entries"),
+             "esd sample --ensemble wigner --n 6000 needs 72000000 entries"),
         ],
         ids=["centered-hessian", "wigner"],
     )
@@ -442,7 +481,7 @@ class TestExitCodes:
             (["--ensemble", "wigner", "--n", 10, "--trials", 5], 300,
              "esd sample --trials 5, gathering 5 trials of 10 eigenvalues (7 entries each)"
              " needs 350 entries"),
-            (["--ensemble", "centered-hessian", "--n", 4, "--samples", 3, "--trials", 3], 600,
+            (["--ensemble", "centered-hessian", "--n", 4, "--samples", 3, "--trials", 3], 700,
              "esd sample --trials 3, gathering 3 trials of 42 eigenvalues (7 entries each)"
              " needs 882 entries"),
         ],
@@ -450,8 +489,9 @@ class TestExitCodes:
     )
     def test_esd_sample_gather_over_budget(self, workdir, capsys, monkeypatch, flags, budget,
                                            named):
-        # one trial fits (10 * 10 and 3 * 14 * 14 = 588 entries, P = 14); what
-        # the trials gather does not, and is refused before the pool starts
+        # one trial fits (2 * 10 * 10, and 3 * 14 * 14 + 72 = 660 entries for
+        # P = 14); what the trials gather does not, and is refused before the
+        # pool starts
         def sampler_started(*args):
             raise AssertionError("a trial started")
 
@@ -536,21 +576,27 @@ class TestExitCodes:
         assert rc == 2
 
 
+ENSEMBLES = ["wigner", "centered-hessian"]
+
+
 class TestDeterminism:
-    def test_reruns_are_byte_identical(self, workdir):
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_reruns_are_byte_identical(self, workdir, ensemble):
         a, b = workdir / "a.csv", workdir / "b.csv"
         for out in (a, b):
-            assert run_cli("--seed", 11, "esd", "sample", "--ensemble", "wigner",
+            assert run_cli("--seed", 11, "esd", "sample", "--ensemble", ensemble,
                            "--n", 25, "--trials", 3, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_counts_agree(self, workdir):
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    def test_thread_counts_agree(self, workdir, ensemble):
+        # a centred trial yields its samples to the worker thread that runs it
         a, b = workdir / "t1.csv", workdir / "t4.csv"
         assert run_cli("--seed", 11, "--threads", 1, "esd", "sample",
-                       "--ensemble", "wigner", "--n", 25, "--trials", 4,
+                       "--ensemble", ensemble, "--n", 25, "--trials", 4,
                        "--out", a) == 0
         assert run_cli("--seed", 11, "--threads", 4, "esd", "sample",
-                       "--ensemble", "wigner", "--n", 25, "--trials", 4,
+                       "--ensemble", ensemble, "--n", 25, "--trials", 4,
                        "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -998,3 +1044,21 @@ def test_non_number_in_a_number_field_exits_2_naming_it(fuzz_dir, kind, data):
         os.chdir(cwd)
     assert rc == 2
     assert named in err.getvalue()
+
+
+@given(ensemble=st.sampled_from(ENSEMBLES), threads=st.sampled_from([1, 2]),
+       trials=st.integers(1, 4), n=st.integers(2, 300), samples=st.integers(1, 8))
+@example(ensemble="wigner", threads=2, trials=4, n=300, samples=1)
+@example(ensemble="centered-hessian", threads=2, trials=4, n=300, samples=8)
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_esd_sample_peak_is_within_its_count(fuzz_dir, ensemble, threads, trials, n, samples):
+    # the trials that run at once, and what the finished ones gather
+    # beside them, as the CLI counts them before the pool starts
+    rc, peak, counted = budget_peak(lambda: run_cli(
+        "--threads", threads, "esd", "sample", "--ensemble", ensemble, "--n", n,
+        "--trials", trials, "--samples", samples, "--out", fuzz_dir / "esd.csv"))
+    assert rc == 0
+    at_once = min(threads, trials)
+    checked = (counted[f"{at_once} trial{'s' if at_once > 1 else ''} at once"]
+               + counted[f"esd sample --trials {trials}, gathering {trials} trials"])
+    assert peak <= 8 * checked + (1 << 20)

@@ -37,7 +37,7 @@ from dysonnet.net import (
     param_group_dims,
     unflatten_params,
 )
-from oracles import empirical_risk, risk_gradient
+from oracles import budget_peak, empirical_risk, risk_gradient
 
 
 # The dense per-sample pass that dysonnet.hessian replaced: every sample's
@@ -694,7 +694,7 @@ class TestLandscape:
         assert r < p / 2
         assert peak <= 8 * r * r + one_set < 8 * p * p
 
-    def test_budget_counts_the_second_pass_temporaries(self, monkeypatch):
+    def test_budget_counts_the_second_pass_temporaries(self):
         # w=40, m=10: groups W_1 and W_2 are reduced, so the second pass
         # forms B, P_pq B and a dim_q x r_p GEMM output beside the core,
         # the bases and the sums; the peak exceeds those three alone, but
@@ -707,18 +707,7 @@ class TestLandscape:
             rng.standard_normal(w) / np.sqrt(w),
         )
         dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
-        counted = {}
-
-        def recording(entries, what):
-            counted[what.split(" of ")[0]] = entries
-
-        monkeypatch.setattr("dysonnet.hessian.check_dense_budget", recording)
-        tracemalloc.start()
-        try:
-            report = landscape_report(params, LossL0.HINGE, dataset)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak, counted = budget_peak(lambda: landscape_report(params, LossL0.HINGE, dataset))
         dims = param_group_dims(params)
         ks = report.range_dims
         assert ks[0] < dims[0] and ks[1] < dims[1] and ks[2] == dims[2]
@@ -726,7 +715,7 @@ class TestLandscape:
         slack = 2 ** 20
         assert 8 * stored + slack < peak <= 8 * counted["the range core"] + slack
 
-    def test_budget_counts_the_identity_pass_temporaries(self, monkeypatch):
+    def test_budget_counts_the_identity_pass_temporaries(self):
         # w=20, m=100: every group's sets reach its dimension, so r = P and
         # every Q_g is the identity; the second pass sums two chunks of 50
         # samples straight into the P x P core, beside which it holds their
@@ -740,18 +729,7 @@ class TestLandscape:
             rng.standard_normal(w) / np.sqrt(w),
         )
         dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
-        counted = {}
-
-        def recording(entries, what):
-            counted[what.split(" of ")[0]] = entries
-
-        monkeypatch.setattr("dysonnet.hessian.check_dense_budget", recording)
-        tracemalloc.start()
-        try:
-            report = landscape_report(params, LossL0.HINGE, dataset)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak, counted = budget_peak(lambda: landscape_report(params, LossL0.HINGE, dataset))
         p = sum(param_group_dims(params))
         assert report.range_dim == p
         slack = 2 ** 20

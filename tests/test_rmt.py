@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dysonnet import errors, rmt
-from dysonnet.cli import _hessian_widths
 from dysonnet.errors import (
     MAX_DENSE_ENTRIES,
     CapacityError,
@@ -20,6 +19,8 @@ from dysonnet.errors import (
     ShapeError,
 )
 from dysonnet.esd import (
+    _hessian_widths,
+    _trial_entries,
     density_cdf,
     ks_distance,
     sample_centered_hessians,
@@ -618,7 +619,7 @@ class TestSupportBound:
 class TestCenteredHessians:
     def test_mean_is_exactly_zero(self):
         rng = np.random.default_rng(29)
-        mats = sample_centered_hessians((5, 4, 3), 8, rng)
+        mats = list(sample_centered_hessians((5, 4, 3), 8, rng))
         assert np.abs(np.mean(mats, axis=0)).max() <= 1e-14
 
     def test_structure_zero_diagonal_blocks(self):
@@ -633,19 +634,20 @@ class TestCenteredHessians:
                 assert np.abs(m[sl, sl]).max() == 0.0
 
 
-    def test_peak_is_about_one_stack(self):
-        # the samples fill one preallocated stack that is centred in place
+    def test_peak_while_iterating_is_within_the_trial_count(self):
+        # no stack of samples: the mean, the sample being formed and the one
+        # the loop still holds, beside one pass, as esd sample counts a trial
         rng = np.random.default_rng(31)
         widths = _hessian_widths(300)
         n = sum(a * b for a, b in zip(widths, widths[1:])) + widths[-1]
         tracemalloc.start()
         try:
-            mats = sample_centered_hessians(widths, 16, rng)
+            for mat in sample_centered_hessians(widths, 16, rng):
+                assert mat.shape == (n, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mats[0].shape == (n, n)
-        assert peak <= 1.5 * 16 * n * n * 8
+        assert peak <= 8 * _trial_entries("centered-hessian", 300, 16)[0] + (1 << 20)
 
 
 def refusal_peak(call, match):
