@@ -60,22 +60,20 @@ def _trial_entries(ensemble: str, n: int, samples: int) -> tuple[int, int]:
     """What one ``esd sample`` trial holds at once, in entries, and the eigenvalues it returns.
 
     A Wigner trial holds the sampled matrix and ``eigvalsh``'s copy of it.
-    A centred trial first holds the mean H̄ and what ``risk_hessian``'s
-    pass over the samples holds beside it (``net._chunk_plan``'s count),
-    then H̄, the sample being formed with its one-sample pass, and the
-    previous sample, which the caller's loop still holds.
+    A centred trial first holds what ``risk_hessian``'s pass over the
+    samples holds, the mean H̄ with it, then H̄ and the previous sample,
+    which the caller's loop still holds, beside the one-sample pass that
+    forms the next sample: each pass as ``net._chunk_plan`` counts it,
+    from the layer widths alone, with every group's r_g its dimension.
     """
     if ensemble == "wigner":
         return 2 * n * n, n
-    from .net import NetworkParams, _chunk_plan, param_group_dims
+    from .net import _chunk_plan
 
     widths = _hessian_widths(n)
-    # weights that take no memory: the plan reads only their shapes
-    params = NetworkParams([np.broadcast_to(0.0, s) for s in zip(widths, widths[1:])],
-                           np.broadcast_to(0.0, widths[-1:]))
-    p = sum(param_group_dims(params))
-    mean_pass, sample_pass = (_chunk_plan(params, m, [None] * len(widths))[1] for m in (samples, 1))
-    return max(p * p + mean_pass, 3 * p * p + sample_pass), samples * p
+    dims = [a * b for a, b in zip(widths, widths[1:] + (1,))]
+    mean_pass, sample_pass = (_chunk_plan(widths, m, dims)[1] for m in (samples, 1))
+    return max(mean_pass, 2 * sum(dims) ** 2 + sample_pass), samples * sum(dims)
 
 
 def sample_centered_hessians(widths, n_samples: int, rng):

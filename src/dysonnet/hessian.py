@@ -18,8 +18,10 @@ flagged rather than silently differentiated.  The dense P x P matrix of
 :func:`risk_hessian`, with the chunks' factors and the one GEMM output
 held beside it, is refused with :class:`CapacityError` beyond
 ``errors.MAX_DENSE_ENTRIES`` before anything is allocated; the landscape
-report, which forms no P x P array, is held to the same budget on what it
-does form (see below).
+report, which forms no P x P array, is held to the same budget on what
+each of its passes forms (see below).  What a pass holds is counted in
+one place, ``net._chunk_plan``, and each pass is checked on one such
+count.
 
 No per-sample block is formed, and no sample is evaluated or copied on
 its own.  The samples are taken in chunks of rows: one stacked forward
@@ -27,8 +29,10 @@ and backward pass gives a chunk's layer inputs t and vectors u as rows,
 and one batched product its w x w path matrices P_pq.  One accumulator
 adds a chunk into each target block (p, q) with one GEMM,
 ``(u_q ⊗ t_{p-1})^T @ vec(P_pq)``; :func:`risk_hessian`'s targets are the
-blocks of its one P x P matrix, mirrored across the diagonal once, after
-the last chunk.  The chunk length is set so that two chunks' factors fit
+blocks below the diagonal of its one P x P matrix, mirrored across the
+diagonal once, after the last chunk.  That is the only mirror: the
+landscape's cores are filled below the diagonal alone, which is all that
+``np.linalg.eigvalsh`` (``UPLO='L'``) reads.  The chunk length is set so that two chunks' factors fit
 in one block set.  The peak is therefore the targets and a few block
 sets however many samples there are: the chunk in hand and the one
 before it, and one block's GEMM output.
@@ -59,10 +63,12 @@ c of Q_p as a d_{p-1} x d_p matrix, H[q, p] Q_p is
 ``Σ_i d_i/m u_q ⊗ (P_pq B)_i`` (Pearlmutter's Hessian-vector product in
 closed form), one GEMM per chunk, and Q_q^T takes it into the core.  Its
 eigenvalues and P - r exact zeros are the spectrum.  The budget is
-checked on the core, the bases, those sums and what the second pass holds
-beside them (two chunks' factors, and one pair's outer products or B and
-P_pq B, and its GEMM output) once r is known, before any of them exists,
-so its memory grows as r^2, not P^2.
+checked on the first pass before it starts: its narrow roles' summed
+blocks, two chunks' factors, and the temporaries and GEMM output of the
+largest pair it sums.  It is checked on the core, the bases, those sums
+and what the second pass holds beside them (two chunks' factors, and one
+pair's outer products or B and P_pq B, and its GEMM output) once r is
+known, before any of them exists, so its memory grows as r^2, not P^2.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ import numpy as np
 from .errors import DomainError, NumericError, ShapeError, check_dense_budget
 from .kernels import ActivationRule
 from .net import Dataset, LossL0, NetworkParams, param_group_dims
-from .net import _chunk_plan, _sample_terms
+from .net import _chunk_plan, _layer_widths, _sample_terms
 
 __all__ = [
     "HessianBlocks",
@@ -158,9 +164,9 @@ def _lower_blocks(matrix: np.ndarray, offsets) -> dict:
 
 
 def _mirror(matrix: np.ndarray, offsets) -> None:
-    """Copy the blocks below the diagonal of ``matrix``, or of each in a stack, above it."""
+    """Copy the blocks below the diagonal of ``matrix`` above it."""
     for (p, q), block in _lower_blocks(matrix, offsets).items():
-        matrix[..., offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = np.swapaxes(block, -1, -2)
+        matrix[offsets[p - 1]:offsets[p], offsets[q - 1]:offsets[q]] = block.T
 
 
 def _path_matrices(params: NetworkParams, states) -> dict:
@@ -210,7 +216,7 @@ def _add_chunk(target: np.ndarray, u: np.ndarray, t: np.ndarray, paths: np.ndarr
 
 
 def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
-                    targets: dict, bases):
+                    targets: dict, bases, chunk: int):
     """Yield ``(rows, values, derivs, loss_args, states, deltas, paths)`` for each chunk.
 
     A chunk is the slice ``rows`` of the samples, evaluated at once by
@@ -222,14 +228,14 @@ def _summed_factors(params: NetworkParams, kind: LossL0, dataset: Dataset,
     ``bases[p-1]`` holds one (None: the identity), is added into
     ``targets[(p, q)]``, which must start at zero.  Once the generator is
     drained each target holds the summed block H[q, p] (times Q_p).
-    A chunk holds :func:`net._chunk_plan`'s samples; those with a nonzero
+    A chunk holds ``chunk`` samples, as :func:`net._chunk_plan` set them
+    in the call whose count the caller checked; those with a nonzero
     ``deriv`` add into each target with one GEMM, and B is formed once per
     group p.
     """
-    widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
+    widths = _layer_widths(params)
     groups = len(widths)
     m = len(dataset)
-    chunk, _ = _chunk_plan(params, m, [None if b is None else b.shape[1] for b in bases])
     # at least one chunk, so that _sample_terms refuses an empty dataset
     for start in range(0, max(m, 1), chunk):
         rows = slice(start, min(start + chunk, m))
@@ -266,8 +272,9 @@ def _frame_cores(inputs, deltas, paths, rows: slice) -> np.ndarray:
     rows for every group g, the output vector's u_L = 1 last, and ``paths``
     its :func:`_path_matrices`.  Q = blockdiag(Q_1, ..., Q_L) with
     Q_g = [I ⊗ t̂_{g-1}, û_g ⊗ Π_g], Π_g = I - t̂_{g-1} t̂_{g-1}^T, and no û
-    piece for g = 1; a zero t or u has t̂ or û zero, which zeroes rows.  Each
-    Q_g Q_g^T is the orthogonal projector onto a span holding group g's
+    piece for g = 1; a zero t or u has t̂ or û zero, which zeroes rows.  Only
+    the blocks below the diagonal are filled, which is all that ``eigvalsh``
+    reads.  Each Q_g Q_g^T is the orthogonal projector onto a span holding group g's
     part of H's range, so a core keeps H's nonzero eigenvalues.  Block
     (p, q) of H is X ⊗ t_{p-1}^T with X = u_q ⊗ P_pq.  Its column part along
     I ⊗ t̂_{p-1} is |t_{p-1}| X, and along û_p ⊗ Π_p it is 0, since
@@ -290,7 +297,6 @@ def _frame_cores(inputs, deltas, paths, rows: slice) -> np.ndarray:
         block[:, :width, :columns] = us[q - 1][:, :, None] * (scale * along)
         block[:, width:, :columns] = (scale * u_norms[q - 1][:, None, None]) * (
             path - t_hats[q - 1][:, :, None] * along)
-    _mirror(cores, at)
     return cores
 
 
@@ -308,28 +314,37 @@ class _RangeSpans:
     chunk by chunk, only while the set can still be the one taken and
     the group still falls short of its dimension.  The summed blocks are
     needed only for a narrow role, one with fewer such rows or columns
-    than the group's dimension; ``targets`` holds them, for
-    :func:`_summed_factors` to sum in the same pass.
+    than the group's dimension; :meth:`start` allocates them in
+    ``targets``, for :func:`_summed_factors` to sum in the same pass.
     """
 
     def __init__(self, params: NetworkParams):
-        widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
+        self.widths = _layer_widths(params)
         # (rows, columns) of each group's matrix; the output vector is one column
-        self.shapes = list(zip(widths, widths[1:] + (1,)))
+        self.shapes = list(zip(self.widths, self.widths[1:] + (1,)))
         self.offsets = _offsets(param_group_dims(params))
-        size = self.offsets[-1]
-        dims = np.diff(self.offsets)
         # the summed blocks' own rows and columns per role: H[q > g, g], H[g, p < g]
-        self.limits = np.array([(size - end, start) for start, end in
+        self.limits = np.array([(self.offsets[-1] - end, start) for start, end in
                                 zip(self.offsets, self.offsets[1:])])
         self.counts = np.zeros_like(self.limits)
         self.found = [([], []) for _ in self.shapes]
-        narrow = (self.limits > 0) & (self.limits < dims[:, None])
-        check_dense_budget(int(np.sum(self.limits * dims[:, None], where=narrow)),
-                           f"the first landscape pass over P={size} parameters,"
-                           " for the narrow roles' summed blocks,")
         self.own = {}  # (g, role): the summed blocks whose rows span the role
         self.targets = {}
+
+    def start(self, m: int) -> int:
+        """Check the first pass over ``m`` samples against the budget, allocate its targets.
+
+        The pass sums the blocks of the narrow roles: H[q > g, g] for a
+        narrow column role of g, H[g, p < g] for a narrow row role.
+        Returns the pass's chunk length.
+        """
+        size, dims = self.offsets[-1], np.diff(self.offsets)
+        narrow = (self.limits > 0) & (self.limits < dims[:, None])
+        pairs = [(p, q) for p in range(1, len(dims)) for q in range(p + 1, len(dims) + 1)
+                 if narrow[p - 1, 0] or narrow[q - 1, 1]]
+        chunk, held = _chunk_plan(self.widths, m, dims.tolist(), pairs)
+        check_dense_budget(held, f"the first landscape pass over P={size} parameters,"
+                                 " for the narrow roles' summed blocks,")
         for g, (start, end) in enumerate(zip(self.offsets, self.offsets[1:])):
             if narrow[g, 0]:
                 block = self.own[g, 0] = np.zeros((size - end, end - start))  # H[q > g, g]
@@ -341,6 +356,7 @@ class _RangeSpans:
                 self.own[g, 1] = block.T
                 for p in range(g):
                     self.targets[p + 1, g + 1] = block[:, self.offsets[p]:self.offsets[p + 1]]
+        return chunk
 
     def add(self, states, deltas, kept: np.ndarray) -> None:
         """Gather one chunk's masks and vectors, from the rows with ``kept`` (d != 0).
@@ -392,14 +408,13 @@ class _RangeSpans:
         where :meth:`_unit_counts` allows): a basis of a superset of the
         range, so no rank threshold is needed.
         """
-        bases = [self._basis(g) for g in range(len(self.shapes))]
+        bases = [self._basis(g, k) for g, k in enumerate(self.sizes())]
         self.found, self.own, self.targets = [], {}, {}
         return bases
 
-    def _basis(self, g: int):
+    def _basis(self, g: int, size: int):
         start, end = self.offsets[g], self.offsets[g + 1]
-        used = np.minimum(self.counts[g], self.limits[g])
-        if used.sum() >= end - start:
+        if size == end - start:
             return None
         n_rows, n_cols = self.shapes[g]
         per_unit = self._unit_counts(g)
@@ -408,7 +423,7 @@ class _RangeSpans:
             units = np.concatenate([k for _, k in self.found[g][0]])
             # each unit's t vectors, unit after unit: the rows its QR factorizes
             by_unit = vectors[np.argsort(units, kind="stable")]
-            basis = np.zeros((end - start, int(np.minimum(per_unit, n_rows).sum())))
+            basis = np.zeros((end - start, size))
             at = column = 0
             for j, count in enumerate(per_unit):
                 if count:
@@ -418,9 +433,9 @@ class _RangeSpans:
                     column += q.shape[1]
             return basis
         # one spanning vector a row, as the column-major vec of a group matrix
-        spans = np.zeros((used.sum(), n_cols, n_rows))
+        spans = np.zeros((size, n_cols, n_rows))
         at = 0
-        for role, count in enumerate(used):
+        for role, count in enumerate(np.minimum(self.counts[g], self.limits[g])):
             part = spans[at:at + count]
             at += count
             if self.counts[g, role] > self.limits[g, role]:
@@ -432,17 +447,21 @@ class _RangeSpans:
                     part[np.arange(count), units, :] = vectors  # t_{g-1} e_j^T
                 else:
                     part[np.arange(count), :, units] = vectors  # e_k u_g^T
-        return np.linalg.qr(spans.reshape(at, end - start).T)[0]
+        return np.linalg.qr(spans.reshape(size, end - start).T)[0]
 
 
-def _summed_core(params: NetworkParams, kind: LossL0, dataset: Dataset, bases) -> np.ndarray:
+def _summed_core(params: NetworkParams, kind: LossL0, dataset: Dataset, bases,
+                 chunk: int) -> np.ndarray:
     """The core Q^T H Q of the risk Hessian H, Q = blockdiag(Q_g), summed from the factors.
 
-    ``bases`` holds each Q_g, None for the identity.  Core block (q, p) is
+    ``bases`` holds each Q_g, None for the identity, and ``chunk`` is the
+    chunk length of the plan the caller checked.  Core block (q, p) is
     Q_q^T H[q, p] Q_p: :func:`_summed_factors` sums H[q, p] Q_p straight
     into the core where Q_q is the identity, and otherwise into a
     dim_q x r_p sum that Q_q^T takes into the core after the last chunk.
-    Where every Q_g is the identity the core is the P x P matrix H.
+    Where every Q_g is the identity the core is the P x P matrix H.  Only
+    the blocks below the diagonal are filled, which is all that
+    ``eigvalsh`` reads; :func:`risk_hessian` mirrors its matrix.
     """
     dims = param_group_dims(params)
     sizes = [d if basis is None else basis.shape[1] for d, basis in zip(dims, bases)]
@@ -452,22 +471,22 @@ def _summed_core(params: NetworkParams, kind: LossL0, dataset: Dataset, bases) -
     sums = {(p, q): np.zeros((dims[q - 1], sizes[p - 1]))
             for p, q in targets if bases[q - 1] is not None}
     targets.update(sums)
-    for _ in _summed_factors(params, kind, dataset, targets, bases):
+    for _ in _summed_factors(params, kind, dataset, targets, bases, chunk):
         pass
     for (p, q), summed in sums.items():
         core[at[q - 1]:at[q], at[p - 1]:at[p]] = bases[q - 1].T @ summed
-    _mirror(core, at)
     return core
 
 
 def risk_hessian(params: NetworkParams, kind: LossL0, dataset: Dataset) -> HessianBlocks:
     """Mean of the per-sample Hessians of a relu chain, as one dense P x P matrix."""
     dims = _relu_dims(params)
-    n = int(sum(dims))
     # the P x P matrix, and what the pass over the chunks holds beside it
-    held = n * n + _chunk_plan(params, len(dataset), [None] * len(dims))[1]
-    check_dense_budget(held, f"a dense Hessian of P={n} parameters")
-    return HessianBlocks(dims, _summed_core(params, kind, dataset, [None] * len(dims)))
+    chunk, held = _chunk_plan(_layer_widths(params), len(dataset), dims)
+    check_dense_budget(held, f"a dense Hessian of P={sum(dims)} parameters")
+    matrix = _summed_core(params, kind, dataset, [None] * len(dims), chunk)
+    _mirror(matrix, _offsets(dims))
+    return HessianBlocks(dims, matrix)
 
 
 def sample_hessian(params: NetworkParams, kind: LossL0, x: np.ndarray, y: float) -> HessianBlocks:
@@ -529,19 +548,21 @@ class LandscapeReport(NamedTuple):
 def _sample_pass(params: NetworkParams, kind: LossL0, dataset: Dataset, spans: _RangeSpans):
     """The first pass: each sample's loss, |deriv|, kink flag, frame-core norm and k.
 
-    It gathers ``spans`` and sums their narrow roles' blocks on the way.
+    It gathers ``spans`` and sums their narrow roles' blocks on the way,
+    once :meth:`_RangeSpans.start` has checked the pass against the budget.
     Each chunk's cores are formed and eigensolved a slice at a time, a
     slice holding no more entries than the chunk's path matrices or
     ``SLICE_ENTRIES``.
     """
     m = len(dataset)
+    chunk = spans.start(m)
     losses = np.empty(m)
     abs_derivs = np.empty(m)
     kinks = np.empty(m, dtype=bool)
     norms = np.empty(m)
     ranks = np.empty(m, dtype=int)
     for rows, values, derivs, loss_args, states, deltas, paths in _summed_factors(
-            params, kind, dataset, spans.targets, [None] * len(spans.shapes)):
+            params, kind, dataset, spans.targets, [None] * len(spans.shapes), chunk):
         spans.add(states, deltas, derivs != 0.0)
         losses[rows] = values
         abs_derivs[rows] = np.abs(derivs)
@@ -580,18 +601,11 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     spans = _RangeSpans(params)
     losses, abs_derivs, kinks, norms, ranks = _sample_pass(params, kind, dataset, spans)
     range_dims = spans.sizes()
-    r = sum(range_dims)
-    reduced = [k < d for d, k in zip(dims, range_dims)]
-    pairs = [(p, q) for p in range(len(dims)) for q in range(p + 1, len(dims))]
-    # the core, and the bases and sums of the groups whose Q_g is not the identity
-    held = r * r + sum(d * k for d, k, cut in zip(dims, range_dims, reduced) if cut) + sum(
-        dims[q] * range_dims[p] for p, q in pairs if reduced[q]
-    )
-    # and what the second pass holds beside them: two chunks' factors, one pair's temporaries
-    held += _chunk_plan(params, m, [k if cut else None for k, cut in zip(range_dims, reduced)])[1]
-    check_dense_budget(held, f"the range core of r={r} of P={sum(dims)} parameters,"
+    # the core, its bases and sums, and what the second pass holds beside them
+    chunk, held = _chunk_plan(spans.widths, m, range_dims)
+    check_dense_budget(held, f"the range core of r={sum(range_dims)} of P={sum(dims)} parameters,"
                              " with its bases and sums,")
-    range_core = _summed_core(params, kind, dataset, spans.bases())
+    range_core = _summed_core(params, kind, dataset, spans.bases(), chunk)
     eigs = np.sort(np.concatenate([
         _eigvalsh(range_core, "the risk Hessian's range core"),
         np.zeros(sum(dims) - range_core.shape[0]),

@@ -12,7 +12,8 @@ The samples are evaluated as rows: the forward pass, the loss and the
 backward pass each take a stack of inputs, scores or layer states and
 act on every row at once, with no loop over the samples.  The Hessian
 and the landscape report make one such pass per chunk of rows, in the
-chunks that :func:`_chunk_plan` sets; it also counts what a pass holds.
+chunks that :func:`_chunk_plan` sets; it is also the one count of what
+such a pass holds, which ``hessian`` and ``esd`` check the budget on.
 A network is read from the chain form of the poset document, through
 the poset's plan, and a dataset from CSV.
 """
@@ -81,12 +82,13 @@ class NetworkParams:
 
 
 class Dataset:
-    """Training samples: row-wise inputs and labels in {-1, +1}."""
+    """Training samples: row-wise inputs and labels in {-1, +1}; an empty input list holds none."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        x = x.reshape(0, 0) if x.shape == (0,) else np.atleast_2d(x)  # [] holds no samples
         y = np.asarray(y, dtype=float).ravel()
         if x.shape[0] != y.shape[0]:
             raise ShapeError(f"{x.shape[0]} inputs but {y.shape[0]} labels")
@@ -178,47 +180,58 @@ def _backprop_deltas(params: NetworkParams, states: list[LayerState]) -> list[np
     return deltas
 
 
-def _chunk_plan(params: NetworkParams, m: int, columns) -> tuple[int, int]:
-    """Samples per chunk of the Hessian accumulator for ``m`` samples, and what a pass holds.
+def _layer_widths(params: NetworkParams) -> tuple[int, ...]:
+    """The input width, then each layer's: W_g is ``widths[g-1] x widths[g]``."""
+    return (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
 
-    The accumulator is ``hessian._summed_factors``; its plan is kept here
-    so that ``esd sample`` counts a trial without loading ``hessian``.
-    ``columns[g]`` is Q_{g+1}'s column count, None for the identity.  A
-    chunk's factors, with the one pair's outer products or products P_pq B
-    formed at a time, fit in half a block set.  The second number counts
-    the entries a pass holds beside its targets: the factors (layer
-    states, deltas and path matrices) of the chunk in hand and of the one
-    before it, and the largest temporaries of one pair (p, q), which are
-    the chunk's copy of its P_pq (made only when some derivative in the
-    chunk is zero, but always counted), its outer products u_q ⊗ t_{p-1}
-    or its stacks B and P_pq B, and the GEMM output, dim_q x dim_p where
-    Q_p is the identity and dim_q x r_p otherwise.
+
+def _chunk_plan(widths, m: int, sizes, pairs=None) -> tuple[int, int]:
+    """Samples per chunk of a Hessian-accumulator pass over ``m`` samples, and what it holds.
+
+    The one count of what a pass of ``hessian._summed_factors`` holds; it
+    is kept here so that ``esd sample`` counts a trial without loading
+    ``hessian``.  ``widths`` are the layer widths (:func:`_layer_widths`)
+    and ``sizes[g-1]`` is r_g, the size of group g in the core the pass
+    fills: Q_g's column count, or the group's dimension d_g where Q_g is
+    the identity.  A chunk's factors, with the one pair's outer products
+    or products P_pq B formed at a time, fit in half a block set.  The
+    second number counts the entries the pass holds: its targets, the
+    factors (layer states, deltas and path matrices) of the chunk in hand
+    and of the one before it, and the largest temporaries of one summed
+    pair (p, q), which are the chunk's copy of its P_pq (made only when
+    some derivative in the chunk is zero, but always counted), its outer
+    products u_q ⊗ t_{p-1} or its stacks B and P_pq B, and the d_q x r_p
+    GEMM output.  The targets are the r x r core with each reduced
+    group's d_g x r_g basis and its d_q x r_p sums H[q, p] Q_p, every pair
+    being summed; or, where ``pairs`` names the pairs the pass sums (the
+    first landscape pass), a d_q x r_p block of each.
     """
-    widths = (params.input_dim,) + tuple(w.shape[1] for w in params.weights)
     u_widths = widths[1:] + (1,)  # length of each u_g, the output vector's u_L = 1 last
+    dims = [a * b for a, b in zip(widths, u_widths)]
+    reduced = [k < d for d, k in zip(dims, sizes)]
     groups = len(widths)
-    pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
+    every = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
 
     def temporary(p, q):  # a sample's row of the pair's outer product, or of B and P_pq B
-        if columns[p - 1] is None:
-            return u_widths[q - 1] * widths[p - 1]
-        return (widths[p] + widths[q - 1]) * columns[p - 1]
+        if reduced[p - 1]:
+            return (widths[p] + widths[q - 1]) * sizes[p - 1]
+        return u_widths[q - 1] * widths[p - 1]
 
-    def gemm(p, q):  # the pair's summed GEMM output
-        width = widths[p - 1] * widths[p] if columns[p - 1] is None else columns[p - 1]
-        return u_widths[q - 1] * widths[q - 1] * width
-
-    block_set = sum(u_widths[q - 1] * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
+    block_set = sum(dims[q - 1] * dims[p - 1] for p, q in every)
     # a sample's layer states, deltas and P's, and its row of the largest temporary
-    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
-    largest = max((temporary(p, q) for p, q in pairs), default=0)
+    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in every)
+    largest = max((temporary(p, q) for p, q in every), default=0)
     # the caller still holds one chunk while the next is formed: two fit in a block set
     chunk = max(1, min(m, block_set // max(2 * (factors + largest), 1)))
-    held = min(m, 2 * chunk) * factors + max(
-        (chunk * (temporary(p, q) + widths[q - 1] * widths[p]) + gemm(p, q) for p, q in pairs),
-        default=0,
-    )
-    return chunk, held
+    if pairs is None:
+        r, pairs = sum(sizes), every
+        targets = r * r + sum(d * k for d, k, cut in zip(dims, sizes, reduced) if cut) + sum(
+            dims[q - 1] * sizes[p - 1] for p, q in every if reduced[q - 1])
+    else:
+        targets = sum(dims[q - 1] * sizes[p - 1] for p, q in pairs)
+    return chunk, targets + min(m, 2 * chunk) * factors + max(
+        (chunk * (temporary(p, q) + widths[q - 1] * widths[p]) + dims[q - 1] * sizes[p - 1]
+         for p, q in pairs), default=0)
 
 
 def param_group_dims(params: NetworkParams) -> tuple[int, ...]:

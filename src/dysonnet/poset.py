@@ -206,7 +206,8 @@ def load_network_json(source) -> tuple[ScalePoset, dict[str, tuple[KernelSpec, A
     {node: {"rows": r, "cols": c, "field": "01"|"pm1", "rule":
     "relu"|"swish"|"sigmoid"|"tanh", "weights": [...row-major...]}}}``.
     The minimal element is inferred as the unique node without incoming
-    edges.
+    edges; it is the input and has no layer, so an entry for it, or for a
+    name that is not a node, is refused with :class:`DomainError`.
     """
     doc = read_json(source)
     with reading("malformed network document"):
@@ -224,6 +225,9 @@ def load_network_json(source) -> tuple[ScalePoset, dict[str, tuple[KernelSpec, A
     poset = ScalePoset(tuple(nodes), tuple(edges), sources[0])
     specs: dict[str, tuple[KernelSpec, ActivationRule]] = {}
     for node, entry in layer_doc.items():
+        if node not in nodes or node == poset.minimal:
+            raise DomainError(f"layer entry for node {node!r}, which has no layer:"
+                              f" only the nodes above the input node {poset.minimal!r} have one")
         kernel = kernel_from_entry(entry, f"layer entry for node {node!r}")
         rule_name = entry.get("rule")
         if not isinstance(rule_name, str) or rule_name not in _RULE_NAMES:

@@ -78,7 +78,7 @@ BACKTRACK = (0.5, 0.25, 0.125)  # shortened Newton steps tried before the damped
 def _checked_matrix(m, what: str, stack: bool = False) -> np.ndarray:
     """``m`` as floats, or an error naming ``what`` if it is no valid matrix input.
 
-    ``m`` must be a finite square matrix, symmetric to within
+    ``m`` must be a finite nonempty square matrix, symmetric to within
     ``1e-12 * max(1, max|m|)``.  With ``stack`` it is a 3-d stack of such
     matrices, measured on one scale, and a failure names the first bad
     matrix as ``what`` and its index.  The checks run one matrix at a time,
@@ -89,6 +89,8 @@ def _checked_matrix(m, what: str, stack: bool = False) -> np.ndarray:
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ShapeError(f"{what}s must form a stack of square matrices" if stack
                          else f"{what} must be square")
+    if mats.shape[1] == 0:
+        raise DomainError(f"{what}s are empty 0x0 matrices" if stack else f"{what} is empty (0x0)")
 
     def name(index):
         return f"{what} {index}" if stack else what
@@ -217,7 +219,8 @@ class MDEProblem:
     """Expectation matrix, self-energy and spectral-parameter grid.
 
     A self-energy that acts on matrices of one size only (an empirical
-    one) declares it as ``n``; it must match the expectation matrix.
+    one) declares it as ``n``; it must match the expectation matrix.  The
+    matrix and the grid must not be empty.
     """
 
     __slots__ = ("a_matrix", "self_energy", "z_grid")
@@ -231,6 +234,8 @@ class MDEProblem:
                 f"is {a.shape[0]}x{a.shape[0]}"
             )
         z = np.atleast_1d(np.asarray(z_grid, dtype=complex))
+        if z.size == 0:
+            raise DomainError("the spectral-parameter grid is empty")
         if not np.isfinite(z).all():
             raise DomainError("every spectral parameter must be finite (real and imaginary part)")
         if np.any(z.imag <= 0):

@@ -2,8 +2,10 @@
 
 The empirical risk and its gradient, from the same per-sample pass the
 Hessian makes, and the evaluation of a poset's layered plan, which
-``net.forward`` must match on chain documents.  And the recorder of a
-run's dense-budget checks, which peak tests hold the traced peak to.
+``net.forward`` must match on chain documents.  The recorder of a run's
+dense-budget checks, which peak tests hold the traced peak to.  And the
+counts of what a Hessian-accumulator pass holds as each caller once added
+them up by hand, which ``net._chunk_plan`` must match.
 """
 
 import tracemalloc
@@ -89,3 +91,69 @@ def budget_peak(call):
         finally:
             tracemalloc.stop()
     return result, peak, counted
+
+
+def accumulator_pass(widths, m: int, columns) -> tuple[int, int]:
+    """Chunk length of a pass over ``m`` samples, and what it holds beside its targets.
+
+    ``widths`` are the input width and each layer's, and ``columns[g]`` is
+    Q_{g+1}'s column count, None for the identity.  Beside its targets a
+    pass holds two chunks' factors (layer states, deltas and path
+    matrices) and the largest temporaries of one pair (p, q): its path
+    copy, its outer products or stacks B and P_pq B, and its GEMM output.
+    """
+    widths = tuple(widths)
+    u_widths = widths[1:] + (1,)
+    groups = len(widths)
+    pairs = [(p, q) for p in range(1, groups) for q in range(p + 1, groups + 1)]
+
+    def temporary(p, q):
+        if columns[p - 1] is None:
+            return u_widths[q - 1] * widths[p - 1]
+        return (widths[p] + widths[q - 1]) * columns[p - 1]
+
+    def gemm(p, q):
+        width = widths[p - 1] * widths[p] if columns[p - 1] is None else columns[p - 1]
+        return u_widths[q - 1] * widths[q - 1] * width
+
+    block_set = sum(u_widths[q - 1] * widths[q - 1] * widths[p] * widths[p - 1] for p, q in pairs)
+    factors = 4 * sum(widths[1:]) + sum(widths[q - 1] * widths[p] for p, q in pairs)
+    largest = max((temporary(p, q) for p, q in pairs), default=0)
+    chunk = max(1, min(m, block_set // max(2 * (factors + largest), 1)))
+    held = min(m, 2 * chunk) * factors + max(
+        (chunk * (temporary(p, q) + widths[q - 1] * widths[p]) + gemm(p, q) for p, q in pairs),
+        default=0,
+    )
+    return chunk, held
+
+
+def _group_dims(widths) -> list[int]:
+    widths = tuple(widths)
+    return [a * b for a, b in zip(widths, widths[1:] + (1,))]
+
+
+def risk_hessian_entries(widths, m: int) -> int:
+    """``risk_hessian``'s count: the P x P matrix and the pass beside it."""
+    p = sum(_group_dims(widths))
+    return p * p + accumulator_pass(widths, m, [None] * len(widths))[1]
+
+
+def range_core_entries(widths, m: int, range_dims) -> int:
+    """The landscape's second-pass count: the r x r core, the reduced groups' bases and sums, the pass."""
+    dims = _group_dims(widths)
+    r = sum(range_dims)
+    reduced = [k < d for d, k in zip(dims, range_dims)]
+    pairs = [(p, q) for p in range(len(dims)) for q in range(p + 1, len(dims))]
+    held = r * r + sum(d * k for d, k, cut in zip(dims, range_dims, reduced) if cut) + sum(
+        dims[q] * range_dims[p] for p, q in pairs if reduced[q]
+    )
+    return held + accumulator_pass(widths, m, [k if cut else None
+                                               for k, cut in zip(range_dims, reduced)])[1]
+
+
+def centred_trial_entries(widths, samples: int) -> int:
+    """A centred ``esd sample`` trial: P^2 and the mean's pass, or 3 P^2 and a one-sample pass."""
+    p = sum(_group_dims(widths))
+    mean_pass, sample_pass = (accumulator_pass(widths, m, [None] * len(widths))[1]
+                              for m in (samples, 1))
+    return max(p * p + mean_pass, 3 * p * p + sample_pass)

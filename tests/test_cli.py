@@ -80,6 +80,16 @@ class TestSubcommands:
         center = data[np.argmin(np.abs(data[:, 0])), 1]
         assert center == pytest.approx(1 / np.pi, abs=2e-3)
 
+    def test_negative_scientific_emin_joined_to_its_flag(self, workdir):
+        # argparse reads a separate "-1e1" as an option, so the value is
+        # joined to its flag
+        out = workdir / "density.csv"
+        rc = run_cli("mde", "solve", "--problem", workdir / "wigner.json",
+                     "--emin=-1e1", "--emax", 10, "--points", 5, "--out", out)
+        assert rc == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=2)
+        assert data[:, 0].tolist() == [-10.0, -5.0, 0.0, 5.0, 10.0]
+
     def test_esd_sample(self, workdir):
         out = workdir / "esd.csv"
         rc = run_cli("--seed", 42, "esd", "sample", "--ensemble", "wigner",
@@ -386,6 +396,22 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"malformed {entry}: {named}" in err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("node", ["9", "0"], ids=["unknown-node", "input-node"])
+    def test_layer_entry_without_a_layer_refused(self, workdir, capsys, node):
+        # the criterion-12 chain 0 -> 1 -> 2, with one more layer entry for
+        # a name that is not a node or for the input node
+        doc = network_to_chain_json(NetworkParams((np.array([[0.3, -0.2], [0.1, 0.5]]),),
+                                                  np.array([0.5, -1.0])))
+        doc["layers"][node] = doc["layers"]["1"]
+        (workdir / "extra.json").write_text(json.dumps(doc))
+        save_dataset_csv(workdir / "data2.csv", Dataset(np.array([[1.0, 0.5], [-0.25, 2.0]]),
+                                                        np.array([1.0, -1.0])))
+        rc = run_cli("landscape", "--network", workdir / "extra.json",
+                     "--data", workdir / "data2.csv", "--out", workdir / "out")
+        assert rc == 2
+        assert f"layer entry for node '{node}', which has no layer" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("command", ["hessian"])

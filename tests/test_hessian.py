@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dysonnet import errors, hessian
 from dysonnet.errors import (
     MAX_DENSE_ENTRIES,
     CapacityError,
@@ -14,6 +15,7 @@ from dysonnet.errors import (
     NumericError,
     ShapeError,
 )
+from dysonnet.esd import _hessian_widths, _trial_entries
 from dysonnet.hessian import (
     HessianBlocks,
     _path_matrices,
@@ -30,6 +32,8 @@ from dysonnet.net import (
     Dataset,
     LossL0,
     NetworkParams,
+    _chunk_plan,
+    _layer_widths,
     _sample_terms,
     flatten_params,
     forward,
@@ -37,7 +41,15 @@ from dysonnet.net import (
     param_group_dims,
     unflatten_params,
 )
-from oracles import budget_peak, empirical_risk, risk_gradient
+from oracles import (
+    accumulator_pass,
+    budget_peak,
+    centred_trial_entries,
+    empirical_risk,
+    range_core_entries,
+    risk_gradient,
+    risk_hessian_entries,
+)
 
 
 # The dense per-sample pass that dysonnet.hessian replaced: every sample's
@@ -981,6 +993,16 @@ def test_smooth_rules_are_refused(call, rule):
             call(params, np.ones(params.input_dim))
 
 
+@pytest.mark.parametrize("call", [risk_hessian, landscape_report],
+                         ids=["risk_hessian", "landscape_report"])
+def test_empty_input_list_is_an_empty_dataset(call):
+    params = NetworkParams((np.ones((2, 2)),), np.ones(2))
+    dataset = Dataset([], [])
+    assert len(dataset) == 0
+    with pytest.raises(DomainError, match="dataset is empty"):
+        call(params, LossL0.HINGE, dataset)
+
+
 class TestDenseBudget:
     def test_refused_before_allocation(self):
         # W (400 x 250), (250 x 250) and alpha (250): P = 162750; P^2 plus
@@ -1000,20 +1022,81 @@ class TestDenseBudget:
     def test_landscape_first_pass_refused_before_allocation(self):
         # narrow column roles: the 6060 rows of H[q > 1, 1] for W_1 (100 x 100)
         # and the 60 of H[3, 2] for W_2 (100 x 60), 60600000 + 360000
-        # entries, refused before the first pass
+        # entries, and beside them the pass's largest temporaries, those of
+        # the pair (W_1, W_2) with its 6000 x 10000 GEMM output, refused
+        # before the first pass
         params = NetworkParams((np.ones((100, 100)), np.ones((100, 60))), np.ones(60))
         dataset = Dataset(np.ones((1, 100)), np.array([1.0]))
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match=(
                 r"first landscape pass over P=16060 parameters, for the narrow roles'"
-                r" summed blocks, needs 60960000 entries"
+                r" summed blocks, needs 120996240 entries"
             )):
                 landscape_report(params, LossL0.HINGE, dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_landscape_first_pass_counts_its_chunks(self, monkeypatch):
+        # widths 6, P = 114: only W_3's column role is narrow, and its
+        # 6 x 36 block H[4, 3], 216 entries, fits a budget of 1000; the
+        # first pass over m=20 also holds two chunks of 7 samples' factors,
+        # 288 entries a sample, and the pair (W_3, alpha)'s temporaries
+        # and GEMM output, 4758 entries in all, so it is refused before
+        # any sample is evaluated
+        rng = np.random.default_rng(41)
+        w, m = 6, 20
+        params = NetworkParams(tuple(rng.standard_normal((w, w)) for _ in range(3)),
+                               rng.standard_normal(w))
+        dataset = Dataset(rng.standard_normal((m, w)), rng.choice([-1.0, 1.0], size=m))
+        monkeypatch.setattr(errors, "MAX_DENSE_ENTRIES", 1000)
+
+        def evaluated(*args):
+            raise AssertionError("a sample was evaluated")
+
+        monkeypatch.setattr(hessian, "_sample_terms", evaluated)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=(
+                r"first landscape pass over P=114 parameters, for the narrow roles'"
+                r" summed blocks, needs 4758 entries"
+            )):
+                landscape_report(params, LossL0.HINGE, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @given(case=relu_cases(), data=st.data())
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_chunk_plan_matches_the_hand_counts(self, case, data):
+        # the one plan against the counts risk_hessian, the landscape's
+        # second pass and a centred esd trial once added up by hand: with
+        # the case's widths, some groups reduced, and m below, at and
+        # above the largest chunk; and the counts the calls check
+        params, kind, dataset = case
+        widths, dims = _layer_widths(params), param_group_dims(params)
+        cut = data.draw(st.lists(st.booleans(), min_size=len(dims), max_size=len(dims)))
+        sizes = [data.draw(st.integers(0, d - 1)) if c else d for d, c in zip(dims, cut)]
+        columns = [k if c else None for k, c in zip(sizes, cut)]
+        full = _chunk_plan(widths, 10 ** 9, sizes)[0]
+        p = sum(dims)
+        for m in sorted({1, max(1, full - 1), full, full + 1, 3 * full}):
+            assert _chunk_plan(widths, m, sizes) == (accumulator_pass(widths, m, columns)[0],
+                                                     range_core_entries(widths, m, sizes))
+            assert _chunk_plan(widths, m, dims)[1] == risk_hessian_entries(widths, m)
+            assert max(_chunk_plan(widths, m, dims)[1], 2 * p * p + _chunk_plan(widths, 1, dims)[1]
+                       ) == centred_trial_entries(widths, m)
+        n, samples = data.draw(st.integers(1, 3000)), data.draw(st.integers(1, 64))
+        assert (_trial_entries("centered-hessian", n, samples)[0]
+                == centred_trial_entries(_hessian_widths(n), samples))
+        report, _, counted = budget_peak(lambda: landscape_report(params, kind, dataset))
+        assert counted["the range core"] == range_core_entries(widths, len(dataset),
+                                                               report.range_dims)
+        _, _, counted = budget_peak(lambda: risk_hessian(params, kind, dataset))
+        assert counted["a dense Hessian"] == risk_hessian_entries(widths, len(dataset))
 
     def test_admits_the_sizes_in_use(self):
         assert MAX_DENSE_ENTRIES >= 1900 ** 2

@@ -616,6 +616,26 @@ class TestSupportBound:
             support_bound_check(np.zeros(2), a, ZeroSelfEnergy())
 
 
+@pytest.mark.parametrize(
+    "call, named",
+    [(lambda: solve_mde(MDEProblem(np.zeros((0, 0)), IsotropicSelfEnergy(1.0), [1j])),
+      "expectation matrix A is empty"),
+     (lambda: support_bound_check(np.zeros(0), np.zeros((0, 0)), IsotropicSelfEnergy(1.0)),
+      "expectation matrix A is empty"),
+     (lambda: EmpiricalSelfEnergy.from_samples([np.zeros((0, 0))] * 2),
+      "empirical samples are empty"),
+     (lambda: MDEProblem(np.zeros((2, 2)), IsotropicSelfEnergy(1.0), []),
+      "the spectral-parameter grid is empty"),
+     (lambda: list(sample_centered_hessians((3, 2, 2), 0, np.random.default_rng(0))),
+      "dataset is empty")],
+    ids=["mde-0x0", "support-bound-0x0", "empirical-0x0", "empty-grid", "no-hessian-samples"],
+)
+def test_empty_input_refused_naming_it(call, named):
+    # none of these reaches the CLI, whose flags and loaders refuse them first
+    with pytest.raises(DomainError, match=named):
+        call()
+
+
 class TestCenteredHessians:
     def test_mean_is_exactly_zero(self):
         rng = np.random.default_rng(29)
