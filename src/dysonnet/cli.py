@@ -9,8 +9,10 @@ with a ``# seed=... tool-version=...`` comment and floats are written
 with 17 significant digits for lossless round-trip.
 
 Exit codes: 0 success, 2 validation failure or a path that cannot be read
-or written (the message names it), 3 numeric non-convergence (the message
-carries the final residual).
+or written (the message names it), or an output on the path of an input
+or of another output, 3 numeric failure: non-convergence (the message
+carries the final residual), a failed eigensolve (the message names the
+matrix) or a report that would hold a non-finite number.
 
 Each subcommand imports the modules it runs when it runs, so an
 invocation loads and compiles only those: ``decompose`` loads ``kernels``
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (DomainError, DysonnetError, NumericError, check_dense_budget, json_floats,
-                     read_json, reading)
+                     read_json, reading, solving)
 
 
 @contextmanager
@@ -59,17 +61,43 @@ def _write_csv(path, seed, header, rows):
 
 
 def _write_json(path, seed, payload):
+    """Write the seed, the tool version and ``payload`` as standard JSON, sorted by key.
+
+    The document is formed before ``path`` is opened: a non-finite number,
+    which standard JSON cannot hold, is refused with :class:`NumericError`
+    and nothing is written.
+    """
     doc = {"seed": int(seed), "tool_version": __version__}
     doc.update(payload)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"the report for {path} holds a non-finite number: {exc}") from None
     with _writing(path) as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
-def _refuse_shared_output(flag, path, other_flag, other_path):
-    """Refuse two outputs on one path, where the later write would replace the earlier."""
-    if other_path is not None and os.path.realpath(path) == os.path.realpath(other_path):
-        raise DomainError(f"{flag} and {other_flag} name the same file {other_path}")
+def _refuse_overwrite(args):
+    """Refuse an output on the path of an input or of another output, before anything is read.
+
+    The outputs are ``--out``, ``--csv`` and ``--eigs-csv``; a
+    ``landscape`` run given no ``--eigs-csv`` has it set here to the
+    ``<out>_eigs.csv`` it writes.  The inputs are ``--problem``,
+    ``--network``, ``--data`` and ``--model``.
+    """
+    if args.command == "landscape" and not args.eigs_csv:
+        args.eigs_csv = os.path.splitext(args.out)[0] + "_eigs.csv"
+
+    def given(*flags):
+        return [(flag, path) for flag in flags
+                if (path := getattr(args, flag[2:].replace("-", "_"), None))]
+
+    outputs = given("--out", "--csv", "--eigs-csv")
+    inputs = given("--problem", "--network", "--data", "--model")
+    for i, (flag, path) in enumerate(outputs):
+        for other_flag, other in outputs[i + 1:] + inputs:
+            if os.path.realpath(path) == os.path.realpath(other):
+                raise DomainError(f"{flag} and {other_flag} name the same file {other}")
 
 
 def _positive(kind, name):
@@ -144,9 +172,11 @@ def _cmd_esd_sample(args):
 
     def one_trial(index):
         if args.ensemble == "wigner":
-            return np.linalg.eigvalsh(sample_wigner(args.n, generators[index]))
+            with solving(f"the Wigner matrix of trial {index}"):
+                return np.linalg.eigvalsh(sample_wigner(args.n, generators[index]))
         mats = sample_centered_hessians(_hessian_widths(args.n), args.samples, generators[index])
-        return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in mats]))
+        with solving(f"a centred Hessian of trial {index}"):
+            return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in mats]))
 
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
         eigs = np.array(list(pool.map(one_trial, range(args.trials))))
@@ -168,15 +198,13 @@ def _cmd_hessian(args):
 
 
 def _cmd_landscape(args):
-    _refuse_shared_output("--out", args.out, "--eigs-csv", args.eigs_csv)
     from .hessian import landscape_report
     from .net import LossL0, load_dataset_csv, network_from_chain_json
 
     params = network_from_chain_json(args.network)
     dataset = load_dataset_csv(args.data)
     report = landscape_report(params, LossL0(args.loss), dataset)
-    eigs_path = args.eigs_csv or os.path.splitext(args.out)[0] + "_eigs.csv"
-    _write_csv(eigs_path, args.seed, ["index", "lambda"],
+    _write_csv(args.eigs_csv, args.seed, ["index", "lambda"],
                np.column_stack([np.arange(report.eigs.size), report.eigs]))
     _write_json(
         args.out,
@@ -189,14 +217,13 @@ def _cmd_landscape(args):
             "lambda0": report.lambda0,
             "neg_fraction": report.neg_fraction,
             "kink_samples": list(report.kink_samples),
-            "eigs_csv_path": eigs_path,
+            "eigs_csv_path": args.eigs_csv,
         },
     )
     return 0
 
 
 def _cmd_contract(args):
-    _refuse_shared_output("--out", args.out, "--csv", args.csv)
     from .infogeo import contraction_check
 
     doc = read_json(args.model)
@@ -222,7 +249,6 @@ def _cmd_contract(args):
 
 
 def _cmd_decompose(args):
-    _refuse_shared_output("--out", args.out, "--csv", args.csv)
     from .infogeo import LayeredDiscreteModel, decompose_likelihood
     from .kernels import kernel_from_entry
 
@@ -351,6 +377,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_threads(args)
+        _refuse_overwrite(args)
         return args.func(args)
     except NumericError as exc:
         print(f"dysonnet: numeric failure: {exc}", file=sys.stderr)

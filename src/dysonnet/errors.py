@@ -17,7 +17,9 @@ where a document value becomes floats: it takes a JSON number or nested
 lists of them of one shape, and refuses a bool, string, null or object, a
 ragged list and an int too large for a float, naming the field.  Within
 a :func:`reading` block, a missing key, a part of the wrong kind or a
-refused field becomes one :class:`DomainError` naming the document.
+refused field becomes one :class:`DomainError` naming the document.  Within
+a :func:`solving` block, an eigensolver's failure becomes one
+:class:`NumericError` naming the matrix.
 """
 
 import json
@@ -117,6 +119,29 @@ def reading(what: str):
         yield
     except (KeyError, OSError, TypeError, ValueError, DomainError) as exc:
         raise DomainError(f"{what}: {exc}") from exc
+
+
+class solving:
+    """Refuse an eigendecomposition of ``what`` that fails inside the block.
+
+    ``numpy.linalg.LinAlgError`` is a ``ValueError``, which the CLI reads
+    as a bad input; here it becomes a :class:`NumericError` reading
+    ``eigendecomposition of what failed: cause``.  A slotted class, not a
+    generator: the block wraps each slice of the landscape's frame-core
+    eigensolves, and holds only its name while they run.
+    """
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, trace):
+        if isinstance(exc, np.linalg.LinAlgError):
+            raise NumericError(f"eigendecomposition of {self.what} failed: {exc}") from exc
 
 
 def json_floats(value, what: str) -> np.ndarray:

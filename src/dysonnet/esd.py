@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, solving
 
 __all__ = [
     "SupportBoundReport",
@@ -170,7 +170,8 @@ def support_bound_check(density_or_eigs, a_matrix, self_energy) -> SupportBoundR
     from .rmt import SpectralDensity, _checked_matrix
 
     a = _checked_matrix(a_matrix, "expectation matrix A")
-    spec_a = np.linalg.eigvalsh(a)
+    with solving("expectation matrix A"):
+        spec_a = np.linalg.eigvalsh(a)
     norm_s = self_energy_norm(self_energy, a.shape[0])
     halfwidth = 2.0 * np.sqrt(norm_s) + SUPPORT_EPS
     if isinstance(density_or_eigs, SpectralDensity):

@@ -54,15 +54,16 @@ lies in the span of ``t_{g-1} e_j^T`` over the units j that a sample with
 nonzero loss derivative keeps active in layer g, and of ``e_k u_g^T`` over
 the active units k of layer g-1.  The landscape report makes two passes
 over the chunks.  The first gathers these masks and vectors, sums the
-few blocks H[q, g] whose rows span a group more cheaply, and takes an
-orthonormal basis Q_g of each group's span (the identity once the span
-can fill the group; one QR per unit for a group spanned by its
-``t_{g-1} e_j^T`` alone).  The second sums the r x r core Q^T H Q,
-r <= P, from the factors: with B_i = [V_c^T t_{p-1}]_c, V_c being column
-c of Q_p as a d_{p-1} x d_p matrix, H[q, p] Q_p is
-``Σ_i d_i/m u_q ⊗ (P_pq B)_i`` (Pearlmutter's Hessian-vector product in
-closed form), one GEMM per chunk, and Q_q^T takes it into the core.  Its
-eigenvalues and P - r exact zeros are the spectrum.  The budget is
+few blocks H[q, g] whose rows span a group more cheaply (each held once,
+as its own accumulator target), and takes an orthonormal basis Q_g of
+each group's span (the identity once the span can fill the group; one
+QR per unit for a group spanned by its ``t_{g-1} e_j^T`` alone).  The
+second sums the r x r core Q^T H Q, r <= P, from the factors: with
+B_i = [V_c^T t_{p-1}]_c, V_c being column c of Q_p as a d_{p-1} x d_p
+matrix, H[q, p] Q_p is ``Σ_i d_i/m u_q ⊗ (P_pq B)_i`` (Pearlmutter's
+Hessian-vector product in closed form), one GEMM per chunk, and Q_q^T
+takes it into the core.  Its eigenvalues and P - r exact zeros are the
+spectrum.  The budget is
 checked on the first pass before it starts: its narrow roles' summed
 blocks, two chunks' factors, and the temporaries and GEMM output of the
 largest pair it sums.  It is checked on the core, the bases, those sums
@@ -77,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, check_dense_budget
+from .errors import DomainError, NumericError, ShapeError, check_dense_budget, solving
 from .kernels import ActivationRule
 from .net import Dataset, LossL0, NetworkParams, param_group_dims
 from .net import _chunk_plan, _layer_widths, _sample_terms
@@ -96,13 +97,6 @@ KINK_TOL = 1e-9
 # spread the per-call cost, and one chunk can be all the samples, so the
 # chunk's path matrices alone would not bound the first pass's peak
 SLICE_ENTRIES = 1 << 17
-
-
-def _eigvalsh(matrix: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition of {what} failed: {exc}") from exc
 
 
 class HessianBlocks:
@@ -312,10 +306,15 @@ class _RangeSpans:
       h'_{g-1,k} = 1 (u_L = 1), or by the columns of H[g, p], p < g.
     Each role takes the smaller set.  The masks and vectors are gathered
     chunk by chunk, only while the set can still be the one taken and
-    the group still falls short of its dimension.  The summed blocks are
+    the group still falls short of its dimension, and are joined into one
+    array each the first time they are read.  The summed blocks are
     needed only for a narrow role, one with fewer such rows or columns
-    than the group's dimension; :meth:`start` allocates them in
-    ``targets``, for :func:`_summed_factors` to sum in the same pass.
+    than the group's dimension.  A pair serves at most one narrow role
+    (both would need d_q < d_g and d_g < d_q), so :meth:`start` holds each
+    such pair's block H[q, p] once, as ``targets[(p, q)]``, which
+    :func:`_summed_factors` fills in the same pass as it fills any target;
+    :meth:`_basis` copies a narrow role's blocks into its rows of the
+    spans one block at a time.
     """
 
     def __init__(self, params: NetworkParams):
@@ -328,15 +327,15 @@ class _RangeSpans:
                                 zip(self.offsets, self.offsets[1:])])
         self.counts = np.zeros_like(self.limits)
         self.found = [([], []) for _ in self.shapes]
-        self.own = {}  # (g, role): the summed blocks whose rows span the role
-        self.targets = {}
+        self.targets = {}  # (p, q): the summed block H[q, p] of a narrow role's pair
 
     def start(self, m: int) -> int:
         """Check the first pass over ``m`` samples against the budget, allocate its targets.
 
         The pass sums the blocks of the narrow roles: H[q > g, g] for a
-        narrow column role of g, H[g, p < g] for a narrow row role.
-        Returns the pass's chunk length.
+        narrow column role of g, H[g, p < g] for a narrow row role, each
+        pair (p, q) into its own d_q x d_p target.  Returns the pass's
+        chunk length.
         """
         size, dims = self.offsets[-1], np.diff(self.offsets)
         narrow = (self.limits > 0) & (self.limits < dims[:, None])
@@ -345,17 +344,7 @@ class _RangeSpans:
         chunk, held = _chunk_plan(self.widths, m, dims.tolist(), pairs)
         check_dense_budget(held, f"the first landscape pass over P={size} parameters,"
                                  " for the narrow roles' summed blocks,")
-        for g, (start, end) in enumerate(zip(self.offsets, self.offsets[1:])):
-            if narrow[g, 0]:
-                block = self.own[g, 0] = np.zeros((size - end, end - start))  # H[q > g, g]
-                for q in range(g + 1, len(dims)):
-                    rows = slice(self.offsets[q] - end, self.offsets[q + 1] - end)
-                    self.targets[g + 1, q + 1] = block[rows]
-            if narrow[g, 1]:
-                block = np.zeros((end - start, start))  # H[g, p < g]
-                self.own[g, 1] = block.T
-                for p in range(g):
-                    self.targets[p + 1, g + 1] = block[:, self.offsets[p]:self.offsets[p + 1]]
+        self.targets = {(p, q): np.zeros((dims[q - 1], dims[p - 1])) for p, q in pairs}
         return chunk
 
     def add(self, states, deltas, kept: np.ndarray) -> None:
@@ -383,8 +372,14 @@ class _RangeSpans:
         """
         if g == len(self.shapes) - 1 or self.counts[g, 1] or self.counts[g, 0] > self.limits[g, 0]:
             return None
-        units = np.concatenate([k for _, k in self.found[g][0]])
-        return np.bincount(units, minlength=self.shapes[g][1])
+        return np.bincount(self._gathered(g, 0)[1], minlength=self.shapes[g][1])
+
+    def _gathered(self, g: int, role: int):
+        """The vectors and units a role of group g gathered, each joined into one array once."""
+        sets = self.found[g][role]
+        if len(sets) > 1:
+            sets[:] = [tuple(map(np.concatenate, zip(*sets)))]
+        return sets[0]
 
     def sizes(self) -> tuple[int, ...]:
         """Each r_g: the group's dimension where Q_g is the identity, else Q_g's columns."""
@@ -409,7 +404,7 @@ class _RangeSpans:
         range, so no rank threshold is needed.
         """
         bases = [self._basis(g, k) for g, k in enumerate(self.sizes())]
-        self.found, self.own, self.targets = [], {}, {}
+        self.found, self.targets = [], {}
         return bases
 
     def _basis(self, g: int, size: int):
@@ -419,18 +414,16 @@ class _RangeSpans:
         n_rows, n_cols = self.shapes[g]
         per_unit = self._unit_counts(g)
         if per_unit is not None:
-            vectors = np.concatenate([v for v, _ in self.found[g][0]])
-            units = np.concatenate([k for _, k in self.found[g][0]])
+            vectors, units = self._gathered(g, 0)
             # each unit's t vectors, unit after unit: the rows its QR factorizes
             by_unit = vectors[np.argsort(units, kind="stable")]
             basis = np.zeros((end - start, size))
             at = column = 0
-            for j, count in enumerate(per_unit):
-                if count:
-                    q = np.linalg.qr(by_unit[at:at + count].T)[0]
-                    basis[j * n_rows:(j + 1) * n_rows, column:column + q.shape[1]] = q
-                    at += count
-                    column += q.shape[1]
+            for j in np.flatnonzero(per_unit):
+                q = np.linalg.qr(by_unit[at:at + per_unit[j]].T)[0]
+                basis[j * n_rows:(j + 1) * n_rows, column:column + q.shape[1]] = q
+                at += per_unit[j]
+                column += q.shape[1]
             return basis
         # one spanning vector a row, as the column-major vec of a group matrix
         spans = np.zeros((size, n_cols, n_rows))
@@ -439,10 +432,12 @@ class _RangeSpans:
             part = spans[at:at + count]
             at += count
             if self.counts[g, role] > self.limits[g, role]:
-                part.reshape(count, end - start)[...] = self.own[g, role]
+                # the rows of H[q, g] for q > g, or the columns of H[g, p] for p < g
+                blocks = ([self.targets[g + 1, q] for q in range(g + 2, len(self.shapes) + 1)]
+                          if role == 0 else [self.targets[p, g + 1].T for p in range(1, g + 1)])
+                np.concatenate(blocks, out=part.reshape(count, end - start))
             elif count:
-                vectors = np.concatenate([v for v, _ in self.found[g][role]])
-                units = np.concatenate([k for _, k in self.found[g][role]])
+                vectors, units = self._gathered(g, role)
                 if role == 0:
                     part[np.arange(count), units, :] = vectors  # t_{g-1} e_j^T
                 else:
@@ -581,7 +576,8 @@ def _sample_pass(params: NetworkParams, kind: LossL0, dataset: Dataset, spans: _
         for at in range(0, len(values), step):
             part = slice(at, min(at + step, len(values)))
             what = f"the frame cores of samples {rows.start + at} to {rows.start + part.stop - 1}"
-            eigs = _eigvalsh(_frame_cores(inputs, deltas, paths, part), what)
+            with solving(what):
+                eigs = np.linalg.eigvalsh(_frame_cores(inputs, deltas, paths, part))
             norms[rows][part] = np.max(np.abs(eigs), axis=1)
     return losses, abs_derivs, kinks, norms, ranks
 
@@ -606,10 +602,9 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
     check_dense_budget(held, f"the range core of r={sum(range_dims)} of P={sum(dims)} parameters,"
                              " with its bases and sums,")
     range_core = _summed_core(params, kind, dataset, spans.bases(), chunk)
-    eigs = np.sort(np.concatenate([
-        _eigvalsh(range_core, "the risk Hessian's range core"),
-        np.zeros(sum(dims) - range_core.shape[0]),
-    ]))
+    with solving("the risk Hessian's range core"):
+        eigs = np.linalg.eigvalsh(range_core)
+    eigs = np.sort(np.concatenate([eigs, np.zeros(sum(dims) - range_core.shape[0])]))
     op_norm = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     top = int(np.argmax(norms))
     report = LandscapeReport(

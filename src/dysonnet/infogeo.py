@@ -87,12 +87,18 @@ def contraction_check(p, q, kernels) -> np.ndarray:
     Returns the stagewise divergences ``[D_0, D_1, ...]`` between the two
     pushforwards; by the data-processing inequality the sequence never
     increases when the kernels are exactly stochastic.  The pmf sums and
-    the kernel row sums must be 1 within ``KERNEL_TOL``.
+    the kernel row sums must be 1 within ``KERNEL_TOL``.  A q that is zero
+    where p is positive is refused with :class:`DomainError` naming the
+    first such index: D_0 would be infinite, and so might every later stage.
     """
     p = _check_pmf(p, KERNEL_TOL, "p")
     q = _check_pmf(q, KERNEL_TOL, "q")
     if p.shape != q.shape:
         raise ShapeError("p and q must have matching shapes")
+    stranded = np.flatnonzero((q == 0.0) & (p > 0.0))
+    if stranded.size:
+        raise DomainError(f"q is 0 at index {stranded[0]}, where p is positive:"
+                          " KL(p || q) is infinite")
     stages = [kl_divergence(p, q)]
     for i, k in enumerate(kernels):
         k = np.asarray(k, dtype=float)

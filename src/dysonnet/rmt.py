@@ -49,6 +49,7 @@ from .errors import (
     json_floats,
     read_json,
     reading,
+    solving,
 )
 
 __all__ = [
@@ -311,7 +312,8 @@ class _DenseSteps:
             return None
 
     def min_im(self, m):
-        return float(np.linalg.eigvalsh((m - m.conj().T) / 2j).min())
+        with solving("Im M"):
+            return float(np.linalg.eigvalsh((m - m.conj().T) / 2j).min())
 
     def trace(self, m):
         return np.trace(m)
@@ -487,7 +489,10 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
     ``tol`` must be finite and positive and ``max_iter`` at least 1;
     otherwise :class:`DomainError` is raised before any work.  The
     solution, 2 entries for each of its complex values, is checked against
-    ``MAX_DENSE_ENTRIES`` before it is allocated.
+    ``MAX_DENSE_ENTRIES`` before it is allocated, with what the solve holds
+    beside it: A's n x n eigenbasis, or the ten complex n x n matrices that
+    one point's damped iteration holds at once (the shift, M, the next M,
+    k, its inverse, and the sandwich's and the residual's temporaries).
     """
     if not 0.0 < tol < np.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
@@ -498,19 +503,18 @@ def solve_mde(problem: MDEProblem, tol: float = 1e-10, max_iter: int = 10000) ->
     n, count = problem.n, len(problem.z_grid)
     shape = (count, n, n) if dense else (count, n)
     check_dense_budget(
-        2 * math.prod(shape),
+        2 * math.prod(shape) + (20 if dense else 1) * n * n,
         f"the {'dense ' if dense else ''}MDE solution of {count} grid points of"
         f" {'x'.join(map(str, shape[1:]))} complex {'matrices' if dense else 'eigenvalues'}"
-        " (2 entries each)",
+        f" (2 entries each), and {'one point' if dense else 'A'}'s"
+        f" {'10 working matrices' if dense else f'{n}x{n} eigenbasis'},",
     )
     if dense:
         basis = None
         steps = _DenseSteps(problem.a_matrix, problem.self_energy)
     else:
-        try:
+        with solving("A"):
             eigenvalues, basis = np.linalg.eigh(problem.a_matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition of A failed: {exc}") from exc
         steps = _EigenSteps(eigenvalues, weights)
     values = np.empty(shape, dtype=complex)
     residuals = np.empty(count)

@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.random  # esd sample's generators, imported before its peak is traced
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import dysonnet
 from dysonnet import __version__, errors, esd, rmt
-from dysonnet.cli import _write_csv, main
+from dysonnet.cli import _write_csv, _write_json, main
 from dysonnet.kernels import ActivationRule
 from dysonnet.net import Dataset, NetworkParams, network_to_chain_json, save_dataset_csv
 from oracles import budget_peak
@@ -40,6 +41,10 @@ def write_tiny_net(path):
     params = NetworkParams((np.array([[0.3]]),), np.array([0.5]),
                            ActivationRule.ARGMAX_MASK_01)
     path.write_text(json.dumps(network_to_chain_json(params)))
+
+
+def failing_eigensolve(matrix):
+    raise np.linalg.LinAlgError("did not converge")
 
 
 @pytest.fixture
@@ -189,6 +194,78 @@ class TestExitCodes:
         assert rc == 2
         assert f"--out and {other} name the same file" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, input_flag",
+        [
+            (["landscape", "--network", "net.json", "--data", "data.csv", "--out", "net.json"],
+             "--out", "--network"),
+            (["landscape", "--network", "net.json", "--data", "d_eigs.csv", "--out", "d.json"],
+             "--eigs-csv", "--data"),
+            (["decompose", "--model", "model.json", "--out", "r.json", "--csv", "model.json"],
+             "--csv", "--model"),
+        ],
+        ids=["landscape-out", "landscape-derived-eigs-csv", "decompose-csv"],
+    )
+    def test_output_on_an_input_refused(self, workdir, capsys, monkeypatch, command, flag,
+                                        input_flag):
+        # the write would replace the input; refused before anything is read
+        monkeypatch.chdir(workdir)
+        (workdir / "d_eigs.csv").write_bytes((workdir / "data.csv").read_bytes())
+        name = command[command.index(input_flag) + 1]
+        before = (workdir / name).read_bytes()
+        rc = run_cli(*command)
+        assert rc == 2
+        assert f"{flag} and {input_flag} name the same file {name}" in capsys.readouterr().err
+        assert (workdir / name).read_bytes() == before
+
+    def test_contract_with_an_infinite_divergence_refused(self, workdir, capsys):
+        # q is 0 where p is positive: KL(p || q) is infinite, which standard
+        # JSON cannot hold; refused before either output is written
+        (workdir / "stranded.json").write_text(json.dumps(
+            {"p": [0.5, 0.5], "q": [1.0, 0.0], "kernels": [[[1.0, 0.0], [0.0, 1.0]]]}))
+        out, csv = workdir / "stranded_report.json", workdir / "stranded.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli("contract", "--model", workdir / "stranded.json", "--out", out,
+                         "--csv", csv)
+        assert rc == 2
+        assert "q is 0 at index 1, where p is positive" in capsys.readouterr().err
+        assert not out.exists() and not csv.exists()
+
+    def test_non_finite_report_refused_before_writing(self, workdir):
+        out = workdir / "report.json"
+        with pytest.raises(errors.NumericError, match="holds a non-finite number"):
+            _write_json(out, 0, {"value": float("nan")})
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--ensemble", "wigner"], "the Wigner matrix of trial 0"),
+         (["--ensemble", "centered-hessian", "--samples", 2], "a centred Hessian of trial 0")],
+        ids=["wigner", "centered-hessian"],
+    )
+    def test_esd_sample_eigensolver_failure_exits_3(self, workdir, capsys, monkeypatch, flags,
+                                                    named):
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigensolve)
+        rc = run_cli("esd", "sample", *flags, "--n", 12, "--trials", 2,
+                     "--out", workdir / "esd.csv")
+        assert rc == 3
+        assert (f"eigendecomposition of {named} failed: did not converge"
+                in capsys.readouterr().err)
+        assert not (workdir / "esd.csv").exists()
+
+    def test_dense_mde_eigensolver_failure_exits_3(self, workdir, capsys, monkeypatch):
+        # the dense path's positivity check eigensolves Im M
+        samples = np.random.default_rng(3).standard_normal((3, 2, 2))
+        np.save(workdir / "s.npy", samples + samples.transpose(0, 2, 1))
+        (workdir / "p.json").write_text(json.dumps(
+            {"A": [[0.0, 0.0], [0.0, 0.0]], "S": {"kind": "empirical", "samples": "s.npy"}}))
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigensolve)
+        rc = run_cli("mde", "solve", "--problem", workdir / "p.json", "--points", 3,
+                     "--out", workdir / "rho.csv")
+        assert rc == 3
+        assert "eigendecomposition of Im M failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, path",
@@ -561,7 +638,8 @@ class TestExitCodes:
         "shape, points, named",
         [
             ((2, 60, 60), 3500, "the dense MDE solution of 3500 grid points of 60x60 complex"
-             " matrices (2 entries each) needs 25200000 entries"),
+             " matrices (2 entries each), and one point's 10 working matrices, needs 25272000"
+             " entries"),
             ((26, 1000, 1000), 5, "empirical samples of shape (26, 1000, 1000)"
              " needs 26000000 entries"),
         ],
@@ -1088,3 +1166,27 @@ def test_esd_sample_peak_is_within_its_count(fuzz_dir, ensemble, threads, trials
     checked = (counted[f"{at_once} trial{'s' if at_once > 1 else ''} at once"]
                + counted[f"esd sample --trials {trials}, gathering {trials} trials"])
     assert peak <= 8 * checked + (1 << 20)
+
+
+@given(kind=st.sampled_from(["isotropic", "wigner", "zero", "empirical"]),
+       threads=st.sampled_from([1, 2]), n=st.integers(1, 100), points=st.integers(1, 16),
+       samples=st.integers(2, 4))
+@example(kind="empirical", threads=2, n=100, points=16, samples=4)
+@example(kind="isotropic", threads=2, n=100, points=16, samples=2)
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_mde_solve_peak_is_within_its_count(fuzz_dir, kind, threads, n, points, samples):
+    # the grid, the samples and the solution with what the solve holds
+    # beside it, as the run counts them before each exists
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) / (2 * np.sqrt(n))
+    s_doc = {"kind": kind}
+    if kind == "empirical":
+        stack = rng.standard_normal((samples, n, n)) / (2 * n)
+        np.save(fuzz_dir / "peak_samples.npy", stack + stack.transpose(0, 2, 1))
+        s_doc["samples"] = "peak_samples.npy"
+    (fuzz_dir / "peak.json").write_text(json.dumps({"A": (a + a.T).tolist(), "S": s_doc}))
+    rc, peak, counted = budget_peak(lambda: run_cli(
+        "--threads", threads, "mde", "solve", "--problem", fuzz_dir / "peak.json",
+        "--points", points, "--eta", 0.5, "--out", fuzz_dir / "rho.csv"))
+    assert rc == 0
+    assert peak <= 8 * sum(counted.values()) + (1 << 20)

@@ -689,11 +689,11 @@ class TestStackBudgets:
             def apply(self, r):
                 return r
 
-        n, points = 60, 3500  # 2 * 3500 * 60 * 60 = 25200000 entries
+        n, points = 60, 3500  # 2 * 3500 * 60 * 60 = 25200000 entries, and 20 * 60 * 60
         problem = MDEProblem(np.zeros((n, n)), DenseOnly(), np.linspace(-1, 1, points) + 0.1j)
         assert refusal_peak(lambda: solve_mde(problem), (
             r"the dense MDE solution of 3500 grid points of 60x60 complex matrices"
-            r" \(2 entries each\) needs 25200000 entries"
+            r" \(2 entries each\), and one point's 10 working matrices, needs 25272000 entries"
         )) < 1 << 20
         assert 2 * points * n * n > MAX_DENSE_ENTRIES
 
@@ -706,7 +706,8 @@ class TestStackBudgets:
         problem = MDEProblem(np.zeros((4, 4)), IsotropicSelfEnergy(1.0),
                              np.linspace(-1, 1, 10) + 0.1j)
         with pytest.raises(CapacityError, match=r"the MDE solution of 10 grid points of 4"
-                           r" complex eigenvalues \(2 entries each\) needs 80 entries"):
+                           r" complex eigenvalues \(2 entries each\), and A's 4x4 eigenbasis,"
+                           r" needs 96 entries"):
             solve_mde(problem)
 
     @pytest.mark.parametrize("dtype", [complex, str, bool], ids=["complex", "string", "bool"])
