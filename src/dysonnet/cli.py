@@ -4,7 +4,10 @@ Subcommands: ``mde solve``, ``esd sample``, ``hessian``, ``landscape``,
 ``contract`` and ``decompose``.  Every run owns a 64-bit seed feeding one
 counter-based generator; Monte Carlo trials draw from per-trial children
 of that seed and results merge in trial order, so outputs are
-byte-identical across reruns and across worker counts.  Every CSV starts
+byte-identical across reruns and across worker counts.  Imported before
+numpy, the module fixes the BLAS pool to one thread, so they do not
+depend on the host's core count either; imported after, it leaves the
+caller's setting alone.  Every CSV starts
 with a ``# seed=... tool-version=...`` comment and floats are written
 with 17 significant digits for lossless round-trip.
 
@@ -29,7 +32,12 @@ import os
 import sys
 from contextlib import contextmanager
 
-import numpy as np
+if "numpy" not in sys.modules:
+    # one BLAS thread, which the pool reads when numpy loads: a BLAS pool
+    # sized by the host's cores would change the outputs' last digits
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS"), "1"))
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .errors import (DomainError, DysonnetError, NumericError, check_dense_budget, json_floats,

@@ -19,14 +19,16 @@ ragged list and an int too large for a float, naming the field.  Within
 a :func:`reading` block, a missing key, a part of the wrong kind or a
 refused field becomes one :class:`DomainError` naming the document.  Within
 a :func:`solving` block, an eigensolver's failure becomes one
-:class:`NumericError` naming the matrix.
+:class:`NumericError` naming the matrix.  The module loads no numpy until
+one of those two needs it, so ``import dysonnet`` leaves the CLI free to
+set numpy's BLAS threads before numpy loads.
 """
+
+from __future__ import annotations
 
 import json
 import os
 from contextlib import contextmanager
-
-import numpy as np
 
 
 class DysonnetError(Exception):
@@ -140,7 +142,9 @@ class solving:
         return self
 
     def __exit__(self, kind, exc, trace):
-        if isinstance(exc, np.linalg.LinAlgError):
+        from numpy.linalg import LinAlgError
+
+        if isinstance(exc, LinAlgError):
             raise NumericError(f"eigendecomposition of {self.what} failed: {exc}") from exc
 
 
@@ -152,6 +156,8 @@ def json_floats(value, what: str) -> np.ndarray:
     an int too large for a float.  NaN and infinities pass; the checks of
     the object built from the array refuse them.
     """
+    import numpy as np
+
     level = [value]
     while set(map(type, level)) == {list}:
         level = [x for row in level for x in row]

@@ -537,7 +537,20 @@ class LandscapeReport(NamedTuple):
 
     @property
     def bound_holds(self) -> bool:
-        return self.op_norm <= self.bound + 1e-9
+        return self.op_norm <= self.bound + _bound_slack(self)
+
+
+def _bound_slack(report: LandscapeReport) -> float:
+    """How far ``op_norm`` may exceed the bound by the rounding of its two eigensolves.
+
+    A symmetric eigensolver's eigenvalues of an order-n matrix A lie within
+    p(n)·eps·‖A‖₂ of A's own (LAPACK Users' Guide, 3rd ed., §4.7); p(n) = n
+    here.  ``op_norm`` is read off the r x r range core, whose norm it is,
+    and ``bound`` is mean|l'| times the largest norm of the K x K frame
+    cores, K = 2(w_1 + ... + w_{L-1}) + 1 < 2P for the layer widths w_g.
+    """
+    frame_order = 2 * report.eigs.size  # above K
+    return np.finfo(float).eps * (report.range_dim * report.op_norm + frame_order * report.bound)
 
 
 def _sample_pass(params: NetworkParams, kind: LossL0, dataset: Dataset, spans: _RangeSpans):
@@ -621,7 +634,6 @@ def landscape_report(params: NetworkParams, kind: LossL0, dataset: Dataset) -> L
         range_dims=range_dims,
     )
     if not report.bound_holds:
-        raise NumericError(
-            f"operator-norm bound violated: {op_norm} > {report.bound} + 1e-9"
-        )
+        raise NumericError(f"operator-norm bound violated: {op_norm} > {report.bound}"
+                           f" + {_bound_slack(report)}, the eigensolves' rounding bound")
     return report

@@ -292,29 +292,48 @@ def network_from_chain_json(source) -> NetworkParams:
 
 
 def load_dataset_csv(path) -> Dataset:
-    """Read a dataset from CSV with header ``x1,...,xn,y``."""
+    """Read a dataset from CSV with header ``x1,...,xn,y``.
+
+    Each row is parsed with ``float`` as it is read, into one float array,
+    so no row's strings outlive it.  A fault is reported as if the whole
+    file were read first: bytes that cannot be read, then an empty file, a
+    wrong header, a row of the wrong length, the first value that is not a
+    number and a header with no rows.
+    """
+    header, ragged, bad = None, None, None
+
+    def values(reader):
+        nonlocal header, ragged, bad
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            if header is None:
+                header = [h.strip() for h in row]
+            elif len(row) != len(header):
+                ragged = ragged or (f"row on line {reader.line_num} of {path} has {len(row)}"
+                                    f" fields, the header has {len(header)}")
+            elif bad is None:
+                try:
+                    yield from [float(v) for v in row]
+                except ValueError as exc:
+                    bad = exc
+
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+            data = np.fromiter(values(csv.reader(handle)), dtype=float)
     except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8, an oversized field
         raise DomainError(f"cannot read dataset file {path}: {exc}") from exc
-    if not rows:
+    if header is None:
         raise DomainError(f"empty dataset file {path}")
-    header = [h.strip() for h in rows[0][1]]
     if header[-1] != "y" or not all(h.startswith("x") for h in header[:-1]):
         raise DomainError(f"expected header x1,...,xn,y in {path}, got {header}")
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise DomainError(
-                f"row on line {line} of {path} has {len(row)} fields, the header has {len(header)}"
-            )
-    try:
-        data = np.asarray([[float(v) for v in row] for _, row in rows[1:]], dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"non-numeric value in {path}: {exc}") from exc
-    if data.size == 0:
+    if ragged:
+        raise DomainError(ragged)
+    if bad is not None:
+        raise DomainError(f"non-numeric value in {path}: {bad}") from bad
+    if not data.size:
         raise DomainError(f"dataset file {path} has a header but no rows")
+    data = data.reshape(-1, len(header))
     return Dataset(data[:, :-1], data[:, -1])
 
 

@@ -36,8 +36,9 @@ class ScalePoset:
 
     ``cover_edges`` lists covering pairs ``(lower, upper)``; the order is
     the transitive closure of the edges.  Construction validates that the
-    closure is acyclic, that ``minimal`` is the unique minimal element and
-    that every node is comparable with it.
+    closure is acyclic and that ``minimal`` is the unique minimal element;
+    then every other node lies above it, since following its predecessors
+    down a finite acyclic order ends at a minimal element.
     """
 
     __slots__ = ("node_ids", "cover_edges", "minimal", "_lt", "_covers", "_index")
@@ -73,10 +74,6 @@ class ScalePoset:
                 f"minimal element must be unique and equal {minimal!r}, "
                 f"found minimal elements {sources}"
             )
-        i0 = index[minimal]
-        for i in range(n):
-            if i != i0 and not lt[i0, i]:
-                raise DomainError(f"node {nodes[i]!r} is not comparable with the minimal element")
         self.node_ids = nodes
         self.cover_edges = edges
         self.minimal = minimal
@@ -146,14 +143,15 @@ def build_s_system(
     input_dim: int,
     layer_specs: Mapping[str, tuple[KernelSpec, ActivationRule]],
 ) -> NetworkPlan:
-    """Build a layered plan by breadth traversal of the poset from the bottom.
+    """Build a layered plan by walking the poset upward from the bottom, one height at a time.
 
     Every non-minimal node must appear in ``layer_specs``.  A node's input
     is the concatenation of its immediate predecessors' outputs in
-    lexicographic node-id order, and the node is scheduled in the first
-    wave in which all of its predecessors have been built, so the returned
-    evaluation order is topological.  With a single-node poset the plan has
-    zero layers and passes the input through unchanged.
+    lexicographic node-id order.  The layers are ordered by (height, node
+    id), a node's height being the length of the longest chain from the
+    bottom to it; its predecessors all have smaller heights, so the
+    returned evaluation order is topological.  With a single-node poset
+    the plan has zero layers and passes the input through unchanged.
     """
     if input_dim <= 0:
         raise DomainError(f"input_dim must be positive, got {input_dim}")
@@ -163,33 +161,22 @@ def build_s_system(
     if missing:
         raise DomainError(f"layer_specs missing nodes {sorted(missing)}")
 
+    # a node has more nodes below it than any node below it has, so taking
+    # the nodes by that count meets each one after every node it covers
+    height = np.zeros(len(poset.node_ids), dtype=int)
+    for j in np.argsort(poset._lt.sum(axis=0), kind="stable"):
+        height[j] = 1 + height[poset._covers[:, j]].max(initial=-1)
     out_dims = {s0: input_dim}
-    built = {s0}
     layers: list[PlanLayer] = []
-    frontier = set(poset.successors(s0))
-    while frontier:
-        deferred: set[str] = set()
-        progressed = False
-        for node in sorted(frontier):
-            preds = sorted(poset.predecessors(node))
-            if any(p not in built for p in preds):
-                deferred.add(node)
-                continue
-            kernel, rule = layer_specs[node]
-            in_dim = sum(out_dims[p] for p in preds)
-            if kernel.in_dim != in_dim:
-                raise ShapeError(
-                    f"node {node!r}: kernel expects {kernel.in_dim} inputs but "
-                    f"predecessors {preds} supply {in_dim}"
-                )
-            layers.append(PlanLayer(node, tuple(preds), kernel, rule))
-            out_dims[node] = kernel.out_dim
-            built.add(node)
-            progressed = True
-            deferred |= poset.successors(node) - built
-        if not progressed:
-            raise DomainError("traversal stalled; poset is inconsistent")
-        frontier = deferred - built
+    for node in sorted(non_minimal, key=lambda n: (height[poset._index[n]], n)):
+        preds = sorted(poset.predecessors(node))
+        kernel, rule = layer_specs[node]
+        in_dim = sum(out_dims[p] for p in preds)
+        if kernel.in_dim != in_dim:
+            raise ShapeError(f"node {node!r}: kernel expects {kernel.in_dim} inputs but"
+                             f" predecessors {preds} supply {in_dim}")
+        layers.append(PlanLayer(node, tuple(preds), kernel, rule))
+        out_dims[node] = kernel.out_dim
 
     terminals = tuple(sorted(n for n in poset.node_ids if not poset.successors(n)))
     return NetworkPlan(poset, input_dim, tuple(layers), terminals)

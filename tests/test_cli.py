@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dysonnet
-from dysonnet import __version__, errors, esd, rmt
+from dysonnet import __version__, errors, esd, hessian, rmt
 from dysonnet.cli import _write_csv, _write_json, main
 from dysonnet.kernels import ActivationRule
 from dysonnet.net import Dataset, NetworkParams, network_to_chain_json, save_dataset_csv
@@ -674,6 +674,53 @@ class TestExitCodes:
         assert f"line 4 of {data} has {fields} fields, the header has 2" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["hessian", "landscape"])
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("# only a comment\n\n", "empty dataset file {data}"),
+            ("x1,y\n0.5,1\nhalf,1\n",
+             "non-numeric value in {data}: could not convert string to float: 'half'"),
+            ("# comment\nx1,y\n", "dataset file {data} has a header but no rows"),
+        ],
+        ids=["empty", "non-numeric", "header-only"],
+    )
+    def test_unusable_dataset_refused(self, workdir, capsys, command, text, named):
+        data = workdir / "bad.csv"
+        data.write_text(text)
+        rc = run_cli(command, "--network", workdir / "net.json", "--data", data,
+                     "--out", workdir / "out")
+        assert rc == 2
+        assert named.format(data=data) in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["hessian", "landscape"])
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ("input-only", "chain must contain at least one layer above the input"),
+            ("no-entry", "chain nodes ['2'] have no layer entry"),
+            ("mixed-rules", "layers must share one activation rule, found ['relu', 'swish']"),
+        ],
+        ids=["input-only", "no-entry", "mixed-rules"],
+    )
+    def test_unusable_chain_refused(self, workdir, capsys, command, change, named):
+        # the chain 0 -> 1 -> 2 -> 3 of two 1 x 1 relu layers and the output vector
+        doc = network_to_chain_json(NetworkParams((np.array([[0.3]]), np.array([[0.7]])),
+                                                  np.array([0.5])))
+        if change == "input-only":
+            doc = {"nodes": ["0"], "edges": [], "layers": {}}
+        elif change == "no-entry":
+            del doc["layers"]["2"]
+        else:
+            doc["layers"]["2"]["rule"] = "swish"
+        (workdir / "chain.json").write_text(json.dumps(doc))
+        rc = run_cli(command, "--network", workdir / "chain.json", "--data", workdir / "data.csv",
+                     "--out", workdir / "out")
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_invalid_knob_range(self, workdir, capsys):
         rc = run_cli("mde", "solve", "--problem", workdir / "wigner.json",
                      "--emin", 3, "--emax", -3, "--out", workdir / "x.csv")
@@ -837,6 +884,52 @@ def test_cli_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.stdout.strip() == "[]"
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _without_blas_variables(**extra):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    return {**env, "PYTHONPATH": os.pathsep.join(sys.path), **extra}
+
+
+def test_package_import_leaves_the_blas_setting_to_its_caller():
+    # `import dysonnet` loads no numpy, and the CLI module sets no BLAS
+    # variable once numpy is loaded
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys, dysonnet; print('numpy' in sys.modules); "
+         "import numpy, dysonnet.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, check=True, env=_without_blas_variables(),
+    )
+    assert proc.stdout.split() == ["False", "None"]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # a w=18 relu chain on 20 samples, and centred Hessians of P = 310: sizes
+    # at which two BLAS threads change eigvalsh's and GEMM's last digits
+    rng = np.random.default_rng(12)
+    widths = (18, 18, 18, 18)
+    params = NetworkParams(tuple(rng.standard_normal((a, b)) / np.sqrt(a)
+                                 for a, b in zip(widths, widths[1:])),
+                           rng.standard_normal(18) / np.sqrt(18))
+    (tmp_path / "net.json").write_text(json.dumps(network_to_chain_json(params)))
+    save_dataset_csv(tmp_path / "data.csv",
+                     Dataset(rng.standard_normal((20, 18)), rng.choice([-1.0, 1.0], 20)))
+    runs = [["landscape", "--network", "net.json", "--data", "data.csv",
+             "--out", "land.json", "--eigs-csv", "eigs.csv"],
+            ["esd", "sample", "--ensemble", "centered-hessian", "--n", "300",
+             "--samples", "4", "--trials", "2", "--out", "esd.csv"]]
+    outputs = []
+    for threads in (None, "1", "2"):
+        env = _without_blas_variables(**dict.fromkeys(BLAS_VARIABLES if threads else (), threads))
+        for args in runs:
+            subprocess.run([sys.executable, "-m", "dysonnet.cli", *args], check=True,
+                           cwd=tmp_path, env=env)
+        outputs.append([(tmp_path / name).read_bytes()
+                        for name in ("land.json", "eigs.csv", "esd.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 SUBCOMMANDS = {
@@ -1190,3 +1283,35 @@ def test_mde_solve_peak_is_within_its_count(fuzz_dir, kind, threads, n, points, 
         "--points", points, "--eta", 0.5, "--out", fuzz_dir / "rho.csv"))
     assert rc == 0
     assert peak <= 8 * sum(counted.values()) + (1 << 20)
+
+
+def _scaled_relu_chain(directory, c, rows):
+    """The bench's w=18 relu chain from ``default_rng(7)``, every layer times ``c``, on ``rows``."""
+    rng = np.random.default_rng(7)
+    weights = tuple(c * (rng.standard_normal((18, 18)) / np.sqrt(18)) for _ in range(3))
+    alpha = c * (rng.standard_normal(18) / np.sqrt(18))
+    x, y = rng.standard_normal((20, 18)), rng.choice([-1.0, 1.0], size=20)
+    (directory / "scaled.json").write_text(json.dumps(
+        network_to_chain_json(NetworkParams(weights, alpha))))
+    save_dataset_csv(directory / "scaled.csv", Dataset(x[rows], y[rows]))
+    return ["landscape", "--network", directory / "scaled.json",
+            "--data", directory / "scaled.csv", "--out", directory / "scaled_report.json"]
+
+
+@given(exponent=st.floats(-4.0, 7.0), sample=st.integers(0, 19))
+@example(exponent=5.0, sample=0)
+@example(exponent=3.0, sample=0)
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_operator_norm_bound_holds_at_every_scale(fuzz_dir, exponent, sample):
+    # with one sample H = l' H_1, so op_norm equals the bound in exact
+    # arithmetic and the two eigensolves' rounding is all that separates them
+    assert run_cli(*_scaled_relu_chain(fuzz_dir, 10.0 ** exponent, [sample])) == 0
+
+
+def test_inflated_operator_norm_refused_at_small_scale(workdir, capsys, monkeypatch):
+    # at c = 1e-6 the chain's 20 samples give op_norm 1.3e-12 against a bound
+    # of 1.0e-11; ten times the range core's eigenvalues break the bound
+    summed_core = hessian._summed_core
+    monkeypatch.setattr(hessian, "_summed_core", lambda *args: 10.0 * summed_core(*args))
+    assert run_cli(*_scaled_relu_chain(workdir, 1e-6, slice(None))) == 3
+    assert "operator-norm bound violated" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Forward evaluation, loss class properties, risk and analytic gradients."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,22 @@ class TestDatasetAndJson:
         loaded = load_dataset_csv(path)
         assert np.array_equal(loaded.x, dataset.x)
         assert np.array_equal(loaded.y, dataset.y)
+
+    def test_reader_peak_is_within_the_arrays_it_returns(self, tmp_path):
+        # 20000 rows of 18 inputs and a label; the reader holds one float
+        # buffer of the file's values, not each row's strings
+        rng = np.random.default_rng(4)
+        dataset = Dataset(rng.standard_normal((20000, 18)), rng.choice([-1.0, 1.0], 20000))
+        path = tmp_path / "data.csv"
+        save_dataset_csv(path, dataset)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.x, dataset.x) and np.array_equal(loaded.y, dataset.y)
+        assert peak <= 3 * (loaded.x.nbytes + loaded.y.nbytes) + (1 << 20)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -119,6 +119,18 @@ class TestBuild:
         assert np.array_equal(t_in[:2], states["a"].h_tilde)
         assert np.array_equal(t_in[2:], states["b"].h_tilde)
 
+    def test_layers_ordered_by_height_then_id(self):
+        # heights: 19 and 2 are 1, 13 and 6 are 2, and 16 (above 13) and 3 are 3;
+        # ids sort as strings within a height
+        edges = (("4", "19"), ("4", "2"), ("19", "13"), ("19", "6"), ("2", "16"),
+                 ("13", "16"), ("6", "3"))
+        poset = ScalePoset(("2", "3", "4", "6", "13", "16", "19"), edges, "4")
+        specs = {node: (KernelSpec(np.ones((len(poset.predecessors(node)), 1))),
+                        ActivationRule.ARGMAX_MASK_01)
+                 for node in poset.node_ids if node != "4"}
+        plan = build_s_system(poset, 1, specs)
+        assert plan.evaluation_order == ("19", "2", "13", "6", "16", "3")
+
     def test_missing_spec(self):
         with pytest.raises(DomainError):
             build_s_system(chain(3), 2, {"1": dense_spec(2, 2)})
