@@ -160,6 +160,7 @@ def _cmd_esd_sample(args):
 
     from .esd import _hessian_widths, _trial_entries, sample_centered_hessians, sample_wigner
 
+    _resolve_threads(args)
     # what the trials that run at once hold, then what the trials gather,
     # refused before the pool starts
     held, eigs_per_trial = _trial_entries(args.ensemble, args.n, args.samples)
@@ -369,6 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args):
+    """Set ``args.threads`` to ``--threads``, else ``SPECTRAL_THREADS``, else 1.
+
+    Only ``esd sample``, the one command with a worker pool, calls it.
+    """
     if args.threads is None:
         # --threads is checked by its parser; only the environment fallback is checked here.
         text = os.environ.get("SPECTRAL_THREADS", "1")
@@ -384,7 +389,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args)
         _refuse_overwrite(args)
         return args.func(args)
     except NumericError as exc:

@@ -92,7 +92,6 @@ __all__ = [
     "sample_hessian",
 ]
 
-KINK_TOL = 1e-9
 # most entries a slice of frame cores holds (1 MiB): a few cores already
 # spread the per-call cost, and one chunk can be all the samples, so the
 # chunk's path matrices alone would not bound the first pass's peak
@@ -514,9 +513,19 @@ class LandscapeReport(NamedTuple):
     at least P - r exact zeros, a proved lower bound on the null space.
     ``range_dims`` holds each group's part r_g of it, in the order
     W_1, ..., W_{L-1}, alpha, with ``range_dim == sum(range_dims)``.
-    ``kink_samples`` lists samples with a preactivation within
-    ``KINK_TOL`` of an estimation kink or a hinge margin ``1 - y * score``
-    or residual ``score - y`` within ``KINK_TOL`` of the loss kink at 0.
+    ``kink_samples`` lists the samples that may sit on a kink, once the
+    rounding of the dot products is allowed for, with
+    gamma_n = n u / (1 - n u), u = eps / 2 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.1):
+
+    - a relu kink: some preactivation of a layer with input width d has
+      ``|h_j| <= gamma_d * (|t|^T |W|)_j``, t being the layer's input;
+    - a loss kink: the hinge margin ``1 - y * score`` or the residual
+      ``score - y`` is at most ``gamma_{n+1} * (1 + |t|^T |alpha|)`` in
+      magnitude, the score ``t^T alpha`` having n terms and forming the
+      margin adding one more.
+
+    Both scale with the weights, so a flag does not depend on their scale.
     """
 
     risk: float
@@ -538,6 +547,11 @@ class LandscapeReport(NamedTuple):
     @property
     def bound_holds(self) -> bool:
         return self.op_norm <= self.bound + _bound_slack(self)
+
+
+def _gamma(n: int) -> float:
+    """The rounding bound gamma_n = n u / (1 - n u), u = eps / 2, of an n-term dot product."""
+    return n * np.finfo(float).eps / (2 - n * np.finfo(float).eps)
 
 
 def _bound_slack(report: LandscapeReport) -> float:
@@ -574,10 +588,13 @@ def _sample_pass(params: NetworkParams, kind: LossL0, dataset: Dataset, spans: _
         spans.add(states, deltas, derivs != 0.0)
         losses[rows] = values
         abs_derivs[rows] = np.abs(derivs)
-        kinks[rows] = np.abs(loss_args) < KINK_TOL
-        for state in states:
-            kinks[rows] |= np.any(np.abs(state.h_hat) < KINK_TOL, axis=1)
         inputs = [dataset.x[rows]] + [state.h_tilde for state in states]
+        # a kink: a value within the rounding bound of the dot product that formed it
+        scale = 1.0 + np.abs(inputs[-1]) @ np.abs(params.alpha)
+        kinks[rows] = np.abs(loss_args) <= _gamma(params.alpha.size + 1) * scale
+        for state, w in zip(states, params.weights):
+            scale = np.abs(state.t_in) @ np.abs(w)
+            kinks[rows] |= np.any(np.abs(state.h_hat) <= _gamma(w.shape[0]) * scale, axis=1)
         # k is Q's rank: u_g's width where t_{g-1} != 0, and for g > 1 where
         # u_g != 0 t_{g-1}'s width, less one where t_{g-1} != 0
         live = [(np.linalg.norm(t, axis=1) > 0.0, np.linalg.norm(u, axis=1) > 0.0)

@@ -11,12 +11,13 @@ decomposition tight.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError
-from .kernels import ActivationRule, KernelSpec, conditional_group_law, estimate_indicator
+from .errors import DomainError, ShapeError, check_dense_budget
+from .kernels import ActivationRule, conditional_group_law, estimate_indicator
 
 __all__ = [
     "DecompositionReport",
@@ -24,26 +25,12 @@ __all__ = [
     "contraction_check",
     "decompose_likelihood",
     "kl_divergence",
-    "logsumexp",
     "posterior_assignments",
 ]
 
 # Settings that no caller varies.
 KERNEL_TOL = 1e-12  # contraction_check's tolerance on pmf sums and kernel row sums
 TRANSPORT_RULE = ActivationRule.PARTIAL_EXPECTATION_01  # estimation passing each scale's input on
-MAX_CONDITIONAL_ENTRIES = 10 ** 6  # conditionals decompose_likelihood holds: n_x * sum_s |S_s|
-
-
-def logsumexp(a) -> float:
-    """``log(sum(exp(a)))`` over all entries, shifted by the maximum.
-
-    Returns ``-inf`` when every entry is ``-inf``.
-    """
-    a = np.asarray(a, dtype=float)
-    peak = a.max()
-    if peak == -np.inf:
-        return -np.inf
-    return float(peak + np.log(np.sum(np.exp(a - peak))))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +144,7 @@ class LayeredDiscreteModel:
     def scale_states(self, s: int) -> np.ndarray:
         """All indicator realizations of scale ``s`` as rows."""
         spec = self.scales[s]
-        values = spec.values
-        return np.asarray(list(itertools.product(values, repeat=spec.out_dim)))
+        return np.asarray(list(itertools.product(spec.values, repeat=spec.out_dim)))
 
     def transports(self, x) -> list[np.ndarray]:
         """Deterministic inputs seen by each scale for one observed x or rows of them."""
@@ -168,24 +154,6 @@ class LayeredDiscreteModel:
             inputs.append(t)
             t, _ = estimate_indicator(TRANSPORT_RULE, t @ spec.weight)
         return inputs
-
-    def conditionals(self, x) -> list[np.ndarray]:
-        """Per-scale pmfs over the enumerated states given the observed x.
-
-        ``x`` is one point (each pmf is 1-D) or a stack of points as rows
-        (each pmf has one row per point).  The scale's states are ordered
-        like :meth:`scale_states`, whose last coordinate varies fastest, so
-        the pmf is the outer product of the per-coordinate laws taken in
-        coordinate order.
-        """
-        pmfs = []
-        for spec, t in zip(self.scales, self.transports(x)):
-            law = conditional_group_law(spec, t)
-            pmf = np.ones(law.shape[:-2] + (1,))
-            for i in range(spec.out_dim):
-                pmf = (pmf[..., :, None] * law[..., i, None, :]).reshape(law.shape[:-2] + (-1,))
-            pmfs.append(pmf)
-        return pmfs
 
 
 class DecompositionReport(NamedTuple):
@@ -197,18 +165,26 @@ class DecompositionReport(NamedTuple):
     identity_defect: float
 
 
-def _n_states(spec: KernelSpec) -> int:
-    """Number of indicator realizations ``|S_s|`` of one scale."""
-    return len(spec.values) ** spec.out_dim
+def _observed_laws(model: LayeredDiscreteModel, data):
+    """Checked weights of the points with positive data mass, and each scale's laws there.
 
-
-def _observed_conditionals(model: LayeredDiscreteModel, data):
-    """Checked weights of the points with positive data mass, and their conditionals."""
+    Scale ``s``'s laws have shape ``(n_obs, width_s, 2)``, ordered like
+    :func:`~dysonnet.kernels.conditional_group_law`.  What the decomposition
+    holds, the transports and the laws of the observed points and one
+    scale's log-law temporary, is checked against the dense budget before
+    any of it is formed.
+    """
     data = _check_pmf(data, 1e-9, "data")
     if data.shape[0] != model.x_support.shape[0]:
         raise ShapeError("data pmf must match the support size")
     observed = data > 0
-    return data[observed], model.conditionals(model.x_support[observed])
+    n_obs = np.count_nonzero(observed)
+    held = n_obs * (sum(spec.in_dim + 2 * spec.out_dim for spec in model.scales)
+                    + 2 * max(spec.out_dim for spec in model.scales))
+    check_dense_budget(held, f"the transports and laws of {n_obs} observed points"
+                             " (n_x * (sum_s (in_s + 2 width_s) + 2 max_s width_s) entries)")
+    return data[observed], [conditional_group_law(spec, t) for spec, t
+                            in zip(model.scales, model.transports(model.x_support[observed]))]
 
 
 def _validate_nu(model: LayeredDiscreteModel, nu) -> list[np.ndarray]:
@@ -217,7 +193,7 @@ def _validate_nu(model: LayeredDiscreteModel, nu) -> list[np.ndarray]:
     nus = []
     for s, pmf in enumerate(nu):
         pmf = _check_pmf(pmf, 1e-9, f"nu[{s}]")
-        expected = _n_states(model.scales[s])
+        expected = 2 ** model.scales[s].out_dim
         if pmf.shape[0] != expected:
             raise ShapeError(f"nu[{s}] has {pmf.shape[0]} entries, scale has {expected} states")
         nus.append(pmf)
@@ -225,49 +201,56 @@ def _validate_nu(model: LayeredDiscreteModel, nu) -> list[np.ndarray]:
 
 
 def decompose_likelihood(model: LayeredDiscreteModel, data, nu) -> DecompositionReport:
-    """Exact decomposition of the log likelihood, one scale at a time.
+    """Exact decomposition of the log likelihood, one coordinate law at a time.
 
     ``data`` is the observed-input pmf over the model's support and ``nu``
     assigns one pmf per scale.  Given x the scales are conditionally
-    independent, so the joint over hidden states factors into the
-    per-scale conditionals ``cond_s`` and never needs to be formed:
+    independent and so are a scale's coordinates, each with the two-point
+    law ``law_i(. | x)`` of :func:`~dysonnet.kernels.conditional_group_law`;
+    ``log cond_s(h | x) = sum_i log law_i(h_i | x)``.  So the expectations
+    under ``nu_s`` need only its marginal ``mu_i`` on each coordinate, and
+    with ``cross_x = sum_i sum_v mu_i(v) log law_i(v | x)``:
 
-    - complete term: ``sum_x w (log w + sum_s log sum_h cond_s(h))``, the
-      expected log of the marginal likelihood;
-    - expected term: ``sum_x w (log w + sum_s sum_h nu_s (log cond_s - log nu_s))``,
+    - complete term: ``sum_x w (log w + sum_s sum_i log sum_v law_i(v | x))``,
+      the expected log of the marginal likelihood;
+    - expected term: ``sum_x w (log w + sum_s (cross_x - sum_h nu_s log nu_s))``,
       the average of ``ln p(x, h) - ln q(h)`` under the factored
       assignment ``q``;
-    - per-scale terms: ``sum_x w KL(nu_s || cond_s(x))``.
+    - per-scale terms: ``sum_x w KL(nu_s || cond_s(x))``, where
+      ``KL = sum_h nu_s log nu_s - cross_x``.
 
     The three quantities are computed independently; their identity
-    defect is reported.  The conditionals of the support points are held
-    at once: ``n_x * sum_s |S_s|`` entries, ``|S_s| = 2^width_s`` being
-    the number of states of scale ``s``.  ``MAX_CONDITIONAL_ENTRIES`` caps
-    that count, and a larger model raises :class:`CapacityError` before
-    anything is allocated.
+    defect is reported.  No scale's ``2^width`` states are enumerated per
+    point: what is held is ``n_x * (sum_s (in_s + 2 width_s) + 2 max_s
+    width_s)`` entries, checked against the dense budget before it is
+    formed.  A state that ``nu_s`` weights and an observed point gives
+    probability 0 is refused with :class:`DomainError` naming the first
+    such state in :meth:`LayeredDiscreteModel.scale_states` order.
     """
-    held = model.x_support.shape[0] * sum(_n_states(spec) for spec in model.scales)
-    if held > MAX_CONDITIONAL_ENTRIES:
-        raise CapacityError(
-            f"per-scale conditionals hold {held} entries (n_x * sum_s |S_s|), "
-            f"budget {MAX_CONDITIONAL_ENTRIES}"
-        )
-    w, conds = _observed_conditionals(model, data)
+    w, laws = _observed_laws(model, data)
     nus = _validate_nu(model, nu)
     complete_x = np.log(w)
     expected_x = np.log(w)
     kl_terms = np.zeros(model.n_scales)
-    for s, (cond, v) in enumerate(zip(conds, nus)):
-        active = v > 0
-        bad = np.flatnonzero(active & (cond == 0).any(axis=0))
-        if bad.size:
-            state = model.scale_states(s)[bad[0]]
-            raise DomainError(
-                f"assigned pmf at scale {s} weights state {state} with zero conditional probability"
-            )
-        kl_terms[s] = w @ kl_divergence(v, cond)
-        complete_x += np.log(cond.sum(axis=1))
-        expected_x += (np.log(cond[:, active]) - np.log(v[active])) @ v[active]
+    for s, (law, v) in enumerate(zip(laws, nus)):
+        complete_x += np.log(law.sum(axis=2)).sum(axis=1)
+        # nu's marginal on each coordinate, ordered like the laws' (width, 2)
+        cube = v.reshape((2,) * law.shape[1])
+        marginal = np.ravel([cube.sum(axis=tuple(j for j in range(cube.ndim) if j != i))
+                             for i in range(cube.ndim)])
+        active = marginal > 0
+        log_law = law.reshape(len(w), -1)[:, active]
+        if not log_law.all():
+            # the first weighted state with a coordinate's law 0 at some point
+            states = model.scale_states(s)
+            zero = (law == 0).any(axis=0)
+            hit = np.where(states == model.scales[s].values[1], zero[:, 1], zero[:, 0]).any(axis=1)
+            raise DomainError(f"assigned pmf at scale {s} weights state {states[hit & (v > 0)][0]}"
+                              " with zero conditional probability")
+        cross = np.log(log_law, out=log_law) @ marginal[active]
+        neg_entropy = v[v > 0] @ np.log(v[v > 0])
+        kl_terms[s] = w @ (neg_entropy - cross)
+        expected_x += cross - neg_entropy
     complete = float(w @ complete_x)
     expected = float(w @ expected_x)
     defect = abs(complete - (expected + kl_terms.sum()))
@@ -279,12 +262,16 @@ def posterior_assignments(model: LayeredDiscreteModel, data) -> list[np.ndarray]
 
     For a one-hot data pmf these are the exact posteriors given the
     observed input; in general they are the normalized geometric means of
-    the conditionals under the data weights.
+    the conditionals under the data weights.  A conditional is the product
+    of its coordinates' laws, so each is the product, in
+    :meth:`LayeredDiscreteModel.scale_states` order, of the per-coordinate
+    normalizations of ``sum_x w log law_i(. | x)``.
     """
-    w, conds = _observed_conditionals(model, data)
+    w, laws = _observed_laws(model, data)
     out = []
-    for cond in conds:
+    for law in laws:
         with np.errstate(divide="ignore"):
-            log_mix = (w[:, None] * np.log(cond)).sum(axis=0)
-        out.append(np.exp(log_mix - logsumexp(log_mix)))
+            log_mix = (w[:, None, None] * np.log(law)).sum(axis=0)
+        coords = np.exp(log_mix - log_mix.max(axis=1, keepdims=True))
+        out.append(reduce(np.multiply.outer, coords / coords.sum(axis=1, keepdims=True)).ravel())
     return out

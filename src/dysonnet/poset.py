@@ -47,7 +47,8 @@ class ScalePoset:
                  minimal: str):
         nodes = tuple(str(n) for n in node_ids)
         if len(set(nodes)) != len(nodes):
-            raise DomainError("duplicate node ids")
+            twice = next(n for i, n in enumerate(nodes) if n in nodes[:i])
+            raise DomainError(f"duplicate node ids: {twice!r} appears more than once")
         if not nodes:
             raise DomainError("poset must contain at least one node")
         index = {n: i for i, n in enumerate(nodes)}

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dysonnet import cli, hessian, rmt
+from dysonnet import cli, hessian, infogeo, rmt
 from dysonnet.errors import ShapeError, check_dense_budget
 from dysonnet.kernels import LayerState, estimate_indicator
 from dysonnet.net import Dataset, LossL0, NetworkParams, _sample_terms
@@ -69,7 +69,7 @@ def budget_peak(call):
     """Run ``call()`` under tracemalloc, recording every dense-budget check it makes.
 
     ``check_dense_budget`` is replaced in each module that imports it
-    (``cli``, ``hessian``, ``rmt``) by one that records ``entries`` under
+    (``cli``, ``hessian``, ``infogeo``, ``rmt``) by one that records ``entries`` under
     the part of ``what`` before its first " of ", then checks as before.
     The modules are imported before tracing starts, so compiling them is
     not counted.  Returns ``call()``'s result, the traced peak in bytes and
@@ -82,7 +82,7 @@ def budget_peak(call):
         check_dense_budget(entries, what)
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (cli, hessian, rmt):
+        for module in (cli, hessian, infogeo, rmt):
             patch.setattr(module, "check_dense_budget", recording)
         tracemalloc.start()
         try:

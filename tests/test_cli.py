@@ -348,8 +348,18 @@ class TestExitCodes:
             ({"scales": [{"rows": 1, "cols": 2, "weights": [1.0]}]}, "scale entry 0"),
             ({"x_support": [[float("nan")]]}, "x_support"),
             ({"x_pmf": [float("nan")]}, "data has non-finite entries"),
+            ({"x_pmf": [0.5, 0.5]}, "data pmf must match the support size"),
+            ({"nu": []}, "need one assigned pmf per scale, got 0"),
+            ({"scales": [{"rows": 1, "cols": 1, "weights": [0.5]},
+                         {"rows": 2, "cols": 1, "weights": [0.5, 0.5]}],
+              "nu": [[0.5, 0.5], [0.5, 0.5]]},
+             "scale 1 kernel expects 2 inputs, previous width is 1"),
+            ({"x_support": [[[1.0]]]}, "x_support must hold one point per row, got ndim=3"),
+            ({"scales": [{"rows": 1, "cols": 1, "field": "xyz", "weights": [0.5]}]},
+             "malformed scale entry 0: unknown field 'xyz', expected '01' or 'pm1'"),
         ],
-        ids=["scales-not-a-list", "no-scales", "short-weights", "nan-support", "nan-pmf"],
+        ids=["scales-not-a-list", "no-scales", "short-weights", "nan-support", "nan-pmf",
+             "pmf-size", "nu-count", "kernel-inputs", "support-ndim", "unknown-field"],
     )
     def test_invalid_decompose_document(self, workdir, capsys, change, named):
         doc = json.loads((workdir / "model.json").read_text())
@@ -359,6 +369,7 @@ class TestExitCodes:
                      "--out", workdir / "r.json")
         assert rc == 2
         assert named in capsys.readouterr().err
+        assert not (workdir / "r.json").exists()
 
     @pytest.mark.parametrize(
         "problem, flags, named",
@@ -384,12 +395,15 @@ class TestExitCodes:
              "empirical sample 1 is not symmetric"),
             ({"A": [[0.0] * 4] * 4, "S": {"kind": "empirical", "samples": "nan4.npy"}}, [],
              "empirical sample 2 has non-finite entries"),
+            ({"S": {"kind": "empirical", "samples": "one2.npy"}}, [],
+             "need at least 2 samples to center fluctuations"),
+            ({"S": {"kind": "foo"}}, [], "unknown self-energy kind 'foo'"),
         ],
         ids=["nan-a", "inf-a", "nan-emin", "inf-emax", "nan-eta", "negative-c",
              "negative-sigma2", "null-c", "list-sigma2", "huge-int-a", "huge-int-c",
              "string-c", "bool-c", "string-a",
              "samples-size-mismatch",
-             "skew-samples", "nan-samples"],
+             "skew-samples", "nan-samples", "one-sample", "unknown-kind"],
     )
     def test_invalid_mde_problem(self, workdir, capsys, problem, flags, named):
         rng = np.random.default_rng(53)
@@ -401,6 +415,7 @@ class TestExitCodes:
         np.save(workdir / "skew4.npy", skew)
         sym[2, 1, 1] = np.nan
         np.save(workdir / "nan4.npy", sym)
+        np.save(workdir / "one2.npy", np.eye(2)[None])
         doc = {"A": [[0.0, 0.0], [0.0, 0.0]], "S": {"kind": "isotropic", "c": 1.0}}
         doc.update(problem)
         if "samples" in doc["S"]:
@@ -726,6 +741,32 @@ class TestExitCodes:
                      "--emin", 3, "--emax", -3, "--out", workdir / "x.csv")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "command, source, change, named",
+        [
+            ("contract", "contract.json", {"q": [0.2, 0.3, 0.4, 0.1]},
+             "p and q must have matching shapes"),
+            ("contract", "contract.json",
+             {"p": [0.5, 0.5], "q": [0.5, 0.5], "kernels": [[[0.5, 0.5]] * 3]},
+             "kernel 0 has shape (3, 2), expected (2, ...)"),
+            ("landscape", "net.json", {"nodes": ["0", "1", "2", "1"]},
+             "duplicate node ids: '1' appears more than once"),
+            ("landscape", "net.json", {"edges": [["0", "1"], ["1", "2"], ["1", "9"]]},
+             "edge ('1', '9') references unknown node"),
+        ],
+        ids=["contract-shapes", "contract-kernel-shape", "duplicate-node", "unknown-edge-node"],
+    )
+    def test_refused_document_names_its_fault(self, workdir, capsys, command, source, change,
+                                              named):
+        doc = json.loads((workdir / source).read_text())
+        doc.update(change)
+        (workdir / source).write_text(json.dumps(doc))
+        flags = (["--model"] if command == "contract" else
+                 ["--data", workdir / "data.csv", "--network"])
+        assert run_cli(command, *flags, workdir / source, "--out", workdir / "refused.out") == 2
+        assert named in capsys.readouterr().err
+        assert not list(workdir.glob("refused*"))
+
 
 ENSEMBLES = ["wigner", "centered-hessian"]
 
@@ -805,6 +846,29 @@ class TestDeterminism:
         assert f"SPECTRAL_THREADS must be a positive integer, got {value!r}" in (
             capsys.readouterr().err)
         assert not (workdir / "env.csv").exists()
+
+    def test_stray_env_var_threads_ignored_without_a_pool(self, workdir, capsys, monkeypatch):
+        # only esd sample runs a worker pool; every other command leaves the variable alone
+        commands = {
+            "density.csv": ["mde", "solve", "--problem", workdir / "wigner.json", "--points", 5],
+            "report.json": ["landscape", "--network", workdir / "net.json",
+                            "--data", workdir / "data.csv"],
+            "stages.json": ["contract", "--model", workdir / "contract.json"],
+            "split.json": ["decompose", "--model", workdir / "model.json"],
+        }
+        outputs = {}
+        for value in (None, "abc"):
+            if value is None:
+                monkeypatch.delenv("SPECTRAL_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("SPECTRAL_THREADS", value)
+            for name, command in commands.items():
+                assert run_cli(*command, "--out", workdir / name) == 0
+            outputs[value] = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        assert outputs["abc"] == outputs[None]
+        assert run_cli("esd", "sample", "--ensemble", "wigner", "--n", 4, "--trials", 1,
+                       "--out", workdir / "env.csv") == 2
+        assert "SPECTRAL_THREADS must be a positive integer, got 'abc'" in capsys.readouterr().err
 
     def test_mde_wigner_random_a_byte_identical(self, workdir):
         rng = np.random.default_rng(54)
@@ -1285,6 +1349,23 @@ def test_mde_solve_peak_is_within_its_count(fuzz_dir, kind, threads, n, points, 
     assert peak <= 8 * sum(counted.values()) + (1 << 20)
 
 
+def test_decompose_peak_is_within_its_count(fuzz_dir):
+    # one scale of width 10 over 2000 points: the transports, the laws and
+    # one log-law temporary, not the 2000 x 1024 conditionals
+    rng = np.random.default_rng(58)
+    (fuzz_dir / "wide.json").write_text(json.dumps({
+        "x_support": rng.standard_normal((2000, 3)).tolist(),
+        "x_pmf": rng.dirichlet(np.ones(2000)).tolist(),
+        "scales": [{"rows": 3, "cols": 10, "weights": rng.standard_normal(30).tolist()}],
+        "nu": [rng.dirichlet(np.ones(1024)).tolist()],
+    }))
+    rc, peak, counted = budget_peak(lambda: run_cli(
+        "decompose", "--model", fuzz_dir / "wide.json", "--out", fuzz_dir / "wide_report.json"))
+    assert rc == 0
+    assert counted == {"the transports and laws": 2000 * (3 + 2 * 10 + 2 * 10)}
+    assert peak <= 8 * counted["the transports and laws"] + (1 << 20)
+
+
 def _scaled_relu_chain(directory, c, rows):
     """The bench's w=18 relu chain from ``default_rng(7)``, every layer times ``c``, on ``rows``."""
     rng = np.random.default_rng(7)
@@ -1306,6 +1387,21 @@ def test_operator_norm_bound_holds_at_every_scale(fuzz_dir, exponent, sample):
     # with one sample H = l' H_1, so op_norm equals the bound in exact
     # arithmetic and the two eigensolves' rounding is all that separates them
     assert run_cli(*_scaled_relu_chain(fuzz_dir, 10.0 ** exponent, [sample])) == 0
+
+
+@given(exponent=st.integers(-14, 23), sample=st.integers(-1, 19))
+@example(exponent=-14, sample=-1)
+@example(exponent=23, sample=-1)
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_kink_flags_do_not_depend_on_the_weights_scale(fuzz_dir, exponent, sample):
+    # relu is positively homogeneous and scaling by a power of two is exact,
+    # so every activation pattern stays; sample -1 takes all 20 samples
+    rows = slice(None) if sample < 0 else [sample]
+    flags = []
+    for c in (1.0, 2.0 ** exponent):
+        assert run_cli(*_scaled_relu_chain(fuzz_dir, c, rows)) == 0
+        flags.append(json.loads((fuzz_dir / "scaled_report.json").read_text())["kink_samples"])
+    assert flags[1] == flags[0]
 
 
 def test_inflated_operator_norm_refused_at_small_scale(workdir, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dysonnet import infogeo
+from dysonnet import errors, infogeo
 from dysonnet.errors import CapacityError, DomainError, ShapeError
 from dysonnet.infogeo import (
     LayeredDiscreteModel,
@@ -101,16 +101,34 @@ class TestDecomposition:
             assert all(term >= 0.0 for term in report.kl_terms)
             assert report.expected_ll <= report.complete_ll + 1e-12
 
+    def test_wide_scale_matches_log_space_enumeration(self):
+        # one scale of width 10 over 2000 points: 2048000 conditional entries,
+        # none of which the decomposition forms
+        rng = np.random.default_rng(57)
+        model = LayeredDiscreteModel(rng.standard_normal((2000, 3)),
+                                     (KernelSpec(rng.standard_normal((3, 10)), "01"),))
+        data = rng.dirichlet(np.ones(2000))
+        nu = rng.dirichlet(np.ones(1024))
+        report = decompose_likelihood(model, data, [nu])
+        log_law = np.log(conditional_group_law(model.scales[0], model.x_support))
+        on = model.scale_states(0)
+        log_cond = log_law[:, :, 1] @ on.T + log_law[:, :, 0] @ (1.0 - on).T
+        kl = data @ ((np.log(nu) - log_cond) @ nu)
+        assert abs(report.kl_terms[0] - kl) <= 1e-12 * abs(kl)
+        assert report.identity_defect <= 1e-10
+
     def test_capacity_error(self, monkeypatch):
+        # 4 points * (2 + 2 * 8 + 2 * 8) = 136 entries held
         rng = np.random.default_rng(42)
         scales = (KernelSpec(rng.standard_normal((2, 8)), "01"),)
         model = LayeredDiscreteModel(rng.standard_normal((4, 2)), scales)
-        monkeypatch.setattr(infogeo, "MAX_CONDITIONAL_ENTRIES", 100)
+        monkeypatch.setattr(errors, "MAX_DENSE_ENTRIES", 100)
         with pytest.raises(CapacityError):
             decompose_likelihood(model, np.full(4, 0.25), [np.full(256, 1 / 256)])
 
     def test_budget_counts_the_held_conditionals(self, monkeypatch):
-        # 50 * 8**10 joint states, but only 50 * 10 * 8 conditional entries
+        # 50 * 8**10 joint states, but only 50 * (29 + 2 * 30 + 2 * 3) = 4750
+        # entries of transports, laws and one log-law temporary
         rng = np.random.default_rng(55)
         dims = [2] + [3] * 10
         scales = tuple(KernelSpec(rng.standard_normal((a, b)), "01")
@@ -119,8 +137,8 @@ class TestDecomposition:
         nu = [rng.dirichlet(np.ones(8)) for _ in scales]
         report = decompose_likelihood(model, rng.dirichlet(np.ones(50)), nu)
         assert report.identity_defect <= 1e-10
-        monkeypatch.setattr(infogeo, "MAX_CONDITIONAL_ENTRIES", 3999)
-        with pytest.raises(CapacityError, match="hold 4000 entries .*budget 3999"):
+        monkeypatch.setattr(errors, "MAX_DENSE_ENTRIES", 4749)
+        with pytest.raises(CapacityError, match="needs 4750 entries .*budget of 4749"):
             decompose_likelihood(model, np.full(50, 0.02), nu)
 
     def test_zero_probability_conditioning(self):
@@ -185,6 +203,15 @@ def joint_enumeration(model, data, nu):
     return complete, expected, kl_terms
 
 
+def posterior_by_states(model, data):
+    """Reference posteriors: each scale's normalized geometric mean of its conditionals."""
+    observed = [(w, x) for w, x in zip(data, model.x_support) if w > 0]
+    with np.errstate(divide="ignore"):
+        mixes = [sum(w * np.log(conditionals_by_states(model, x)[s]) for w, x in observed)
+                 for s in range(model.n_scales)]
+    return [np.exp(m - np.logaddexp.reduce(m)) for m in mixes]
+
+
 def random_layered_model(rng, monkeypatch):
     """A random model, with a random ``TRANSPORT_RULE`` set for it."""
     dim = int(rng.integers(1, 4))
@@ -229,15 +256,7 @@ class TestJointEnumerationOracle:
         compared = 0
         for _ in range(200):
             model = random_layered_model(rng, monkeypatch)
-            n_x = model.x_support.shape[0]
-            batched = model.conditionals(model.x_support)
-            for i, x in enumerate(model.x_support):
-                single = model.conditionals(x)
-                for s, cond in enumerate(conditionals_by_states(model, x)):
-                    assert single[s].ndim == 1
-                    assert np.abs(single[s] - cond).max() <= 1e-15
-                    assert np.abs(batched[s][i] - cond).max() <= 1e-15
-            data = sparse_pmf(rng, n_x)
+            data = sparse_pmf(rng, model.x_support.shape[0])
             nu = [sparse_pmf(rng, 2 ** spec.out_dim) for spec in model.scales]
             try:
                 report = decompose_likelihood(model, data, nu)
@@ -251,6 +270,9 @@ class TestJointEnumerationOracle:
             assert abs(report.complete_ll - complete) <= 1e-12
             assert abs(report.expected_ll - expected) <= 1e-12
             assert np.abs(np.asarray(report.kl_terms) - kl_terms).max() <= 1e-12
+            for got, want in zip(posterior_assignments(model, data),
+                                 posterior_by_states(model, data)):
+                assert np.abs(got - want).max() <= 1e-12
         assert compared >= 150
 
     @pytest.mark.parametrize("field, state", [("01", "[0.]"), ("pm1", "[-1.]")])
